@@ -1,4 +1,4 @@
-"""Vectorized enumeration of flip outcomes for large radius-infinity solves.
+"""Vectorized enumeration of flip outcomes for radius-infinity solves.
 
 Streams every (partition, pair-subset) combination in batches through
 numpy, reducing each flip to its component partition.  Outcome spaces
@@ -6,27 +6,33 @@ collapse by many orders of magnitude (the half-graph H_6 has ~6.3e8 raw
 4-flips but only a few thousand distinct component partitions), after
 which the game fixpoint is cheap.
 
-Only graphs with n <= 16 are supported here (uint16 rows); that covers
-everything the exhaustive limits allow.
+The flipper solver sends every r=inf solve on 1 <= n <= 16 vertices here
+(`supports`): rows are uint16 and component labels 4 bits wide.  Larger
+graphs, reachable at width 1 or with a raised max_n, stay on the Python
+stream.
 """
 
 import numpy as np
 
+from .errors import LimitExceeded
 from .flips import FlipSpec, Partition, block_pairs, rgs_partitions
 
-POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+def supports(n):
+    """Whether component_outcomes takes graphs on n vertices."""
+    return 1 <= n <= 16
 
 
 def component_outcomes(g, k):
     """Distinct component partitions over all <= k-flips of g.
 
-    Returns a list of (first_index, blocks, pair_subset, comp_masks) in
-    first-occurrence order of the canonical flip enumeration (restricted
-    growth partitions x binary-counted pair subsets).  comp_masks is the
-    tuple of component bitmasks, ascending by smallest vertex.
+    Returns a list of (blocks, pair_subset, comp_masks) in first-occurrence
+    order of the canonical flip enumeration (restricted growth partitions x
+    binary-counted pair subsets).  comp_masks is the tuple of component
+    bitmasks, ascending by smallest vertex.
     """
     n = g.n
-    assert n <= 16
+    if not supports(n):
+        raise LimitExceeded(f"component_outcomes: n={n} is outside 1..16")
     base = np.array(g.adj, dtype=np.uint16)
     found = {}  # signature -> (first_index, blocks, subset)
 
@@ -50,11 +56,8 @@ def component_outcomes(g, k):
     for b in sorted(pending):
         flush(b)
 
-    out = []
-    for sig, (idx, blocks, sub) in sorted(found.items(), key=lambda kv: kv[1][0]):
-        comp_masks = _sig_to_comps(sig, n)
-        out.append((idx, blocks, sub, comp_masks))
-    return out
+    return [(blocks, sub, _sig_to_comps(sig, n))
+            for sig, (_, blocks, sub) in sorted(found.items(), key=lambda kv: kv[1][0])]
 
 
 def _process(base, n, metas, found):

@@ -7,6 +7,7 @@ error; 5 illegal strategy move.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,59 +169,60 @@ def cmd_param(ns):
     return 0
 
 
-def _solve(game, g, r, k, max_n=None):
-    if game == "flip":
-        return games.solve_flipper(_plain(g), r, k, max_n=max_n)
-    if game == "cop":
-        return games.solve_cops(_plain(g), r, k, max_n=max_n)
-    if game == "copprime":
-        return games.solve_copw_prime(_plain(g), r, k, max_n=max_n)
-    if game == "isolation":
-        return games.solve_isolation(_plain(g), r, k, max_n=max_n)
-    if game == "dfw":
-        return games.solve_definable(_plain(g), r, k)
-    if game == "ordered":
-        og = g if isinstance(g, OrderedGraph) else OrderedGraph(_plain(g))
-        return games.solve_ordered(og, r, k, max_n=max_n)
-    if game == "bipartite":
-        if not isinstance(g, ColoredGraph) or g.num_colors() > 2:
-            raise ParseError("bipartite game needs a 2-colored graph input")
-        left = 0
-        for v, c in enumerate(g.colors):
-            if c == 1:
-                left |= 1 << v
-        return games.solve_bipartite(g.graph, left, r, k)
-    raise ParseError(f"unknown game {game!r}")
+def _plain_args(g):
+    return (_plain(g),)
 
 
-def _value(game, g, r):
-    plain = _plain(g)
-    if game == "flip":
-        return games.flip_width(plain, r)
-    if game == "cop":
-        return games.cop_width(plain, r)
-    if game == "copprime":
-        return games.copw_prime_width(plain, r)
-    if game == "isolation":
-        return games.isolation_width(plain, r)
-    if game == "dfw":
-        return games.definable_flip_width(plain, r)
-    if game == "ordered":
-        og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
-        return games.ordered_flip_width(og, r)
-    raise ParseError(f"no value search for game {game!r}")
+def _ordered_args(g):
+    return (g if isinstance(g, OrderedGraph) else OrderedGraph(_plain(g)),)
+
+
+def _bipartite_args(g):
+    """The plain graph and the mask of its colour-1 side."""
+    if not isinstance(g, ColoredGraph) or g.num_colors() > 2:
+        raise ParseError("bipartite game needs a 2-colored graph input")
+    return g.graph, sum(1 << v for v, c in enumerate(g.colors) if c == 1)
+
+
+# game -> (input adapter, solver, width search or None, takes max_n).  The
+# games functions are looked up by name at call time, so a wrapper put on
+# the games module is the one that runs.
+_GAMES = {
+    "flip": (_plain_args, "solve_flipper", "flip_width", True),
+    "cop": (_plain_args, "solve_cops", "cop_width", True),
+    "copprime": (_plain_args, "solve_copw_prime", "copw_prime_width", True),
+    "isolation": (_plain_args, "solve_isolation", "isolation_width", True),
+    "dfw": (_plain_args, "solve_definable", "definable_flip_width", False),
+    "ordered": (_ordered_args, "solve_ordered", "ordered_flip_width", True),
+    "bipartite": (_bipartite_args, "solve_bipartite", None, False),
+}
+
+
+def _play(game, g, r, k=None, max_n=None):
+    """Solve `game` on g at width k, or search its least winning width when
+    k is None."""
+    if game not in _GAMES:
+        raise ParseError(f"unknown game {game!r}")
+    adapt, solve, width, bounded = _GAMES[game]
+    if k is None and width is None:
+        raise ParseError(f"no value search for game {game!r}")
+    args = adapt(g)
+    kwargs = {"max_n": max_n} if bounded else {}
+    if k is None:
+        return getattr(games, width)(*args, r, **kwargs)
+    return getattr(games, solve)(*args, r, k, **kwargs)
 
 
 def cmd_game(ns):
     g = _load_graph(ns)
     if ns.value:
-        value = _value(ns.game, g, ns.r)
+        value = _play(ns.game, g, ns.r, max_n=ns.max_n)
         _emit(ns, {"game": ns.game, "r": "inf" if ns.r is INF else ns.r,
                    "value": value})
         return 0
     if ns.k is None:
         raise ParseError("either --k or --value is required")
-    sol = _solve(ns.game, g, ns.r, ns.k, max_n=ns.max_n)
+    sol = _play(ns.game, g, ns.r, ns.k, max_n=ns.max_n)
     _emit(ns, sol.to_json(witness=ns.witness))
     return 0
 
@@ -272,7 +274,7 @@ def _strategy(spec_text, side, game, g, r, k, ns):
     parts = spec_text.split(":")
     name = parts[0]
     if name == "solver-witness":
-        sol = _solve(game, g, r, k)
+        sol = _play(game, g, r, k)
         return sol.witness_pursuer if side == "pursuer" else sol.witness_evader
     if name == "identity":
         return games.IdentityFlipper(plain.n)
@@ -301,11 +303,7 @@ def cmd_duel(ns):
     g = _load_graph(ns)
     pursuer = _strategy(ns.pursuer, "pursuer", ns.game, g, ns.r, ns.k, ns)
     evader = _strategy(ns.evader, "evader", ns.game, g, ns.r, ns.k, ns)
-    left_mask = None
-    if ns.game == "bipartite":
-        if not isinstance(g, ColoredGraph):
-            raise ParseError("bipartite duels need a 2-colored graph")
-        left_mask = sum(1 << v for v, c in enumerate(g.colors) if c == 1)
+    left_mask = _bipartite_args(g)[1] if ns.game == "bipartite" else None
     trace = games.simulate_match(ns.game, _plain(g), ns.r, ns.k, pursuer, evader,
                                  ns.max_rounds, left_mask=left_mask)
     _emit(ns, trace.to_json())
@@ -322,7 +320,9 @@ def cmd_approx(ns):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The `flipwidth` argument parser, built once: parsing leaves it as it is."""
     top = argparse.ArgumentParser(
         prog="flipwidth",
         description="flip-width / cop-width games, width parameters, certificates")

@@ -16,6 +16,16 @@ def flip_enum_limit(k):
     return FLIP_ENUM_MAX_N.get(k, FLIP_ENUM_MAX_N_DEFAULT)
 
 
+def check_flip_enum(n, k, max_n=None):
+    """Raise unless the <= k-flips of an n-vertex graph may be enumerated."""
+    if k < 1:
+        raise GenerationError("flip width must be >= 1")
+    limit = flip_enum_limit(k) if max_n is None else max_n
+    if n > limit:
+        raise LimitExceeded(
+            f"enumerate_k_flips: n={n} exceeds the configured bound {limit} for k={k}")
+
+
 class Partition:
     """Vertex partition in canonical restricted-growth form."""
 
@@ -159,10 +169,6 @@ class FlippedGraph:
         return bool(((self.base.adj[u] >> v) & 1) ^ flipped)
 
 
-def flipped_adjacency(fg, u, v):
-    return fg.adjacency(u, v)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -216,12 +222,7 @@ def enumerate_k_flips(g, k, max_n=None, dedup=True):
     binary counting order; deduplicated by resulting edge set (64-bit
     fingerprint, collisions resolved by full comparison).
     """
-    if k < 1:
-        raise GenerationError("flip width must be >= 1")
-    limit = flip_enum_limit(k) if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(
-            f"enumerate_k_flips: n={g.n} exceeds the configured bound {limit} for k={k}")
+    check_flip_enum(g.n, k, max_n)
     seen = {}
     for part in rgs_partitions(g.n, k):
         pairs = block_pairs(part.size)
@@ -361,12 +362,6 @@ def cut_flip_weighted(og, cf):
     return w0, w1
 
 
-def cut_flip_ball_mask(og, cf, v, r):
-    """0/1-weighted ball from v: weight-0 edges are ~_S, weight-1 are E'."""
-    w0, w1 = cut_flip_weighted(og, cf)
-    return _weighted_ball(w0, w1, v, r)
-
-
 def _weighted_ball(w0, w1, v, r):
     cur = _zero_closure(w0, 1 << v)
     steps = 0
@@ -405,15 +400,6 @@ def cut_flip_ball(og, cf, v, r):
     w0, w1 = cut_flip_weighted(og, cf)
     isolated = w0[v] == 0 and w1[v] == 0
     return set(bits(_weighted_ball(w0, w1, v, r))), isolated
-
-
-def cut_flip_isolated_mask(og, cf):
-    w0, w1 = cut_flip_weighted(og, cf)
-    iso = 0
-    for v in range(og.n):
-        if w0[v] == 0 and w1[v] == 0:
-            iso |= 1 << v
-    return iso
 
 
 CUT_FLIP_WORK_LIMIT = 500_000

@@ -17,10 +17,9 @@ from collections import namedtuple
 
 from .errors import IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
-                    block_pairs, count_raw_flips, cut_flip_weighted,
+                    block_pairs, check_flip_enum, cut_flip_weighted,
                     enumerate_cut_flips, enumerate_definable_flips,
-                    enumerate_k_flips, flip_enum_limit, flip_masks,
-                    identity_flip, s_types)
+                    enumerate_k_flips, flip_masks, identity_flip, s_types)
 from .graphs import INF, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
@@ -28,9 +27,7 @@ RUNNER = "runner"
 COPS = "cops"
 ROBBER = "robber"
 
-BULK_THRESHOLD = 2_000_000
-
-Outcome = namedtuple("Outcome", "index move iso balls")
+Outcome = namedtuple("Outcome", "move iso balls")
 
 
 class GameSolution:
@@ -206,9 +203,9 @@ class HalfGraphFlipper(Pursuer):
 
 def _flip_outcome_stream(g, r, moves):
     """Deduplicate (iso, ballmap) outcomes over a stream of flip moves."""
-    seen = {}
+    seen = set()
     order = []
-    for index, (move, masks) in enumerate(moves):
+    for move, masks in moves:
         iso = 0
         for v in range(g.n):
             if masks[v] == 0:
@@ -217,8 +214,8 @@ def _flip_outcome_stream(g, r, moves):
         key = (iso, balls)
         if key in seen:
             continue
-        seen[key] = True
-        order.append(Outcome(index, move, iso, balls))
+        seen.add(key)
+        order.append(Outcome(move, iso, balls))
     return order
 
 
@@ -228,24 +225,25 @@ def _plain_flip_moves(g, k, max_n):
 
 
 def _flip_outcomes(g, r, k, max_n=None):
-    if r is INF and count_raw_flips(g.n, k) > BULK_THRESHOLD:
+    """Outcomes of every <= k-flip of g, first flip of each in enumeration
+    order.  At r=inf a ball is a component, so the numpy engine reduces the
+    flips whenever it takes n; otherwise the Python stream does."""
+    if r is INF:
         from . import bulk
-        limit = flip_enum_limit(k) if max_n is None else max_n
-        if g.n > limit:
-            raise LimitExceeded(
-                f"enumerate_k_flips: n={g.n} exceeds the configured bound {limit} for k={k}")
-        outs = []
-        for idx, blocks, sub, comps in bulk.component_outcomes(g, k):
-            iso = 0
-            ballmap = [0] * g.n
-            for comp in comps:
-                if popcount(comp) == 1:
-                    iso |= comp
-                for v in bits(comp):
-                    ballmap[v] = comp
-            outs.append(Outcome(idx, bulk.outcome_to_flipspec(blocks, sub),
-                                iso, tuple(ballmap)))
-        return outs
+        if bulk.supports(g.n):
+            check_flip_enum(g.n, k, max_n)
+            outs = []
+            for blocks, sub, comps in bulk.component_outcomes(g, k):
+                iso = 0
+                ballmap = [0] * g.n
+                for comp in comps:
+                    if popcount(comp) == 1:
+                        iso |= comp
+                    for v in bits(comp):
+                        ballmap[v] = comp
+                outs.append(Outcome(bulk.outcome_to_flipspec(blocks, sub),
+                                    iso, tuple(ballmap)))
+            return outs
     return _flip_outcome_stream(g, r, _plain_flip_moves(g, k, max_n))
 
 
@@ -258,9 +256,8 @@ def _definable_outcomes(g, r, k, max_k=None):
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
     g = og.graph
-    seen = {}
+    seen = set()
     order = []
-    index = 0
     for cf in enumerate_cut_flips(og, k, max_n=max_n):
         w0, w1 = cut_flip_weighted(og, cf)
         iso = 0
@@ -270,9 +267,8 @@ def _cut_flip_outcomes(og, r, k, max_n=None):
         balls = tuple(_weighted_ball(w0, w1, v, r) for v in range(g.n))
         key = (iso, balls)
         if key not in seen:
-            seen[key] = True
-            order.append(Outcome(index, cf, iso, balls))
-        index += 1
+            seen.add(key)
+            order.append(Outcome(cf, iso, balls))
     return order
 
 
@@ -368,33 +364,50 @@ def check_anti_tone(won):
                 assert won[a][0] <= won[b][0], (a, b)
 
 
-class TableFlipper(Pursuer):
-    """Witness pursuer for flip-family games, replaying the solve table."""
+# A move's masks, as the simulation rules compute them, are adjacency masks
+# for a flip and a (weight-0, weight-1) pair of masks for a cut-flip.
 
-    def __init__(self, game, g_masks, r, outcomes, won, move_of):
-        self.game = game
-        self.base = tuple(g_masks)
+
+def _trapped(masks, v):
+    return masks[v] == 0
+
+
+def _cut_ball(w, v, r):
+    return _weighted_ball(w[0], w[1], v, r)
+
+
+def _cut_trapped(w, v):
+    return w[0][v] == 0 and w[1][v] == 0
+
+
+class TableFlipper(Pursuer):
+    """Witness pursuer for flip-family games, replaying the solve table.
+
+    Its state is the masks of the last move played (`start` before the
+    first, None when the runner picks round 1 freely); ball(masks, v, r)
+    is the runner's reach from v and masks_of(move) the masks a move
+    gives.  A state off the table gets the move that covers most of it.
+    """
+
+    def __init__(self, n, r, outcomes, won, masks_of, ball, start=None):
+        self.full = (1 << n) - 1
         self.r = r
         self.outcomes = outcomes
         self.won = won
-        self.move_of = move_of
+        self.masks_of = masks_of
+        self.ball = ball
+        self.initial_masks = start
 
     def start(self):
-        return self.base
-
-    def _masks(self, move):
-        raise NotImplementedError
+        return self.initial_masks
 
     def move(self, state, position):
-        if position is None:
-            R = (1 << len(self.base)) - 1
+        if state is None or position is None:
+            R = self.full
         else:
-            R = ball_mask(state, position, self.r)
-        if R in self.won:
-            chosen = self.won[R][1]
-        else:
-            chosen = self._greedy(R)
-        return chosen.move, self._masks(chosen.move)
+            R = self.ball(state, position, self.r)
+        chosen = self.won[R][1] if R in self.won else self._greedy(R)
+        return chosen.move, self.masks_of(chosen.move)
 
     def _greedy(self, R):
         best = None
@@ -411,48 +424,22 @@ class TableFlipper(Pursuer):
         return best
 
 
-class FlipTableFlipper(TableFlipper):
-    def __init__(self, g, r, outcomes, won):
-        super().__init__("flip", g.adj, r, outcomes, won, None)
-        self.g = g
-
-    def _masks(self, move):
-        spec = move[1] if isinstance(move, tuple) else move
-        return tuple(flip_masks(self.g, spec))
-
-
-class CutFlipTableFlipper(TableFlipper):
-    def __init__(self, og, r, outcomes, won):
-        super().__init__("ordered", og.graph.adj, r, outcomes, won, None)
-        self.og = og
-
-    def start(self):
-        return None
-
-    def move(self, state, position):
-        if state is None or position is None:
-            R = (1 << self.og.n) - 1
-        else:
-            w0, w1 = state
-            R = _weighted_ball(w0, w1, position, self.r)
-        chosen = self.won[R][1] if R in self.won else self._greedy(R)
-        return chosen.move, cut_flip_weighted(self.og, chosen.move)
-
-
 class TableRunner(Evader):
-    """Maximally-surviving evader for flip-family games."""
+    """Maximally-surviving evader for flip-family games: it starts where the
+    win table is latest or silent, and answers each move the same way over
+    the legal vertices; trapped(masks, u) tells the move's isolated ones."""
 
-    def __init__(self, g, r, won, init_states, masks_of_move):
-        self.g = g
+    def __init__(self, r, won, init_states, masks_of, ball, trapped):
         self.r = r
         self.won = won
         self.init_states = init_states
-        self.masks_of_move = masks_of_move
+        self.masks_of = masks_of
+        self.ball = ball
+        self.trapped = trapped
 
     def initial(self, state):
         best_v, best_score = 0, -2
-        for v in range(self.g.n):
-            R = self.init_states[v]
+        for v, R in enumerate(self.init_states):
             entry = self.won.get(R)
             score = float("inf") if entry is None else entry[0]
             if score > best_score:
@@ -460,15 +447,13 @@ class TableRunner(Evader):
         return best_v, state
 
     def respond(self, state, move, legal):
-        new_masks = self.masks_of_move(move)
-        iso_mask = _iso_of_masks(new_masks)
+        masks = self.masks_of(move)
         best_u, best_score = None, -2
         for u in legal:
-            if (iso_mask >> u) & 1:
+            if self.trapped(masks, u):
                 score = -1
             else:
-                R = ball_mask(new_masks, u, self.r)
-                entry = self.won.get(R)
+                entry = self.won.get(self.ball(masks, u, self.r))
                 score = float("inf") if entry is None else entry[0]
             if score > best_score:
                 best_u, best_score = u, score
@@ -487,120 +472,101 @@ def _iso_of_masks(masks):
 # flip-family solvers
 
 
+def least_width(solve, winner, stop, start=1):
+    """Least k >= start at which solve(k) is won by `winner`.
+
+    Widths are tried upwards to stop; with stop None the search ends only
+    on a win or when the solver raises, such as LimitExceeded at its
+    enumeration bound.
+    """
+    k = start
+    while stop is None or k <= stop:
+        if solve(k).winner == winner:
+            return k
+        k += 1
+    raise AssertionError(f"no {winner} win at any k <= {stop}")
+
+
+def _solve_table(game, r, k, n, outcomes, init, move_json, witnesses=None):
+    """Solve a flip-family game over its outcomes and package the result.
+
+    The pursuer wins when every initial position set is won, in the worst
+    of their rounds.  The win table gives each won state its rounds and
+    move_json of its move; witnesses(won), when given, returns the
+    (pursuer, evader) pair that replays it.
+    """
+    won = _abstract_solve(outcomes, init, n)
+    wins = all(R in won for R in init)
+    rounds = max((won[R][0] for R in init), default=0) if wins else None
+    table = {R: (rd, move_json(o.move)) for R, (rd, o) in won.items()}
+    pursuer, evader = witnesses(won) if witnesses else (None, None)
+    return GameSolution(game, r, k, FLIPPER if wins else RUNNER, rounds, table,
+                        pursuer, evader, init)
+
+
+def _solve_on_graph(game, g, r, k, outcomes, move_json):
+    """_solve_table for the games that flip g itself (flip, dfw, bipartite):
+    the runner starts in a radius-r ball of g, and a move is a FlipSpec or
+    an (S, FlipSpec) pair."""
+    init = [ball_mask(g.adj, v, r) for v in range(g.n)]
+
+    def masks_of(move):
+        return tuple(flip_masks(g, move[1] if isinstance(move, tuple) else move))
+
+    def witnesses(won):
+        return (TableFlipper(g.n, r, outcomes, won, masks_of, ball_mask, tuple(g.adj)),
+                TableRunner(r, won, init, masks_of, ball_mask, _trapped))
+    return _solve_table(game, r, k, g.n, outcomes, init, move_json, witnesses)
+
+
 def solve_flipper(g, r, k, max_n=None):
     """Exact flipper-game solve on g with radius r and width k."""
-    outcomes = _flip_outcomes(g, r, k, max_n=max_n)
-    init = [ball_mask(g.adj, v, r) for v in range(g.n)]
-    won = _abstract_solve(outcomes, init, g.n)
-    flipper_wins = all(R in won for R in init)
-    rounds = max((won[R][0] for R in init), default=0) if flipper_wins else None
-    table = {R: (rd, o.move.to_json()) for R, (rd, o) in won.items()}
-    pursuer = FlipTableFlipper(g, r, outcomes, won)
-    evader = TableRunner(g, r, won, init, lambda spec: tuple(flip_masks(g, spec)))
-    return GameSolution("flip", r, k, FLIPPER if flipper_wins else RUNNER,
-                        rounds, table, pursuer, evader, init)
+    return _solve_on_graph("flip", g, r, k, _flip_outcomes(g, r, k, max_n=max_n),
+                           FlipSpec.to_json)
 
 
 def flip_width(g, r, max_n=None):
     """Least k with a flipper win; always <= n."""
-    for k in range(1, g.n + 1):
-        sol = solve_flipper(g, r, k, max_n=max_n)
-        if sol.winner == FLIPPER:
-            return k
-    raise AssertionError("flipper always wins at k = n")
+    return least_width(lambda k: solve_flipper(g, r, k, max_n=max_n), FLIPPER, g.n)
 
 
 def solve_definable(g, r, k, max_k=None):
     """Definable flipper game: flips restricted to S-definable ones, |S| <= k."""
-    outcomes = _definable_outcomes(g, r, k, max_k=max_k)
-    init = [ball_mask(g.adj, v, r) for v in range(g.n)]
-    won = _abstract_solve(outcomes, init, g.n)
-    flipper_wins = all(R in won for R in init)
-    rounds = max((won[R][0] for R in init), default=0) if flipper_wins else None
-    table = {R: (rd, {"s": list(o.move[0]), "flip": o.move[1].to_json()})
-             for R, (rd, o) in won.items()}
-    pursuer = FlipTableFlipper(g, r, outcomes, won)
-    evader = TableRunner(g, r, won, init,
-                         lambda move: tuple(flip_masks(g, move[1])))
-    return GameSolution("dfw", r, k, FLIPPER if flipper_wins else RUNNER,
-                        rounds, table, pursuer, evader, init)
+    return _solve_on_graph("dfw", g, r, k, _definable_outcomes(g, r, k, max_k=max_k),
+                           lambda move: {"s": list(move[0]), "flip": move[1].to_json()})
 
 
 def definable_flip_width(g, r, max_k=None):
-    k = 0
-    while True:
-        sol = solve_definable(g, r, k, max_k=max_k)
-        if sol.winner == FLIPPER:
-            return k
-        k += 1
+    return least_width(lambda k: solve_definable(g, r, k, max_k=max_k), FLIPPER,
+                       None, start=0)
 
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    outcomes = _bipartite_outcomes(g, left_mask, r, k)
-    init = [ball_mask(g.adj, v, r) for v in range(g.n)]
-    won = _abstract_solve(outcomes, init, g.n)
-    flipper_wins = all(R in won for R in init)
-    rounds = max((won[R][0] for R in init), default=0) if flipper_wins else None
-    table = {R: (rd, o.move.to_json()) for R, (rd, o) in won.items()}
-    pursuer = FlipTableFlipper(g, r, outcomes, won)
-    evader = TableRunner(g, r, won, init, lambda spec: tuple(flip_masks(g, spec)))
-    return GameSolution("bipartite", r, k, FLIPPER if flipper_wins else RUNNER,
-                        rounds, table, pursuer, evader, init)
+    return _solve_on_graph("bipartite", g, r, k, _bipartite_outcomes(g, left_mask, r, k),
+                           FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):
-    for k in range(1, g.n + 1):
-        if solve_bipartite(g, left_mask, r, k).winner == FLIPPER:
-            return k
-    raise AssertionError("bipartite flipper always wins at k = n")
+    return least_width(lambda k: solve_bipartite(g, left_mask, r, k), FLIPPER, g.n)
 
 
 def solve_ordered(og, r, k, max_n=None):
     """Ordered flipper game with k-cut-flips; the runner picks round 1 freely."""
     outcomes = _cut_flip_outcomes(og, r, k, max_n=max_n)
-    full = (1 << og.n) - 1
-    init = [full]
-    won = _abstract_solve(outcomes, init, og.n)
-    flipper_wins = full in won
-    rounds = won[full][0] if flipper_wins else None
-    table = {R: (rd, o.move.to_json()) for R, (rd, o) in won.items()}
-    pursuer = CutFlipTableFlipper(og, r, outcomes, won)
+    init = [(1 << og.n) - 1]
 
     def masks_of(cf):
         return cut_flip_weighted(og, cf)
 
-    evader = OrderedTableRunner(og, r, won)
-    return GameSolution("ordered", r, k, FLIPPER if flipper_wins else RUNNER,
-                        rounds, table, pursuer, evader, [full])
-
-
-class OrderedTableRunner(Evader):
-    def __init__(self, og, r, won):
-        self.og = og
-        self.r = r
-        self.won = won
-
-    def respond(self, state, move, legal):
-        w0, w1 = cut_flip_weighted(self.og, move)
-        best_u, best_score = None, -2
-        for u in legal:
-            if w0[u] == 0 and w1[u] == 0:
-                score = -1
-            else:
-                R = _weighted_ball(w0, w1, u, self.r)
-                entry = self.won.get(R)
-                score = float("inf") if entry is None else entry[0]
-            if score > best_score:
-                best_u, best_score = u, score
-        return best_u, state
+    def witnesses(won):
+        return (TableFlipper(og.n, r, outcomes, won, masks_of, _cut_ball),
+                TableRunner(r, won, init, masks_of, _cut_ball, _cut_trapped))
+    return _solve_table("ordered", r, k, og.n, outcomes, init, CutFlip.to_json, witnesses)
 
 
 def ordered_flip_width(og, r, max_n=None):
-    for k in range(1, og.n + 1):
-        if solve_ordered(og, r, k, max_n=max_n).winner == FLIPPER:
-            return k
-    raise AssertionError("ordered flipper always wins at k = n")
+    return least_width(lambda k: solve_ordered(og, r, k, max_n=max_n), FLIPPER, og.n)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +574,8 @@ def ordered_flip_width(og, r, max_n=None):
 
 
 def _binary_gaifman_outcomes(og, r, k):
-    """Distinct Gaifman graphs of k-flips of (V, E, <) as a binary structure.
+    """Distinct outcomes of the Gaifman graphs of k-flips of (V, E, <) as a
+    binary structure.
 
     Between two blocks the flipped order relation keeps all Gaifman pairs,
     or drops exactly the pairs whose smaller endpoint lies in a chosen
@@ -617,9 +584,9 @@ def _binary_gaifman_outcomes(og, r, k):
     """
     g = og.graph
     n = g.n
-    seen = {}
+    graphs = set()
+    seen = set()
     order = []
-    index = 0
     from .flips import rgs_partitions
     for part in rgs_partitions(n, k):
         b = part.size
@@ -659,23 +626,14 @@ def _binary_gaifman_outcomes(og, r, k):
         for em in elayers:
             for lm in llayers:
                 gm = tuple(em[v] | lm[v] for v in range(n))
-                if gm in seen:
-                    index += 1
+                if gm in graphs:     # a repeated Gaifman graph repeats its outcome
                     continue
-                seen[gm] = True
-                iso = _iso_of_masks(gm)
-                balls = tuple(ball_mask(gm, v, r) for v in range(n))
-                order.append(Outcome(index, None, iso, balls))
-                index += 1
-    # dedup by outcome as usual
-    out = []
-    okeys = set()
-    for o in order:
-        key = (o.iso, o.balls)
-        if key not in okeys:
-            okeys.add(key)
-            out.append(o)
-    return out
+                graphs.add(gm)
+                key = (_iso_of_masks(gm), tuple(ball_mask(gm, v, r) for v in range(n)))
+                if key not in seen:
+                    seen.add(key)
+                    order.append(Outcome(None, *key))
+    return order
 
 
 def _ternary(m):
@@ -694,21 +652,12 @@ def _ternary(m):
 def solve_ordered_binary(og, r, k):
     """Flipper game on the ordered graph as a binary structure (Gaifman moves)."""
     outcomes = _binary_gaifman_outcomes(og, r, k)
-    full = (1 << og.n) - 1
-    init = [full] if og.n > 1 else [1]
-    won = _abstract_solve(outcomes, init, og.n)
-    wins = all(R in won for R in init)
-    rounds = max((won[R][0] for R in init), default=0) if wins else None
-    return GameSolution("ordered-binary", r, k, FLIPPER if wins else RUNNER,
-                        rounds, {R: (rd, None) for R, (rd, _) in won.items()},
-                        None, None, init)
+    init = [(1 << og.n) - 1] if og.n > 1 else [1]
+    return _solve_table("ordered-binary", r, k, og.n, outcomes, init, lambda move: None)
 
 
 def ordered_binary_flip_width(og, r):
-    for k in range(1, og.n + 1):
-        if solve_ordered_binary(og, r, k).winner == FLIPPER:
-            return k
-    raise AssertionError("binary flipper always wins at k = n")
+    return least_width(lambda k: solve_ordered_binary(og, r, k), FLIPPER, og.n)
 
 
 # ---------------------------------------------------------------------------
@@ -796,19 +745,15 @@ def _solve_cops_family(game, g, r, k, grounded):
         win_table[(s, v)] = (rd, None)
     sol = GameSolution(game, r, k, COPS if cops_win else ROBBER, value_rounds,
                        win_table, None, None, [(0, v) for v in range(n)])
-    sol.witness_pursuer = CopTable(game, g, r, k, reach, rounds, moves, grounded)
-    sol.witness_evader = RobberTable(game, g, r, k, reach, rounds, grounded)
+    sol.witness_pursuer = CopTable(reach, rounds, moves, grounded)
+    sol.witness_evader = RobberTable(g, rounds)
     return sol
 
 
 class CopTable(Pursuer):
     """Witness cop policy: round-decreasing, enumeration-first cop sets."""
 
-    def __init__(self, game, g, r, k, reach, rounds, moves, grounded):
-        self.game = game
-        self.g = g
-        self.r = r
-        self.k = k
+    def __init__(self, reach, rounds, moves, grounded):
         self.reach = reach
         self.rounds = rounds
         self.moves = moves
@@ -845,7 +790,7 @@ class CopTable(Pursuer):
 class RobberTable(Evader):
     """Maximally-surviving robber: escape the win table if possible."""
 
-    def __init__(self, game, g, r, k, reach, rounds, grounded):
+    def __init__(self, g, rounds):
         self.g = g
         self.rounds = rounds
 
@@ -873,17 +818,11 @@ class RobberTable(Evader):
 
 
 def cop_width(g, r, max_n=None):
-    for k in range(1, g.n + 1):
-        if solve_cops(g, r, k, max_n=max_n).winner == COPS:
-            return k
-    raise AssertionError("cops always win with n cops")
+    return least_width(lambda k: solve_cops(g, r, k, max_n=max_n), COPS, g.n)
 
 
 def isolation_width(g, r, max_n=None):
-    for k in range(1, g.n + 1):
-        if solve_isolation(g, r, k, max_n=max_n).winner == COPS:
-            return k
-    raise AssertionError("isolation cops always win with n cops")
+    return least_width(lambda k: solve_isolation(g, r, k, max_n=max_n), COPS, g.n)
 
 
 def _copprime_responses(g, r, v, A):
@@ -936,13 +875,13 @@ def solve_copw_prime(g, r, k, max_n=None):
     table = {v: (rd, {"cops": sorted(bits(A))}) for v, (rd, A) in won.items()}
     sol = GameSolution("copprime", r, k, COPS if cops_win else ROBBER, rounds,
                        table, None, None, list(range(n)))
-    sol.witness_pursuer = CopPrimeTable(g, r, k, moves, won)
-    sol.witness_evader = CopPrimeRobber(g, r, won)
+    sol.witness_pursuer = CopPrimeTable(g, r, moves, won)
+    sol.witness_evader = CopPrimeRobber(g, won)
     return sol
 
 
 class CopPrimeTable(Pursuer):
-    def __init__(self, g, r, k, moves, won):
+    def __init__(self, g, r, moves, won):
         self.g = g
         self.r = r
         self.moves = moves
@@ -967,7 +906,7 @@ class CopPrimeTable(Pursuer):
 
 
 class CopPrimeRobber(Evader):
-    def __init__(self, g, r, won):
+    def __init__(self, g, won):
         self.g = g
         self.won = won
 
@@ -989,10 +928,7 @@ class CopPrimeRobber(Evader):
 
 
 def copw_prime_width(g, r, max_n=None):
-    for k in range(1, g.n + 1):
-        if solve_copw_prime(g, r, k, max_n=max_n).winner == COPS:
-            return k
-    raise AssertionError("copw' cops always win with n cops")
+    return least_width(lambda k: solve_copw_prime(g, r, k, max_n=max_n), COPS, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -1381,10 +1317,7 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
     balls = [[ball_mask(masks[f], v, r) for v in range(g.n)] for f in range(nmoves)]
     base_balls = [ball_mask(g.adj, v, r) for v in range(g.n)]
     win = [[False] * g.n for _ in range(nmoves)]   # state: flip f announced, runner at v
-    rounds = {}
-    iteration = 0
     while True:
-        iteration += 1
         changed = False
         for f in range(nmoves):
             for v in range(g.n):
@@ -1403,7 +1336,6 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
                         break
                 if ok:
                     win[f][v] = True
-                    rounds[(f, v)] = iteration
                     changed = True
         if not changed:
             break

@@ -108,30 +108,6 @@ def _red_degree_after_merge(g, parts, i, j):
     return red_graph(g, merged).max_degree(), tuple(sorted(merged))
 
 
-def _greedy_sequence(g):
-    parts = {lowest_bit(1 << v): 1 << v for v in range(g.n)}
-    merges = []
-    width = 0
-    while len(parts) > 1:
-        reps = sorted(parts)
-        best = None
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                i, j = reps[a], reps[b]
-                trial = dict(parts)
-                trial[i] = parts[i] | parts[j]
-                del trial[j]
-                deg = red_graph(g, tuple(trial[x] for x in sorted(trial))).max_degree()
-                if best is None or deg < best[0]:
-                    best = (deg, i, j)
-        _, i, j = best
-        merges.append((i, j))
-        parts[i] |= parts[j]
-        del parts[j]
-        width = max(width, best[0])
-    return width, merges
-
-
 def tww_exact_small(g, max_n=None):
     """Exact twin-width plus an optimal contraction sequence.
 

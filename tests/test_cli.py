@@ -63,6 +63,13 @@ def test_game_cop_value():
     assert json.loads(out)["value"] == 5
 
 
+def test_game_value_honours_max_n():
+    rc, out, err = run_cli("game", "--family", "gnp:8:0.5:5", "flip", "--r", "inf",
+                           "--value", "--max-n", "8")
+    assert rc == 0, err
+    assert json.loads(out)["value"] == 4
+
+
 def test_game_flip_halfgraph_k3():
     rc, out, _ = run_cli("game", "--family", "half:6", "flip", "--r", "inf",
                          "--k", "3", "--max-n", "12")

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import atlas_graphs, random_graphs
-from flipwidth.errors import IllegalMoveError, LimitExceeded
+from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
 from flipwidth.flips import FlipSpec, Partition, identity_flip
 from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              HalfGraphFlipper, IdentityFlipper, RandomFlipper,
@@ -43,6 +43,36 @@ def test_edgeless_immediate_win():
 def test_halfgraph_k3_and_k4():
     h6 = generate("half_graph", 6)
     assert solve_flipper(h6, INF, 3, max_n=12).winner == FLIPPER
+
+
+def test_bulk_outcomes_match_stream_at_radius_inf(monkeypatch):
+    """At r=inf the numpy engine gives the Python stream's outcomes: the same
+    moves, isolated sets and balls, in the same order."""
+    from flipwidth import bulk, games
+    engine = bulk.component_outcomes
+    calls = []
+    monkeypatch.setattr(bulk, "component_outcomes",
+                        lambda g, k: calls.append(k) or engine(g, k))
+    graphs = atlas_graphs(5)
+    for g in graphs:
+        for k in (1, 2, 3):
+            got = games._flip_outcomes(g, INF, k)
+            want = games._flip_outcome_stream(g, INF, games._plain_flip_moves(g, k, None))
+            assert ([(o.move.to_json(), o.iso, o.balls) for o in got]
+                    == [(o.move.to_json(), o.iso, o.balls) for o in want]), (g.adj, k)
+    assert len(calls) == 3 * len(graphs)
+
+
+def test_radius_inf_solves_the_engine_does_not_take():
+    from flipwidth import bulk
+    sol = solve_flipper(Graph(0, []), INF, 1)
+    assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
+    path = generate("path", 17)
+    with pytest.raises(LimitExceeded):
+        bulk.component_outcomes(path, 1)
+    assert solve_flipper(path, INF, 1).winner == RUNNER
+    with pytest.raises(GenerationError):
+        solve_flipper(generate("cycle", 4), INF, 0)
 
 
 def test_complement_invariance(atlas5):
