@@ -128,8 +128,7 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
         raise GenerationError(
             f"hideout precondition violated: |U|={len(cert.u)} must exceed d={cert.d}")
     if mode == "exhaustive":
-        for spec in enumerate_k_flips(g, cert.k, max_n=max_n):
-            masks = flip_masks(g, spec)
+        for spec, masks in enumerate_k_flips(g, cert.k, max_n=max_n):
             if hideout_violation(g, cert, masks) > cert.d:
                 return HideoutReport(False, "exhaustive", spec)
         return HideoutReport(True, "exhaustive", None)
@@ -199,7 +198,7 @@ def find_hideout_small(g, r, k, d, max_n=None):
     limit = HIDEOUT_SEARCH_MAX_N if max_n is None else max_n
     if g.n > limit:
         raise LimitExceeded(f"find_hideout_small: n={g.n} exceeds bound {limit}")
-    all_masks = [flip_masks(g, spec) for spec in enumerate_k_flips(g, k, max_n=max_n)]
+    all_masks = [masks for _, masks in enumerate_k_flips(g, k, max_n=max_n)]
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)
@@ -358,8 +357,9 @@ class OrderCops:
         prev_mask, prev_pos, grounded, last_min = state
         if prev_pos is not None:
             m = self._path_min(prev_pos, position, grounded)
-            assert m is not None and m > last_min, \
-                "order-cop invariant broken: path minimum did not increase"
+            if m is None or m <= last_min:
+                raise AssertionError(
+                    "order-cop invariant broken: path minimum did not increase")
             last_min = m
         s2 = self._weakly_reachable_before(position) | (1 << position)
         return frozenset(bits(s2)), (s2, position, prev_mask & s2, last_min)

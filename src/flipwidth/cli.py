@@ -48,7 +48,15 @@ def _parse_radius(text):
 
 def _family_graph(spec_text):
     """Inline generator syntax: name or name:arg1:arg2 (half:6, clique:5,
-    gnp:8:0.5:7, pattern:4:eq, sub:clique:5:1, treecomp:0-0-1)."""
+    gnp:8:0.5:7, pattern:4:eq, sub:clique:5:1, treecomp:0-0-1).  Arguments
+    of the wrong type or number are a parse error."""
+    try:
+        return _build_family(spec_text)
+    except (ValueError, IndexError, TypeError) as e:
+        raise ParseError(f"malformed family spec {spec_text!r}: {e}") from None
+
+
+def _build_family(spec_text):
     parts = spec_text.split(":")
     name = parts[0]
     args = parts[1:]
@@ -57,7 +65,7 @@ def _family_graph(spec_text):
              "treecomp": "tree_comparability", "sub": "exact_subdivision"}
     name = alias.get(name, name)
     if name == "exact_subdivision":
-        base = _family_graph(":".join(args[:-1]))
+        base = _build_family(":".join(args[:-1]))
         g, _ = generate(name, base, int(args[-1]))
         return g
     if name == "tree_comparability":
@@ -82,8 +90,26 @@ def _family_graph(spec_text):
 def _load_graph(ns):
     if getattr(ns, "family", None):
         return _family_graph(ns.family)
-    data = sys.stdin.read() if ns.graph == "-" else open(ns.graph, "rb").read()
+    data = sys.stdin.read() if ns.graph == "-" else _read_file(ns.graph, "graph")
     return sniff_and_parse(data)
+
+
+def _read_file(path, what):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {what} file {path!r}: {e.strerror}") from None
+
+
+def _read_certificate(path):
+    """Certificate JSON: an unreadable file is a parse error, text that is
+    not JSON a schema error."""
+    data = _read_file(path, "certificate")
+    try:
+        return json.loads(data)
+    except ValueError as e:
+        raise SchemaError(f"certificate is not valid JSON: {e}") from None
 
 
 def _plain(g):
@@ -229,7 +255,7 @@ def cmd_game(ns):
 
 def cmd_certify(ns):
     g = _load_graph(ns)
-    obj = json.loads(open(ns.certificate).read())
+    obj = _read_certificate(ns.certificate)
     if not isinstance(obj, dict):
         raise SchemaError("certificate JSON must be an object")
     kind = obj.get("kind")
@@ -282,11 +308,11 @@ def _strategy(spec_text, side, game, g, r, k, ns):
         seed = int(parts[1]) if len(parts) > 1 else ns.seed
         return games.RandomFlipper(plain.n, k, seed)
     if name == "hideout":
-        cert = certs.certificate_from_json(json.loads(open(ns.certificate).read()))
+        cert = certs.certificate_from_json(_read_certificate(ns.certificate))
         return certs.hideout_runner_strategy(plain, cert)
     if name == "richdivision":
         og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
-        cert = certs.certificate_from_json(json.loads(open(ns.certificate).read()))
+        cert = certs.certificate_from_json(_read_certificate(ns.certificate))
         return certs.rich_division_runner_strategy(og, cert)
     if name == "btww":
         _, cs = twinwidth.tww_exact_small(plain)

@@ -1,4 +1,12 @@
-"""Flip algebra: partitions, k-flips, definable flips, and ordered cut-flips."""
+"""Flip algebra: partitions, k-flips, definable flips, bipartite flips and
+ordered cut-flips.
+
+Each enumerator streams (move, masks) pairs: `move` is what the game
+announces (a FlipSpec, an (S, FlipSpec) pair or a CutFlip) and `masks` its
+adjacency rows as a tuple (a (weight0, weight1) pair of tuples for a
+cut-flip), computed once per raw flip.  A flip whose edge set was already
+yielded is dropped, so the first flip of each edge set is the one kept.
+"""
 
 from .errors import GenerationError, LimitExceeded, SchemaError
 from .graphs import Graph, INF, bits, mask_of
@@ -131,7 +139,8 @@ class CutFlip:
 
 
 def flip_masks(base, spec):
-    """Adjacency bitmasks of the flipped graph (no materialized Graph)."""
+    """Adjacency bitmasks of the flipped graph as a tuple (no materialized
+    Graph)."""
     blocks = spec.partition.blocks
     if len(blocks) != base.n:
         raise GenerationError("flip partition does not cover the vertex set")
@@ -140,33 +149,11 @@ def flip_masks(base, spec):
     for i, j in spec.pairs:
         toggle[i] |= bm[j]
         toggle[j] |= bm[i]
-    return [(base.adj[v] ^ toggle[blocks[v]]) & ~(1 << v) for v in range(base.n)]
+    return tuple((base.adj[v] ^ toggle[blocks[v]]) & ~(1 << v) for v in range(base.n))
 
 
 def apply_flip(g, spec):
     return Graph.from_masks(flip_masks(g, spec))
-
-
-class FlippedGraph:
-    """Lazy view of apply_flip(base, spec)."""
-
-    __slots__ = ("base", "spec", "_toggle")
-
-    def __init__(self, base, spec):
-        self.base = base
-        self.spec = spec
-        bm = spec.partition.block_masks()
-        toggle = [0] * spec.partition.size
-        for i, j in spec.pairs:
-            toggle[i] |= bm[j]
-            toggle[j] |= bm[i]
-        self._toggle = tuple(toggle)
-
-    def adjacency(self, u, v):
-        if u == v:
-            return False
-        flipped = (self._toggle[self.spec.partition.blocks[u]] >> v) & 1
-        return bool(((self.base.adj[u] >> v) & 1) ^ flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +202,29 @@ def _stirling(n, k):
     return row[k]
 
 
-def enumerate_k_flips(g, k, max_n=None, dedup=True):
-    """Stream every <= k-flip of g as FlipSpec, identity first.
+def partition_flips(g, part, pairs, seen):
+    """(FlipSpec, rows) for every subset of `pairs` flipped over part, pair
+    subsets in binary counting order; rows are computed once per flip, and a
+    flip whose rows are already in `seen` is skipped (seen is extended)."""
+    for sub in range(1 << len(pairs)):
+        spec = FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
+        masks = flip_masks(g, spec)
+        if masks not in seen:
+            seen.add(masks)
+            yield spec, masks
+
+
+def enumerate_k_flips(g, k, max_n=None):
+    """Stream (FlipSpec, rows) for every distinct edge set among the <= k-flips
+    of g, identity first.
 
     Partitions in restricted-growth lexicographic order, pair subsets in
-    binary counting order; deduplicated by resulting edge set (64-bit
-    fingerprint, collisions resolved by full comparison).
+    binary counting order; the first flip of each edge set is kept.
     """
     check_flip_enum(g.n, k, max_n)
-    seen = {}
+    seen = set()
     for part in rgs_partitions(g.n, k):
-        pairs = block_pairs(part.size)
-        bm = part.block_masks()
-        for sub in range(1 << len(pairs)):
-            spec = FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
-            if not dedup:
-                yield spec
-                continue
-            fp = _edge_fingerprint(g, part, bm, spec)
-            bucket = seen.setdefault(fp, [])
-            masks = tuple(flip_masks(g, spec))
-            if masks in bucket:
-                continue
-            bucket.append(masks)
-            yield spec
-
-
-def _edge_fingerprint(g, part, bm, spec):
-    h = 0xCBF29CE484222325
-    for row in flip_masks(g, spec):
-        h ^= row
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+        yield from partition_flips(g, part, block_pairs(part.size), seen)
 
 
 def compose_flips(g, first, second):
@@ -300,25 +278,41 @@ def s_types(g, s_set, split_s_singletons=False):
     return Partition(canon)
 
 
-def enumerate_definable_flips(g, k, max_k=None, dedup=True):
-    """Stream (S, FlipSpec) pairs over all S with |S| <= k, deduplicated by
-    resulting edge set."""
+def enumerate_definable_flips(g, k, max_k=None):
+    """Stream ((S, FlipSpec), rows) over all S with |S| <= k, one per
+    distinct edge set."""
     limit = DEFINABLE_MAX_K if max_k is None else max_k
     if k > limit:
         raise LimitExceeded(f"enumerate_definable_flips: k={k} exceeds bound {limit}")
-    seen = {}
+    seen = set()
     for smask in _subsets_up_to(g.n, k):
         s_set = tuple(bits(smask))
         part = s_types(g, s_set)
-        pairs = block_pairs(part.size)
-        for sub in range(1 << len(pairs)):
-            spec = FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
-            if dedup:
-                masks = tuple(flip_masks(g, spec))
-                if masks in seen:
-                    continue
-                seen[masks] = True
-            yield s_set, spec
+        for spec, masks in partition_flips(g, part, block_pairs(part.size), seen):
+            yield (s_set, spec), masks
+
+
+def enumerate_bipartite_flips(g, left_mask, k):
+    """Stream (FlipSpec, rows) over the bipartite flips, one per distinct edge
+    set: partitions refine the sides, <= k blocks per side, flipped pairs
+    cross-side only."""
+    left = [v for v in range(g.n) if (left_mask >> v) & 1]
+    right = [v for v in range(g.n) if not (left_mask >> v) & 1]
+    rparts = list(rgs_partitions(len(right), k))
+    seen = set()
+    for lp in rgs_partitions(len(left), k):
+        for rp in rparts:
+            blocks = [0] * g.n
+            for i, v in enumerate(left):
+                blocks[v] = lp.blocks[i]
+            for j, v in enumerate(right):
+                blocks[v] = lp.size + rp.blocks[j]
+            part = Partition(blocks)
+            # partition canonicalization may relabel; map the pairs through it
+            remap = {blocks[v]: part.blocks[v] for v in range(g.n)}
+            cross = [(remap[i], remap[lp.size + j])
+                     for i in range(lp.size) for j in range(rp.size)]
+            yield from partition_flips(g, part, cross, seen)
 
 
 def _subsets_up_to(n, k):
@@ -350,16 +344,19 @@ def order_classes(n, cut):
     return classes
 
 
+def order_rows(n, cut):
+    """Weight-0 adjacency masks of a cut: each ~_S class is a clique."""
+    w0 = [0] * n
+    for cls in order_classes(n, cut):
+        for v in bits(cls):
+            w0[v] = cls & ~(1 << v)
+    return tuple(w0)
+
+
 def cut_flip_weighted(og, cf):
     """(weight0, weight1) adjacency masks of the cut-flip's weighted graph."""
     g = og.graph
-    w1 = flip_masks(g, cf.flip)
-    classes = order_classes(g.n, cf.cut)
-    w0 = [0] * g.n
-    for cls in classes:
-        for v in bits(cls):
-            w0[v] = cls & ~(1 << v)
-    return w0, w1
+    return order_rows(g.n, cf.cut), flip_masks(g, cf.flip)
 
 
 def _weighted_ball(w0, w1, v, r):
@@ -406,21 +403,19 @@ CUT_FLIP_WORK_LIMIT = 500_000
 
 
 def enumerate_cut_flips(og, k, max_n=None):
-    """Stream k-cut-flips: every <= k edge flip crossed with every |S| <= k.
+    """Stream (CutFlip, (weight0, weight1)): every distinct <= k edge flip,
+    its rows as the weight-1 rows, crossed with every cut |S| <= k.
 
     The default limit admits any n whose raw (flip, cut) count stays small;
     otherwise the per-width vertex bounds of enumerate_k_flips apply.
     """
     g = og.graph
-    cuts = list(_subsets_up_to(g.n, k))
+    cuts = [frozenset(bits(cmask)) for cmask in _subsets_up_to(g.n, k)]
     if max_n is None:
         work = count_raw_flips(g.n, k) * len(cuts)
         if work <= CUT_FLIP_WORK_LIMIT:
             max_n = g.n
-    for spec in enumerate_k_flips(g, k, max_n=max_n):
-        for cmask in cuts:
-            yield CutFlip(spec, bits_set(cmask))
-
-
-def bits_set(mask):
-    return frozenset(bits(mask))
+    weight0 = [(cut, order_rows(g.n, cut)) for cut in cuts]
+    for spec, w1 in enumerate_k_flips(g, k, max_n=max_n):
+        for cut, w0 in weight0:
+            yield CutFlip(spec, cut), (w0, w1)

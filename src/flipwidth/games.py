@@ -8,6 +8,11 @@ land on, and
     Win(R)  iff  exists move f such that every u in R is trapped by f
                  or Win(ball_f(u)).
 
+Each family's enumerator in `flips` streams (move, masks) pairs, one per
+distinct edge set; `_outcome_stream` reduces any such stream to its
+distinct (isolated set, ball map) outcomes, each with the first move that
+gives it.  At r=inf the numpy engine in `bulk` reduces the plain k-flips.
+
 Cops-style games keep their concrete states ((cops, robber) or just the
 robber vertex for the no-announcement variant).
 """
@@ -18,8 +23,9 @@ from collections import namedtuple
 from .errors import IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
                     block_pairs, check_flip_enum, cut_flip_weighted,
-                    enumerate_cut_flips, enumerate_definable_flips,
-                    enumerate_k_flips, flip_masks, identity_flip, s_types)
+                    enumerate_bipartite_flips, enumerate_cut_flips,
+                    enumerate_definable_flips, enumerate_k_flips, flip_masks,
+                    identity_flip, partition_flips, rgs_partitions, s_types)
 from .graphs import INF, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
@@ -201,27 +207,22 @@ class HalfGraphFlipper(Pursuer):
 # flip-family outcome tables
 
 
-def _flip_outcome_stream(g, r, moves):
-    """Deduplicate (iso, ballmap) outcomes over a stream of flip moves."""
+def _outcome_stream(n, r, moves, ball, trapped):
+    """Distinct (iso, ballmap) outcomes over a stream of (move, masks), each
+    with the first move that gives it.  ball(masks, v, r) is the runner's
+    reach from v and trapped(masks, v) whether the move isolates v."""
     seen = set()
     order = []
     for move, masks in moves:
         iso = 0
-        for v in range(g.n):
-            if masks[v] == 0:
+        for v in range(n):
+            if trapped(masks, v):
                 iso |= 1 << v
-        balls = tuple(ball_mask(masks, v, r) for v in range(g.n))
-        key = (iso, balls)
-        if key in seen:
-            continue
-        seen.add(key)
-        order.append(Outcome(move, iso, balls))
+        key = (iso, tuple(ball(masks, v, r) for v in range(n)))
+        if key not in seen:
+            seen.add(key)
+            order.append(Outcome(move, *key))
     return order
-
-
-def _plain_flip_moves(g, k, max_n):
-    for spec in enumerate_k_flips(g, k, max_n=max_n):
-        yield spec, flip_masks(g, spec)
 
 
 def _flip_outcomes(g, r, k, max_n=None):
@@ -244,65 +245,18 @@ def _flip_outcomes(g, r, k, max_n=None):
                 outs.append(Outcome(bulk.outcome_to_flipspec(blocks, sub),
                                     iso, tuple(ballmap)))
             return outs
-    return _flip_outcome_stream(g, r, _plain_flip_moves(g, k, max_n))
+    return _outcome_stream(g.n, r, enumerate_k_flips(g, k, max_n=max_n),
+                           ball_mask, _trapped)
 
 
 def _definable_outcomes(g, r, k, max_k=None):
-    def moves():
-        for s_set, spec in enumerate_definable_flips(g, k, max_k=max_k):
-            yield (s_set, spec), flip_masks(g, spec)
-    return _flip_outcome_stream(g, r, moves())
+    return _outcome_stream(g.n, r, enumerate_definable_flips(g, k, max_k=max_k),
+                           ball_mask, _trapped)
 
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
-    g = og.graph
-    seen = set()
-    order = []
-    for cf in enumerate_cut_flips(og, k, max_n=max_n):
-        w0, w1 = cut_flip_weighted(og, cf)
-        iso = 0
-        for v in range(g.n):
-            if w0[v] == 0 and w1[v] == 0:
-                iso |= 1 << v
-        balls = tuple(_weighted_ball(w0, w1, v, r) for v in range(g.n))
-        key = (iso, balls)
-        if key not in seen:
-            seen.add(key)
-            order.append(Outcome(cf, iso, balls))
-    return order
-
-
-def bipartite_flip_stream(g, left_mask, k):
-    """Bipartite flips: partitions refine the sides, <= k blocks per side,
-    flipped pairs cross-side only."""
-    left = [v for v in range(g.n) if (left_mask >> v) & 1]
-    right = [v for v in range(g.n) if not (left_mask >> v) & 1]
-    from .flips import rgs_partitions
-    lparts = list(rgs_partitions(len(left), k))
-    rparts = list(rgs_partitions(len(right), k))
-    for lp in lparts:
-        for rp in rparts:
-            blocks = [0] * g.n
-            for i, v in enumerate(left):
-                blocks[v] = lp.blocks[i]
-            for j, v in enumerate(right):
-                blocks[v] = lp.size + rp.blocks[j]
-            part = Partition(blocks)
-            cross = [(i, lp.size + j) for i in range(lp.size) for j in range(rp.size)]
-            for sub in range(1 << len(cross)):
-                chosen = [cross[t] for t in range(len(cross)) if (sub >> t) & 1]
-                # partition canonicalization may relabel; map through part
-                remap = {}
-                for v in range(g.n):
-                    remap[blocks[v]] = part.blocks[v]
-                yield FlipSpec(part, [(remap[i], remap[j]) for i, j in chosen])
-
-
-def _bipartite_outcomes(g, left_mask, r, k):
-    def moves():
-        for spec in bipartite_flip_stream(g, left_mask, k):
-            yield spec, flip_masks(g, spec)
-    return _flip_outcome_stream(g, r, moves())
+    return _outcome_stream(og.n, r, enumerate_cut_flips(og, k, max_n=max_n),
+                           _cut_ball, _cut_trapped)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +315,9 @@ def check_anti_tone(won):
     for a in masks:
         for b in masks:
             if a != b and a & ~b == 0:
-                assert won[a][0] <= won[b][0], (a, b)
+                if won[a][0] > won[b][0]:
+                    raise AssertionError(f"anti-tone violated: {a:#x} within {b:#x} "
+                                         f"but won later ({won[a][0]} > {won[b][0]})")
 
 
 # A move's masks, as the simulation rules compute them, are adjacency masks
@@ -460,14 +416,6 @@ class TableRunner(Evader):
         return best_u, state
 
 
-def _iso_of_masks(masks):
-    iso = 0
-    for v, row in enumerate(masks):
-        if row == 0:
-            iso |= 1 << v
-    return iso
-
-
 # ---------------------------------------------------------------------------
 # flip-family solvers
 
@@ -511,7 +459,7 @@ def _solve_on_graph(game, g, r, k, outcomes, move_json):
     init = [ball_mask(g.adj, v, r) for v in range(g.n)]
 
     def masks_of(move):
-        return tuple(flip_masks(g, move[1] if isinstance(move, tuple) else move))
+        return flip_masks(g, move[1] if isinstance(move, tuple) else move)
 
     def witnesses(won):
         return (TableFlipper(g.n, r, outcomes, won, masks_of, ball_mask, tuple(g.adj)),
@@ -526,8 +474,8 @@ def solve_flipper(g, r, k, max_n=None):
 
 
 def flip_width(g, r, max_n=None):
-    """Least k with a flipper win; always <= n."""
-    return least_width(lambda k: solve_flipper(g, r, k, max_n=max_n), FLIPPER, g.n)
+    """Least k with a flipper win; always <= max(n, 1)."""
+    return least_width(lambda k: solve_flipper(g, r, k, max_n=max_n), FLIPPER, max(g.n, 1))
 
 
 def solve_definable(g, r, k, max_k=None):
@@ -543,8 +491,9 @@ def definable_flip_width(g, r, max_k=None):
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    return _solve_on_graph("bipartite", g, r, k, _bipartite_outcomes(g, left_mask, r, k),
-                           FlipSpec.to_json)
+    outcomes = _outcome_stream(g.n, r, enumerate_bipartite_flips(g, left_mask, k),
+                               ball_mask, _trapped)
+    return _solve_on_graph("bipartite", g, r, k, outcomes, FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):
@@ -566,7 +515,8 @@ def solve_ordered(og, r, k, max_n=None):
 
 
 def ordered_flip_width(og, r, max_n=None):
-    return least_width(lambda k: solve_ordered(og, r, k, max_n=max_n), FLIPPER, og.n)
+    return least_width(lambda k: solve_ordered(og, r, k, max_n=max_n), FLIPPER,
+                       max(og.n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -584,56 +534,43 @@ def _binary_gaifman_outcomes(og, r, k):
     """
     g = og.graph
     n = g.n
-    graphs = set()
-    seen = set()
-    order = []
-    from .flips import rgs_partitions
-    for part in rgs_partitions(n, k):
-        b = part.size
-        bm = part.block_masks()
-        # distinct E-layers
-        elayers = []
-        eseen = set()
-        pairs = block_pairs(b)
-        for sub in range(1 << len(pairs)):
-            spec = FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
-            masks = tuple(flip_masks(g, spec))
-            if masks not in eseen:
-                eseen.add(masks)
-                elayers.append(masks)
-        # distinct <-layers: per unordered block pair choose
-        #   0 keep all, 1 drop lower-in-A pairs, 2 drop lower-in-B pairs
-        cross = [(i, j) for i in range(b) for j in range(i + 1, b)]
-        lseen = set()
-        llayers = []
-        for choice in _ternary(len(cross)):
-            masks = [0] * n
-            for v in range(n):
-                same = bm[part.blocks[v]] & ~(1 << v)
-                masks[v] |= same
-            for (i, j), c in zip(cross, choice):
-                for u in bits(bm[i]):
-                    for w in bits(bm[j]):
-                        lo, hi = (u, w) if u < w else (w, u)
-                        lo_in_i = part.blocks[lo] == i
-                        if c == 0 or (c == 1 and not lo_in_i) or (c == 2 and lo_in_i):
-                            masks[u] |= 1 << w
-                            masks[w] |= 1 << u
-            t = tuple(masks)
-            if t not in lseen:
-                lseen.add(t)
-                llayers.append(t)
-        for em in elayers:
-            for lm in llayers:
-                gm = tuple(em[v] | lm[v] for v in range(n))
-                if gm in graphs:     # a repeated Gaifman graph repeats its outcome
-                    continue
-                graphs.add(gm)
-                key = (_iso_of_masks(gm), tuple(ball_mask(gm, v, r) for v in range(n)))
-                if key not in seen:
-                    seen.add(key)
-                    order.append(Outcome(None, *key))
-    return order
+
+    def gaifman_graphs():
+        graphs = set()
+        for part in rgs_partitions(n, k):
+            b = part.size
+            bm = part.block_masks()
+            elayers = [masks for _, masks in
+                       partition_flips(g, part, block_pairs(b), set())]
+            # distinct <-layers: per unordered block pair choose
+            #   0 keep all, 1 drop lower-in-A pairs, 2 drop lower-in-B pairs
+            cross = [(i, j) for i in range(b) for j in range(i + 1, b)]
+            lseen = set()
+            llayers = []
+            for choice in _ternary(len(cross)):
+                masks = [0] * n
+                for v in range(n):
+                    same = bm[part.blocks[v]] & ~(1 << v)
+                    masks[v] |= same
+                for (i, j), c in zip(cross, choice):
+                    for u in bits(bm[i]):
+                        for w in bits(bm[j]):
+                            lo, hi = (u, w) if u < w else (w, u)
+                            lo_in_i = part.blocks[lo] == i
+                            if c == 0 or (c == 1 and not lo_in_i) or (c == 2 and lo_in_i):
+                                masks[u] |= 1 << w
+                                masks[w] |= 1 << u
+                t = tuple(masks)
+                if t not in lseen:
+                    lseen.add(t)
+                    llayers.append(t)
+            for em in elayers:
+                for lm in llayers:
+                    gm = tuple(em[v] | lm[v] for v in range(n))
+                    if gm not in graphs:     # a repeated Gaifman graph repeats its outcome
+                        graphs.add(gm)
+                        yield None, gm
+    return _outcome_stream(n, r, gaifman_graphs(), ball_mask, _trapped)
 
 
 def _ternary(m):
@@ -818,11 +755,11 @@ class RobberTable(Evader):
 
 
 def cop_width(g, r, max_n=None):
-    return least_width(lambda k: solve_cops(g, r, k, max_n=max_n), COPS, g.n)
+    return least_width(lambda k: solve_cops(g, r, k, max_n=max_n), COPS, max(g.n, 1))
 
 
 def isolation_width(g, r, max_n=None):
-    return least_width(lambda k: solve_isolation(g, r, k, max_n=max_n), COPS, g.n)
+    return least_width(lambda k: solve_isolation(g, r, k, max_n=max_n), COPS, max(g.n, 1))
 
 
 def _copprime_responses(g, r, v, A):
@@ -928,7 +865,7 @@ class CopPrimeRobber(Evader):
 
 
 def copw_prime_width(g, r, max_n=None):
-    return least_width(lambda k: solve_copw_prime(g, r, k, max_n=max_n), COPS, g.n)
+    return least_width(lambda k: solve_copw_prime(g, r, k, max_n=max_n), COPS, max(g.n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +943,7 @@ class _FlipRules:
         if move.partition.size > self.k:
             raise IllegalMoveError(
                 f"round {rnd}: flip uses {move.partition.size} parts, width is {self.k}")
-        return tuple(flip_masks(self.g, move))
+        return flip_masks(self.g, move)
 
     def legal(self, pos, move_masks):
         return tuple(bits(ball_mask(self.prev, pos, self.r)))
@@ -1029,7 +966,7 @@ class _DefinableRules(_FlipRules):
             raise IllegalMoveError(f"round {rnd}: |S|={len(s_set)} exceeds width {self.k}")
         if spec.partition != s_types(self.g, s_set):
             raise IllegalMoveError(f"round {rnd}: flip partition is not the S-type partition")
-        return tuple(flip_masks(self.g, spec))
+        return flip_masks(self.g, spec)
 
 
 class _BipartiteRules(_FlipRules):
@@ -1057,7 +994,7 @@ class _BipartiteRules(_FlipRules):
         for i, j in move.pairs:
             if side_of_block.get(i) == side_of_block.get(j):
                 raise IllegalMoveError(f"round {rnd}: flip pair ({i},{j}) is not cross-side")
-        return tuple(flip_masks(self.g, move))
+        return flip_masks(self.g, move)
 
 
 class _OrderedRules:
@@ -1236,11 +1173,8 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
     memo = {}
     GRAY, ESCAPE = "gray", None
 
-    def node_key(pstate, prev_repr, pos):
-        return (pstate, prev_repr, pos)
-
     def explore(pstate, rules, pos, depth):
-        key = node_key(pstate, _prev_repr(rules), pos)
+        key = (pstate, getattr(rules, "prev", 0), pos)
         if key in memo:
             val = memo[key]
             if val == GRAY:
@@ -1272,12 +1206,6 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
         memo[key] = worst
         return worst
 
-    def _prev_repr(rules):
-        prev = getattr(rules, "prev", 0)
-        if isinstance(prev, tuple) and len(prev) == 2 and isinstance(prev[0], list):
-            return (tuple(prev[0]), tuple(prev[1]))
-        return prev
-
     def _advanced(rules, move_masks):
         child = make_rules(game, g, r, k, left_mask=left_mask)
         child.advance(move_masks)
@@ -1295,56 +1223,3 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
             return False, None
         worst_total = max(worst_total, res)
     return True, worst_total
-
-
-# ---------------------------------------------------------------------------
-# concrete-state cross-check solver (oracle for the PositionSet abstraction)
-
-
-def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
-    """Flipper game solved over concrete (flip, vertex) states.
-
-    Slow reference used to validate the abstract solver; returns only the
-    winner and rounds.
-    """
-    if definable:
-        moves = [(s, spec) for s, spec in enumerate_definable_flips(g, k, max_k=max_k)]
-        masks = [tuple(flip_masks(g, spec)) for _, spec in moves]
-    else:
-        moves = list(enumerate_k_flips(g, k, max_n=max_n))
-        masks = [tuple(flip_masks(g, m)) for m in moves]
-    nmoves = len(masks)
-    balls = [[ball_mask(masks[f], v, r) for v in range(g.n)] for f in range(nmoves)]
-    base_balls = [ball_mask(g.adj, v, r) for v in range(g.n)]
-    win = [[False] * g.n for _ in range(nmoves)]   # state: flip f announced, runner at v
-    while True:
-        changed = False
-        for f in range(nmoves):
-            for v in range(g.n):
-                if win[f][v]:
-                    continue
-                ball = balls[f][v]
-                ok = False
-                for f2 in range(nmoves):
-                    good = True
-                    for u in bits(ball):
-                        if masks[f2][u] != 0 and not win[f2][u]:
-                            good = False
-                            break
-                    if good:
-                        ok = True
-                        break
-                if ok:
-                    win[f][v] = True
-                    changed = True
-        if not changed:
-            break
-    # initial: runner picks v0, moves in G; flipper announces f1 first
-    def initial_won(v0):
-        for f in range(nmoves):
-            if all(masks[f][u] == 0 or win[f][u] for u in bits(base_balls[v0])):
-                return True
-        return False
-
-    flipper_wins = all(initial_won(v) for v in range(g.n))
-    return FLIPPER if flipper_wins else RUNNER

@@ -63,12 +63,14 @@ class Graph:
         n = self.n
         full = (1 << n) - 1
         for v, row in enumerate(self.adj):
-            assert row & (1 << v) == 0, f"self-loop at {v}"
-            assert row & ~full == 0, f"adjacency row of {v} out of range"
+            if row & (1 << v):
+                raise AssertionError(f"self-loop at {v}")
+            if row & ~full:
+                raise AssertionError(f"adjacency row of {v} out of range")
         for u in range(n):
             for v in range(u + 1, n):
-                assert (self.adj[u] >> v) & 1 == (self.adj[v] >> u) & 1, \
-                    f"asymmetric adjacency at ({u},{v})"
+                if (self.adj[u] >> v) & 1 != (self.adj[v] >> u) & 1:
+                    raise AssertionError(f"asymmetric adjacency at ({u},{v})")
 
     def has_edge(self, u, v):
         return (self.adj[u] >> v) & 1 == 1
@@ -235,7 +237,10 @@ def _parse_edge_list(text):
         if parts[0] == "c":
             if len(parts) != 3:
                 raise ParseError(f"line {ln}: malformed color line {line!r}")
-            u, k = int(parts[1]), int(parts[2])
+            try:
+                u, k = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"line {ln}: malformed color line {line!r}") from None
             if not 0 <= u < n:
                 raise ParseError(f"line {ln}: color vertex {u} out of range")
             if k < 1:

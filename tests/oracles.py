@@ -4,9 +4,18 @@ Everything here is deliberately written from the definitions, sharing no
 code path with the package: different data structures (sets/dicts instead
 of bitmasks), different algorithms (order enumeration instead of DP,
 path enumeration instead of incremental BFS).
+
+One shared path: solve_flipper_concrete takes its flips and their rows from
+the package enumerators.  It is an oracle for the position-set abstraction
+of the game solvers, not for enumeration, which test_flips.py checks
+against brute force.
 """
 
 import itertools
+
+from flipwidth.flips import enumerate_definable_flips, enumerate_k_flips
+from flipwidth.games import FLIPPER, RUNNER
+from flipwidth.graphs import INF
 
 
 def decode_graph6(text):
@@ -367,3 +376,51 @@ def isolation_game_oracle(g, r, k):
 
     fuel = (len(subsets) * n) + 1
     return all(win(frozenset(), v, min(fuel, 40)) for v in range(n))
+
+
+def _ball_of(rows, v, r):
+    """Mask of the vertices within distance r of v in the graph with
+    adjacency rows (r=INF: its component), by BFS layers."""
+    dist = {v: 0}
+    frontier = [v]
+    while frontier and (r is INF or dist[frontier[0]] < r):
+        nxt = []
+        for u in frontier:
+            for w in range(len(rows)):
+                if (rows[u] >> w) & 1 and w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return sum(1 << w for w in dist)
+
+
+def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
+    """Flipper game solved over concrete (flip, vertex) states; returns only
+    the winner.
+
+    State (f, v): flip f was announced and the runner stands at v.  The
+    flipper wins there when some next flip isolates or wins every vertex
+    of v's radius-r ball in f; the runner first walks in g itself.
+    """
+    if definable:
+        flips = enumerate_definable_flips(g, k, max_k=max_k)
+    else:
+        flips = enumerate_k_flips(g, k, max_n=max_n)
+    rows = [masks for _, masks in flips]
+    balls = [[_ball_of(masks, v, r) for v in range(g.n)] for masks in rows]
+    # done[f]: the vertices v that f isolates or whose state (f, v) is won
+    done = [sum(1 << v for v, row in enumerate(masks) if row == 0) for masks in rows]
+
+    def covered(ball):
+        return any(ball & ~d == 0 for d in done)
+
+    changed = True
+    while changed:
+        changed = False
+        for f in range(len(rows)):
+            for v in range(g.n):
+                if not (done[f] >> v) & 1 and covered(balls[f][v]):
+                    done[f] |= 1 << v
+                    changed = True
+    flipper_wins = all(covered(_ball_of(g.adj, v, r)) for v in range(g.n))
+    return FLIPPER if flipper_wins else RUNNER

@@ -13,6 +13,7 @@ solve in the same test gives fw_1(Petersen) >= 3.
 import itertools
 
 from conftest import atlas_graphs, random_graphs
+from oracles import solve_flipper_concrete
 from flipwidth.certificates import (CopsHideout, find_hideout_small,
                                     greedy_copprime_order,
                                     hideout_runner_strategy, order_cert_check,
@@ -28,8 +29,7 @@ from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, HalfGraphFlipper,
                              ordered_binary_flip_width, ordered_flip_width,
                              pursuer_beats_every_evader, simulate_match,
                              solve_cops, solve_copw_prime, solve_definable,
-                             solve_flipper, solve_flipper_concrete,
-                             solve_ordered)
+                             solve_flipper, solve_ordered)
 from flipwidth.graphs import (INF, ColoredGraph, OrderedGraph, complement,
                               exact_subdivision, generate,
                               lexicographic_product)

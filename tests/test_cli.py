@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, stdin=None):
     proc = subprocess.run([sys.executable, "-m", "flipwidth.cli", *args],
@@ -228,3 +230,34 @@ def test_cli_timeout_exit2():
                          "flip", "--r", "inf", "--k", "3", "--max-n", "12")
     assert rc == 2
     assert "timeout" in err
+
+
+@pytest.mark.parametrize("game,value", [("flip", 1), ("cop", 1), ("copprime", 1),
+                                        ("isolation", 1), ("ordered", 1), ("dfw", 0)])
+def test_game_value_on_the_empty_graph(game, value):
+    rc, out, err = run_cli("game", "-", game, "--r", "1", "--value", stdin="0 0\n")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize("argv,stdin,code", [
+    (["param", "--family", "clique:abc", "degeneracy"], None, 3),
+    (["param", "--family", "gnp:8", "degeneracy"], None, 3),
+    (["param", "--family", "petersen:3", "degeneracy"], None, 3),
+    (["param", "{missing}", "degeneracy"], None, 3),
+    (["param", "-", "degeneracy"], "2 0\nc x 1\n", 3),
+    (["certify", "--family", "clique:3", "{bad_json}"], None, 4),
+    (["certify", "--family", "clique:3", "{missing}"], None, 3),
+    (["duel", "--family", "clique:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "identity", "--evader", "hideout", "--certificate", "{bad_json}"],
+     None, 4),
+], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
+        "colour-line", "certificate-not-json", "certificate-missing",
+        "duel-certificate-not-json"])
+def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    paths = {"{missing}": str(tmp_path / "missing"), "{bad_json}": str(bad_json)}
+    rc, out, err = run_cli(*[paths.get(a, a) for a in argv], stdin=stdin)
+    assert (rc, out) == (code, "")
+    assert "Traceback" not in err and err.strip()

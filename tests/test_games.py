@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import atlas_graphs, random_graphs
+from oracles import solve_flipper_concrete
 from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
 from flipwidth.flips import FlipSpec, Partition, identity_flip
 from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
@@ -15,8 +16,7 @@ from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              ordered_binary_flip_width,
                              pursuer_beats_every_evader, simulate_match,
                              solve_bipartite, solve_cops, solve_copw_prime,
-                             solve_definable, solve_flipper,
-                             solve_flipper_concrete, solve_isolation,
+                             solve_definable, solve_flipper, solve_isolation,
                              solve_ordered)
 from flipwidth.graphs import (INF, Graph, OrderedGraph, complement,
                               disjoint_union, generate)
@@ -49,6 +49,8 @@ def test_bulk_outcomes_match_stream_at_radius_inf(monkeypatch):
     """At r=inf the numpy engine gives the Python stream's outcomes: the same
     moves, isolated sets and balls, in the same order."""
     from flipwidth import bulk, games
+    from flipwidth.flips import enumerate_k_flips
+    from flipwidth.graphs import ball_mask
     engine = bulk.component_outcomes
     calls = []
     monkeypatch.setattr(bulk, "component_outcomes",
@@ -57,7 +59,8 @@ def test_bulk_outcomes_match_stream_at_radius_inf(monkeypatch):
     for g in graphs:
         for k in (1, 2, 3):
             got = games._flip_outcomes(g, INF, k)
-            want = games._flip_outcome_stream(g, INF, games._plain_flip_moves(g, k, None))
+            want = games._outcome_stream(g.n, INF, enumerate_k_flips(g, k), ball_mask,
+                                         games._trapped)
             assert ([(o.move.to_json(), o.iso, o.balls) for o in got]
                     == [(o.move.to_json(), o.iso, o.balls) for o in want]), (g.adj, k)
     assert len(calls) == 3 * len(graphs)
@@ -363,6 +366,20 @@ def test_ordered_k3_value():
     og = OrderedGraph(generate("clique", 3))
     v = ordered_flip_width(og, 1)
     assert 1 <= v <= 3
+
+
+@pytest.mark.parametrize("family,n", [("path", 4), ("cycle", 5), ("path", 5)])
+def test_ordered_witness_checked_exhaustively(family, n):
+    # the table flipper's state is the last cut-flip's (weight0, weight1)
+    # rows, which the exhaustive check memoises on
+    og = OrderedGraph(generate(family, n))
+    for k in (1, 2, 3):
+        sol = solve_ordered(og, 1, k)
+        ok, worst = pursuer_beats_every_evader("ordered", og.graph, 1, k,
+                                               sol.witness_pursuer, 10)
+        assert ok == (sol.winner == FLIPPER), k
+        if ok:
+            assert worst == sol.rounds, k
 
 
 def _binary_game_bruteforce(og, r, k):

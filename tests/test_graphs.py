@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 import oracles
@@ -215,3 +218,26 @@ def test_components_partition(atlas4):
     for g in atlas4:
         comps = components(g)
         assert sum(popcount(c) for c in comps) == g.n
+
+
+def test_invariant_checks_survive_python_O():
+    # the last line proves -O is on: it strips that assert statement
+    code = """
+from flipwidth.certificates import OrderCops
+from flipwidth.games import check_anti_tone
+from flipwidth.graphs import Graph, generate
+checks = [lambda: check_anti_tone({1: (2, None), 3: (1, None)}),
+          lambda: Graph.from_masks([1]),
+          lambda: OrderCops(generate("path", 3), (0, 1, 2), 1).move((0, 0, 0, 9), 1)]
+for check in checks:
+    try:
+        check()
+        print("passed")
+    except AssertionError:
+        print("raised")
+assert False
+print("optimized")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True)
+    assert proc.stdout.split() == ["raised", "raised", "raised", "optimized"], proc.stderr

@@ -89,7 +89,7 @@ def test_flip_map_width_bound():
     g = generate("random_gnp", 6, 0.5, 3)
     cg = ColoredGraph(g, (1, 2, 1, 2, 1, 2))
     fm = qf_flip_map(cg, parse_formula("E(x,y) & C1(x) & C1(y)"))
-    for spec in enumerate_k_flips(g, 2):
+    for spec, _ in enumerate_k_flips(g, 2):
         mapped = fm.map(spec)
         assert mapped.partition.size <= spec.partition.size * 2
 
@@ -98,11 +98,10 @@ def test_flip_map_stretch_invariant_all_pairs():
     g = generate("random_gnp", 6, 0.5, 11)
     cg = ColoredGraph(g, (1, 1, 2, 2, 1, 2))
     fm = qf_flip_map(cg, parse_formula("!E(x,y) & !(C2(x) & C2(y))"))
-    from flipwidth.flips import apply_flip, flip_masks
-    for spec in enumerate_k_flips(g, 2):
+    from flipwidth.flips import flip_masks
+    for spec, g_masks in enumerate_k_flips(g, 2):
         mapped = fm.map(spec)       # map() asserts the invariant internally
         h_masks = flip_masks(fm.target, mapped)
-        g_masks = flip_masks(g, spec)
         for u in range(6):
             assert h_masks[u] & ~g_masks[u] == 0
 
@@ -169,11 +168,10 @@ def test_semi_induced_overlap_counterexample():
 def test_split_map_paths_project():
     g = generate("cycle", 4)
     fm = semi_induced_flip_map(g, [0, 1], [1, 2])
-    from flipwidth.flips import apply_flip, flip_masks
-    for spec in enumerate_k_flips(g, 2):
+    from flipwidth.flips import apply_flip
+    for spec, src in enumerate_k_flips(g, 2):
         mapped = fm.map(spec)
         h = apply_flip(fm.target, mapped)
-        src = flip_masks(g, spec)
         origin = fm.xs + fm.ys
         for i in range(h.n):
             for j in h.neighbors(i):
