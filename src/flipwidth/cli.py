@@ -46,6 +46,13 @@ def _parse_radius(text):
     return r
 
 
+def _parse_int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _family_graph(spec_text):
     """Inline generator syntax: name or name:arg1:arg2 (half:6, clique:5,
     gnp:8:0.5:7, pattern:4:eq, sub:clique:5:1, treecomp:0-0-1).  Arguments
@@ -166,7 +173,7 @@ def cmd_param(ns):
     elif name == "cutrank":
         if not ns.set:
             raise ParseError("cutrank needs --set with comma-separated vertices")
-        a_set = [int(x) for x in ns.set.split(",")]
+        a_set = [_parse_int(x, "a --set vertex") for x in ns.set.split(",")]
         value = params.cut_rank(g, a_set)
     elif name == "rankwidth":
         value, tree = params.rank_width_small(g)
@@ -305,7 +312,7 @@ def _strategy(spec_text, side, game, g, r, k, ns):
     if name == "identity":
         return games.IdentityFlipper(plain.n)
     if name == "random":
-        seed = int(parts[1]) if len(parts) > 1 else ns.seed
+        seed = _parse_int(parts[1], "a random strategy's seed") if len(parts) > 1 else ns.seed
         return games.RandomFlipper(plain.n, k, seed)
     if name == "hideout":
         cert = certs.certificate_from_json(_read_certificate(ns.certificate))

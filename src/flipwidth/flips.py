@@ -1,6 +1,13 @@
 """Flip algebra: partitions, k-flips, definable flips, bipartite flips and
 ordered cut-flips.
 
+The families that flip g itself (k-flips, definable, bipartite) are each
+defined once, as a partition stream of (tag, Partition, pairs): the flips
+over the partition by every subset of `pairs`, subsets in binary counting
+order, announced as the FlipSpec when tag is None and as (tag, FlipSpec)
+otherwise.  The Python enumerators and the numpy engine in `bulk` both read
+these streams.
+
 Each enumerator streams (move, masks) pairs: `move` is what the game
 announces (a FlipSpec, an (S, FlipSpec) pair or a CutFlip) and `masks` its
 adjacency rows as a tuple (a (weight0, weight1) pair of tuples for a
@@ -202,29 +209,45 @@ def _stirling(n, k):
     return row[k]
 
 
+def subset_flip(part, pairs, sub):
+    """The FlipSpec over part flipping the pairs whose bit is set in sub."""
+    return FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
+
+
 def partition_flips(g, part, pairs, seen):
     """(FlipSpec, rows) for every subset of `pairs` flipped over part, pair
     subsets in binary counting order; rows are computed once per flip, and a
     flip whose rows are already in `seen` is skipped (seen is extended)."""
     for sub in range(1 << len(pairs)):
-        spec = FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
+        spec = subset_flip(part, pairs, sub)
         masks = flip_masks(g, spec)
         if masks not in seen:
             seen.add(masks)
             yield spec, masks
 
 
+def family_flips(g, parts):
+    """Stream (move, rows) over a partition stream (see the module docstring),
+    one per distinct edge set, the first flip of each kept."""
+    seen = set()
+    for tag, part, pairs in parts:
+        for spec, masks in partition_flips(g, part, pairs, seen):
+            yield (spec if tag is None else (tag, spec)), masks
+
+
+def k_flip_partitions(n, k, max_n=None):
+    """Partition stream of the <= k-flips of an n-vertex graph: partitions in
+    restricted-growth lexicographic order, every block pair allowed."""
+    check_flip_enum(n, k, max_n)
+    pairs = [block_pairs(b) for b in range(min(k, n) + 1)]
+    for part in rgs_partitions(n, k):
+        yield None, part, pairs[part.size]
+
+
 def enumerate_k_flips(g, k, max_n=None):
     """Stream (FlipSpec, rows) for every distinct edge set among the <= k-flips
-    of g, identity first.
-
-    Partitions in restricted-growth lexicographic order, pair subsets in
-    binary counting order; the first flip of each edge set is kept.
-    """
-    check_flip_enum(g.n, k, max_n)
-    seen = set()
-    for part in rgs_partitions(g.n, k):
-        yield from partition_flips(g, part, block_pairs(part.size), seen)
+    of g, identity first (see k_flip_partitions)."""
+    return family_flips(g, k_flip_partitions(g.n, k, max_n))
 
 
 def compose_flips(g, first, second):
@@ -278,28 +301,32 @@ def s_types(g, s_set, split_s_singletons=False):
     return Partition(canon)
 
 
-def enumerate_definable_flips(g, k, max_k=None):
-    """Stream ((S, FlipSpec), rows) over all S with |S| <= k, one per
-    distinct edge set."""
+def definable_partitions(g, k, max_k=None):
+    """Partition stream of the definable flips: for every S with |S| <= k, by
+    size and then numerically, the S-types of g tagged with S, every block
+    pair allowed."""
     limit = DEFINABLE_MAX_K if max_k is None else max_k
     if k > limit:
         raise LimitExceeded(f"enumerate_definable_flips: k={k} exceeds bound {limit}")
-    seen = set()
+    pairs = [block_pairs(b) for b in range(g.n + 1)]
     for smask in _subsets_up_to(g.n, k):
         s_set = tuple(bits(smask))
         part = s_types(g, s_set)
-        for spec, masks in partition_flips(g, part, block_pairs(part.size), seen):
-            yield (s_set, spec), masks
+        yield s_set, part, pairs[part.size]
 
 
-def enumerate_bipartite_flips(g, left_mask, k):
-    """Stream (FlipSpec, rows) over the bipartite flips, one per distinct edge
-    set: partitions refine the sides, <= k blocks per side, flipped pairs
-    cross-side only."""
+def enumerate_definable_flips(g, k, max_k=None):
+    """Stream ((S, FlipSpec), rows) over all S with |S| <= k, one per
+    distinct edge set."""
+    return family_flips(g, definable_partitions(g, k, max_k))
+
+
+def bipartite_partitions(g, left_mask, k):
+    """Partition stream of the bipartite flips: partitions refine the sides,
+    <= k blocks per side, and only cross-side block pairs are allowed."""
     left = [v for v in range(g.n) if (left_mask >> v) & 1]
     right = [v for v in range(g.n) if not (left_mask >> v) & 1]
     rparts = list(rgs_partitions(len(right), k))
-    seen = set()
     for lp in rgs_partitions(len(left), k):
         for rp in rparts:
             blocks = [0] * g.n
@@ -312,7 +339,13 @@ def enumerate_bipartite_flips(g, left_mask, k):
             remap = {blocks[v]: part.blocks[v] for v in range(g.n)}
             cross = [(remap[i], remap[lp.size + j])
                      for i in range(lp.size) for j in range(rp.size)]
-            yield from partition_flips(g, part, cross, seen)
+            yield None, part, cross
+
+
+def enumerate_bipartite_flips(g, left_mask, k):
+    """Stream (FlipSpec, rows) over the bipartite flips, one per distinct edge
+    set (see bipartite_partitions)."""
+    return family_flips(g, bipartite_partitions(g, left_mask, k))
 
 
 def _subsets_up_to(n, k):

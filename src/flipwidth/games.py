@@ -8,10 +8,14 @@ land on, and
     Win(R)  iff  exists move f such that every u in R is trapped by f
                  or Win(ball_f(u)).
 
-Each family's enumerator in `flips` streams (move, masks) pairs, one per
-distinct edge set; `_outcome_stream` reduces any such stream to its
-distinct (isolated set, ball map) outcomes, each with the first move that
-gives it.  At r=inf the numpy engine in `bulk` reduces the plain k-flips.
+A solve needs each family's distinct (isolated set, ball map) outcomes,
+each with the first move that gives it.  The families that flip g itself
+(flip, definable, bipartite) get them from the numpy engine in `bulk`,
+which reduces their partition streams from `flips` at every radius on
+1 <= n <= 16 vertices.  Everything else (other n, the ordered cut-flips and
+the Gaifman graphs of the binary ordered game) goes through
+`_outcome_stream`, which reduces a stream of (move, masks) pairs, one per
+distinct edge set, as each family's enumerator in `flips` yields them.
 
 Cops-style games keep their concrete states ((cops, robber) or just the
 robber vertex for the no-announcement variant).
@@ -22,10 +26,11 @@ from collections import namedtuple
 
 from .errors import IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
-                    block_pairs, check_flip_enum, cut_flip_weighted,
-                    enumerate_bipartite_flips, enumerate_cut_flips,
-                    enumerate_definable_flips, enumerate_k_flips, flip_masks,
-                    identity_flip, partition_flips, rgs_partitions, s_types)
+                    bipartite_partitions, block_pairs, cut_flip_weighted,
+                    definable_partitions, enumerate_bipartite_flips,
+                    enumerate_cut_flips, enumerate_definable_flips,
+                    enumerate_k_flips, flip_masks, identity_flip,
+                    partition_flips, rgs_partitions, s_types, subset_flip)
 from .graphs import INF, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
@@ -33,7 +38,29 @@ RUNNER = "runner"
 COPS = "cops"
 ROBBER = "robber"
 
-Outcome = namedtuple("Outcome", "move iso balls")
+
+class Outcome:
+    """What a move does: iso masks the vertices it isolates and balls[v] is
+    the runner's reach from v.  `move` is the first move that does it; an
+    outcome from the numpy engine keeps its (tag, partition, pairs, subset)
+    and builds the move, through FlipSpec's checks, when it is first read."""
+
+    __slots__ = ("iso", "balls", "_move", "_flip")
+
+    def __init__(self, move, iso, balls, flip=None):
+        self._move = move
+        self.iso = iso
+        self.balls = balls
+        self._flip = flip
+
+    @property
+    def move(self):
+        if self._flip is not None:
+            tag, part, pairs, sub = self._flip
+            spec = subset_flip(part, pairs, sub)
+            self._move = spec if tag is None else (tag, spec)
+            self._flip = None
+        return self._move
 
 
 class GameSolution:
@@ -225,32 +252,37 @@ def _outcome_stream(n, r, moves, ball, trapped):
     return order
 
 
+def _engine_outcomes(found):
+    """Outcomes of the numpy engine's ((tag, partition, pairs, subset), iso,
+    balls) entries; each move is announced as its family's enumerator
+    announces it."""
+    return [Outcome(None, iso, balls, flip) for flip, iso, balls in found]
+
+
 def _flip_outcomes(g, r, k, max_n=None):
     """Outcomes of every <= k-flip of g, first flip of each in enumeration
-    order.  At r=inf a ball is a component, so the numpy engine reduces the
-    flips whenever it takes n; otherwise the Python stream does."""
-    if r is INF:
-        from . import bulk
-        if bulk.supports(g.n):
-            check_flip_enum(g.n, k, max_n)
-            outs = []
-            for blocks, sub, comps in bulk.component_outcomes(g, k):
-                iso = 0
-                ballmap = [0] * g.n
-                for comp in comps:
-                    if popcount(comp) == 1:
-                        iso |= comp
-                    for v in bits(comp):
-                        ballmap[v] = comp
-                outs.append(Outcome(bulk.outcome_to_flipspec(blocks, sub),
-                                    iso, tuple(ballmap)))
-            return outs
+    order: from the numpy engine whenever it takes n, else the Python
+    stream."""
+    from . import bulk
+    if bulk.supports(g.n):
+        return _engine_outcomes(bulk.component_outcomes(g, k, r, max_n))
     return _outcome_stream(g.n, r, enumerate_k_flips(g, k, max_n=max_n),
                            ball_mask, _trapped)
 
 
 def _definable_outcomes(g, r, k, max_k=None):
+    from . import bulk
+    if bulk.supports(g.n):
+        return _engine_outcomes(bulk.outcomes(g, r, definable_partitions(g, k, max_k)))
     return _outcome_stream(g.n, r, enumerate_definable_flips(g, k, max_k=max_k),
+                           ball_mask, _trapped)
+
+
+def _bipartite_outcomes(g, left_mask, r, k):
+    from . import bulk
+    if bulk.supports(g.n):
+        return _engine_outcomes(bulk.outcomes(g, r, bipartite_partitions(g, left_mask, k)))
+    return _outcome_stream(g.n, r, enumerate_bipartite_flips(g, left_mask, k),
                            ball_mask, _trapped)
 
 
@@ -491,13 +523,12 @@ def definable_flip_width(g, r, max_k=None):
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    outcomes = _outcome_stream(g.n, r, enumerate_bipartite_flips(g, left_mask, k),
-                               ball_mask, _trapped)
-    return _solve_on_graph("bipartite", g, r, k, outcomes, FlipSpec.to_json)
+    return _solve_on_graph("bipartite", g, r, k, _bipartite_outcomes(g, left_mask, r, k),
+                           FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):
-    return least_width(lambda k: solve_bipartite(g, left_mask, r, k), FLIPPER, g.n)
+    return least_width(lambda k: solve_bipartite(g, left_mask, r, k), FLIPPER, max(g.n, 1))
 
 
 def solve_ordered(og, r, k, max_n=None):
@@ -589,12 +620,12 @@ def _ternary(m):
 def solve_ordered_binary(og, r, k):
     """Flipper game on the ordered graph as a binary structure (Gaifman moves)."""
     outcomes = _binary_gaifman_outcomes(og, r, k)
-    init = [(1 << og.n) - 1] if og.n > 1 else [1]
+    init = [(1 << og.n) - 1]
     return _solve_table("ordered-binary", r, k, og.n, outcomes, init, lambda move: None)
 
 
 def ordered_binary_flip_width(og, r):
-    return least_width(lambda k: solve_ordered_binary(og, r, k), FLIPPER, og.n)
+    return least_width(lambda k: solve_ordered_binary(og, r, k), FLIPPER, max(og.n, 1))
 
 
 # ---------------------------------------------------------------------------

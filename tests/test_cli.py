@@ -251,9 +251,12 @@ def test_game_value_on_the_empty_graph(game, value):
     (["duel", "--family", "clique:3", "--game", "flip", "--r", "1", "--k", "1",
       "--pursuer", "identity", "--evader", "hideout", "--certificate", "{bad_json}"],
      None, 4),
+    (["duel", "--family", "clique:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "random:abc", "--evader", "solver-witness"], None, 3),
+    (["param", "--family", "clique:3", "cutrank", "--set", "0,a"], None, 3),
 ], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
-        "duel-certificate-not-json"])
+        "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type"])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

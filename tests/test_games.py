@@ -17,7 +17,7 @@ from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              pursuer_beats_every_evader, simulate_match,
                              solve_bipartite, solve_cops, solve_copw_prime,
                              solve_definable, solve_flipper, solve_isolation,
-                             solve_ordered)
+                             solve_ordered, solve_ordered_binary)
 from flipwidth.graphs import (INF, Graph, OrderedGraph, complement,
                               disjoint_union, generate)
 from flipwidth.params import degeneracy, treewidth_small
@@ -45,35 +45,80 @@ def test_halfgraph_k3_and_k4():
     assert solve_flipper(h6, INF, 3, max_n=12).winner == FLIPPER
 
 
-def test_bulk_outcomes_match_stream_at_radius_inf(monkeypatch):
-    """At r=inf the numpy engine gives the Python stream's outcomes: the same
-    moves, isolated sets and balls, in the same order."""
+def test_bulk_outcomes_match_stream(monkeypatch):
+    """At every radius the numpy engine gives the Python stream's outcomes
+    for the flip, definable and bipartite families: the same moves,
+    isolated sets and balls, in the same order."""
+    from functools import partial
+
     from flipwidth import bulk, games
-    from flipwidth.flips import enumerate_k_flips
+    from flipwidth.flips import (enumerate_bipartite_flips, enumerate_definable_flips,
+                                 enumerate_k_flips)
     from flipwidth.graphs import ball_mask
-    engine = bulk.component_outcomes
+    engine = bulk.outcomes
     calls = []
-    monkeypatch.setattr(bulk, "component_outcomes",
-                        lambda g, k: calls.append(k) or engine(g, k))
-    graphs = atlas_graphs(5)
-    for g in graphs:
+    monkeypatch.setattr(bulk, "outcomes",
+                        lambda g, r, parts: calls.append(r) or engine(g, r, parts))
+
+    def key(outcomes):
+        return [((o.move[0], o.move[1].to_json()) if isinstance(o.move, tuple)
+                 else o.move.to_json(), o.iso, o.balls) for o in outcomes]
+
+    cases = []     # (g, outcomes at radius r, the family's enumerator)
+    for g in atlas_graphs(5):
         for k in (1, 2, 3):
-            got = games._flip_outcomes(g, INF, k)
-            want = games._outcome_stream(g.n, INF, enumerate_k_flips(g, k), ball_mask,
-                                         games._trapped)
-            assert ([(o.move.to_json(), o.iso, o.balls) for o in got]
-                    == [(o.move.to_json(), o.iso, o.balls) for o in want]), (g.adj, k)
-    assert len(calls) == 3 * len(graphs)
+            cases.append((g, partial(games._flip_outcomes, g, k=k), enumerate_k_flips(g, k)))
+        # definable k=3 on five vertices streams 850k raw flips per graph
+        for k in (0, 1, 2, 3) if g.n <= 4 else (0, 1, 2):
+            cases.append((g, partial(games._definable_outcomes, g, k=k),
+                          enumerate_definable_flips(g, k)))
+        left = _bipartition(g)
+        if left is not None:
+            for k in (1, 2, 3):
+                cases.append((g, partial(games._bipartite_outcomes, g, left, k=k),
+                              enumerate_bipartite_flips(g, left, k)))
+    for g, solve, stream in cases:
+        flips = list(stream)
+        for r in (0, 1, 2, INF):
+            want = games._outcome_stream(g.n, r, flips, ball_mask, games._trapped)
+            assert key(solve(r)) == key(want), (g.adj, r, flips[-1][0])
+    assert len(calls) == 4 * len(cases)
+
+
+def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
+    """With batches of 16 flips, partitions spread over many batches and a
+    partition with 64 or more pair subsets is sliced over several; the
+    outcomes stay the stream's."""
+    from flipwidth import bulk, games
+    from flipwidth.flips import enumerate_definable_flips, enumerate_k_flips
+    from flipwidth.graphs import ball_mask
+    monkeypatch.setattr(bulk, "BATCH", 16)
+
+    def key(outcomes):
+        return [(repr(o.move), o.iso, o.balls) for o in outcomes]
+
+    for g in atlas_graphs(5, min_n=5)[::8]:
+        flips = list(enumerate_k_flips(g, 3))
+        defin = list(enumerate_definable_flips(g, 2))
+        for r in (0, 2, INF):
+            assert key(games._flip_outcomes(g, r, 3)) == key(
+                games._outcome_stream(g.n, r, flips, ball_mask, games._trapped))
+            assert key(games._definable_outcomes(g, r, 2)) == key(
+                games._outcome_stream(g.n, r, defin, ball_mask, games._trapped))
 
 
 def test_radius_inf_solves_the_engine_does_not_take():
     from flipwidth import bulk
-    sol = solve_flipper(Graph(0, []), INF, 1)
-    assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
+    for r in (INF, 0, 2):
+        sol = solve_flipper(Graph(0, []), r, 1)
+        assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
     path = generate("path", 17)
     with pytest.raises(LimitExceeded):
         bulk.component_outcomes(path, 1)
+    with pytest.raises(LimitExceeded):
+        bulk.component_outcomes(path, 1, 2)
     assert solve_flipper(path, INF, 1).winner == RUNNER
+    assert solve_flipper(path, 2, 1).winner == RUNNER
     with pytest.raises(GenerationError):
         solve_flipper(generate("cycle", 4), INF, 0)
 
@@ -345,6 +390,17 @@ def all_ordered_graphs(n):
     for edges in oracles.all_labeled_graphs(n):
         out.append(OrderedGraph(oracles.graph_from_edges(n, edges)))
     return out
+
+
+def test_last_searches_on_the_empty_graph():
+    # the empty graph is won at width 1, in one round when the runner picks
+    # round 1 freely, as in the ordered game
+    empty = OrderedGraph(Graph(0))
+    assert bipartite_flip_width(Graph(0), 0, 1) == 1
+    assert ordered_binary_flip_width(empty, 1) == 1
+    binary = solve_ordered_binary(empty, 1, 1)
+    ordered = solve_ordered(empty, 1, 1)
+    assert (binary.winner, binary.rounds) == (ordered.winner, ordered.rounds) == (FLIPPER, 1)
 
 
 def test_ordered_single_vertex():
