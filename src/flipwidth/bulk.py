@@ -35,9 +35,9 @@ def supports(n):
     return 1 <= n <= 16
 
 
-def component_outcomes(g, k, r=INF, max_n=None):
-    """`outcomes` over the <= k-flips of g; at r=inf a ball is a component."""
-    return outcomes(g, r, k_flip_partitions(g.n, k, max_n))
+def component_outcomes(g, k, max_n=None):
+    """`outcomes` at r=inf over the <= k-flips of g: each ball is a component."""
+    return outcomes(g, INF, k_flip_partitions(g.n, k, max_n))
 
 
 def outcomes(g, r, parts):

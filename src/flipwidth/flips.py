@@ -244,10 +244,12 @@ def k_flip_partitions(n, k, max_n=None):
         yield None, part, pairs[part.size]
 
 
-def enumerate_k_flips(g, k, max_n=None):
+def enumerate_k_flips(g, k, max_n=None, partitions=False):
     """Stream (FlipSpec, rows) for every distinct edge set among the <= k-flips
-    of g, identity first (see k_flip_partitions)."""
-    return family_flips(g, k_flip_partitions(g.n, k, max_n))
+    of g, identity first; with partitions, stream k_flip_partitions instead,
+    the form the numpy engine reads."""
+    parts = k_flip_partitions(g.n, k, max_n)
+    return parts if partitions else family_flips(g, parts)
 
 
 def compose_flips(g, first, second):
@@ -315,10 +317,11 @@ def definable_partitions(g, k, max_k=None):
         yield s_set, part, pairs[part.size]
 
 
-def enumerate_definable_flips(g, k, max_k=None):
+def enumerate_definable_flips(g, k, max_k=None, partitions=False):
     """Stream ((S, FlipSpec), rows) over all S with |S| <= k, one per
-    distinct edge set."""
-    return family_flips(g, definable_partitions(g, k, max_k))
+    distinct edge set; with partitions, stream definable_partitions instead."""
+    parts = definable_partitions(g, k, max_k)
+    return parts if partitions else family_flips(g, parts)
 
 
 def bipartite_partitions(g, left_mask, k):
@@ -342,10 +345,11 @@ def bipartite_partitions(g, left_mask, k):
             yield None, part, cross
 
 
-def enumerate_bipartite_flips(g, left_mask, k):
+def enumerate_bipartite_flips(g, left_mask, k, partitions=False):
     """Stream (FlipSpec, rows) over the bipartite flips, one per distinct edge
-    set (see bipartite_partitions)."""
-    return family_flips(g, bipartite_partitions(g, left_mask, k))
+    set; with partitions, stream bipartite_partitions instead."""
+    parts = bipartite_partitions(g, left_mask, k)
+    return parts if partitions else family_flips(g, parts)
 
 
 def _subsets_up_to(n, k):

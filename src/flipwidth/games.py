@@ -26,8 +26,7 @@ from collections import namedtuple
 
 from .errors import IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
-                    bipartite_partitions, block_pairs, cut_flip_weighted,
-                    definable_partitions, enumerate_bipartite_flips,
+                    block_pairs, cut_flip_weighted, enumerate_bipartite_flips,
                     enumerate_cut_flips, enumerate_definable_flips,
                     enumerate_k_flips, flip_masks, identity_flip,
                     partition_flips, rgs_partitions, s_types, subset_flip)
@@ -262,18 +261,25 @@ def _engine_outcomes(found):
 def _flip_outcomes(g, r, k, max_n=None):
     """Outcomes of every <= k-flip of g, first flip of each in enumeration
     order: from the numpy engine whenever it takes n, else the Python
-    stream."""
+    stream.  At r=inf the engine is entered as `bulk.component_outcomes`;
+    at finite r it reads the enumerator's partition stream, so flip
+    enumeration and the component engine stay separate layers when traced
+    (bench/spans.py)."""
     from . import bulk
-    if bulk.supports(g.n):
-        return _engine_outcomes(bulk.component_outcomes(g, k, r, max_n))
-    return _outcome_stream(g.n, r, enumerate_k_flips(g, k, max_n=max_n),
-                           ball_mask, _trapped)
+    if not bulk.supports(g.n):
+        return _outcome_stream(g.n, r, enumerate_k_flips(g, k, max_n=max_n),
+                               ball_mask, _trapped)
+    if r is INF:
+        return _engine_outcomes(bulk.component_outcomes(g, k, max_n))
+    return _engine_outcomes(
+        bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n, partitions=True)))
 
 
 def _definable_outcomes(g, r, k, max_k=None):
     from . import bulk
     if bulk.supports(g.n):
-        return _engine_outcomes(bulk.outcomes(g, r, definable_partitions(g, k, max_k)))
+        return _engine_outcomes(
+            bulk.outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k, partitions=True)))
     return _outcome_stream(g.n, r, enumerate_definable_flips(g, k, max_k=max_k),
                            ball_mask, _trapped)
 
@@ -281,7 +287,8 @@ def _definable_outcomes(g, r, k, max_k=None):
 def _bipartite_outcomes(g, left_mask, r, k):
     from . import bulk
     if bulk.supports(g.n):
-        return _engine_outcomes(bulk.outcomes(g, r, bipartite_partitions(g, left_mask, k)))
+        return _engine_outcomes(
+            bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k, partitions=True)))
     return _outcome_stream(g.n, r, enumerate_bipartite_flips(g, left_mask, k),
                            ball_mask, _trapped)
 

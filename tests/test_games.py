@@ -109,6 +109,7 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_radius_inf_solves_the_engine_does_not_take():
     from flipwidth import bulk
+    from flipwidth.flips import k_flip_partitions
     for r in (INF, 0, 2):
         sol = solve_flipper(Graph(0, []), r, 1)
         assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
@@ -116,7 +117,7 @@ def test_radius_inf_solves_the_engine_does_not_take():
     with pytest.raises(LimitExceeded):
         bulk.component_outcomes(path, 1)
     with pytest.raises(LimitExceeded):
-        bulk.component_outcomes(path, 1, 2)
+        bulk.outcomes(path, 2, k_flip_partitions(17, 1))
     assert solve_flipper(path, INF, 1).winner == RUNNER
     assert solve_flipper(path, 2, 1).winner == RUNNER
     with pytest.raises(GenerationError):
