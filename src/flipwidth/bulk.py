@@ -24,7 +24,7 @@ on the Python stream.
 import numpy as np
 
 from .errors import LimitExceeded
-from .flips import k_flip_partitions
+from .flips import enumerate_k_flips
 from .graphs import INF
 
 BATCH = 1 << 18     # raw flips per batch, give or take one partition's
@@ -37,7 +37,7 @@ def supports(n):
 
 def component_outcomes(g, k, max_n=None):
     """`outcomes` at r=inf over the <= k-flips of g: each ball is a component."""
-    return outcomes(g, INF, k_flip_partitions(g.n, k, max_n))
+    return outcomes(g, INF, enumerate_k_flips(g, k, max_n))
 
 
 def outcomes(g, r, parts):

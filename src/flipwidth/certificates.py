@@ -7,8 +7,8 @@ from collections import namedtuple
 
 from .errors import (CertificateInvalid, GenerationError, LimitExceeded,
                      SchemaError)
-from .flips import (FlipSpec, Partition, block_pairs, enumerate_k_flips,
-                    flip_masks)
+from .flips import (FlipSpec, Partition, block_pairs, distinct_flips,
+                    enumerate_k_flips, flip_masks)
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
 
@@ -128,7 +128,7 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
         raise GenerationError(
             f"hideout precondition violated: |U|={len(cert.u)} must exceed d={cert.d}")
     if mode == "exhaustive":
-        for spec, masks in enumerate_k_flips(g, cert.k, max_n=max_n):
+        for spec, masks in distinct_flips(g, enumerate_k_flips(g, cert.k, max_n=max_n)):
             if hideout_violation(g, cert, masks) > cert.d:
                 return HideoutReport(False, "exhaustive", spec)
         return HideoutReport(True, "exhaustive", None)
@@ -198,7 +198,8 @@ def find_hideout_small(g, r, k, d, max_n=None):
     limit = HIDEOUT_SEARCH_MAX_N if max_n is None else max_n
     if g.n > limit:
         raise LimitExceeded(f"find_hideout_small: n={g.n} exceeds bound {limit}")
-    all_masks = [masks for _, masks in enumerate_k_flips(g, k, max_n=max_n)]
+    all_masks = [masks for _, masks in
+                 distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n))]
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)

@@ -1,18 +1,16 @@
 """Flip algebra: partitions, k-flips, definable flips, bipartite flips and
 ordered cut-flips.
 
-The families that flip g itself (k-flips, definable, bipartite) are each
-defined once, as a partition stream of (tag, Partition, pairs): the flips
-over the partition by every subset of `pairs`, subsets in binary counting
-order, announced as the FlipSpec when tag is None and as (tag, FlipSpec)
-otherwise.  The Python enumerators and the numpy engine in `bulk` both read
-these streams.
-
-Each enumerator streams (move, masks) pairs: `move` is what the game
-announces (a FlipSpec, an (S, FlipSpec) pair or a CutFlip) and `masks` its
-adjacency rows as a tuple (a (weight0, weight1) pair of tuples for a
-cut-flip), computed once per raw flip.  A flip whose edge set was already
-yielded is dropped, so the first flip of each edge set is the one kept.
+The families that flip g itself (k-flips, definable, bipartite) each have
+one enumerator, which streams (tag, Partition, pairs): the flips over the
+partition by every subset of `pairs`, subsets in binary counting order,
+announced as the FlipSpec when tag is None and as (tag, FlipSpec)
+otherwise.  The numpy engine in `bulk` reads these streams as they are;
+`distinct_flips` turns one into (move, masks) pairs, one per distinct edge
+set, the first flip of each edge set kept, with `masks` its adjacency rows
+as a tuple, computed once per raw flip.  The ordered cut-flip enumerator
+streams (CutFlip, (weight0, weight1)) pairs, one per distinct (edge set,
+cut), the same way.
 """
 
 from .errors import GenerationError, LimitExceeded, SchemaError
@@ -226,7 +224,7 @@ def partition_flips(g, part, pairs, seen):
             yield spec, masks
 
 
-def family_flips(g, parts):
+def distinct_flips(g, parts):
     """Stream (move, rows) over a partition stream (see the module docstring),
     one per distinct edge set, the first flip of each kept."""
     seen = set()
@@ -235,21 +233,14 @@ def family_flips(g, parts):
             yield (spec if tag is None else (tag, spec)), masks
 
 
-def k_flip_partitions(n, k, max_n=None):
-    """Partition stream of the <= k-flips of an n-vertex graph: partitions in
-    restricted-growth lexicographic order, every block pair allowed."""
-    check_flip_enum(n, k, max_n)
-    pairs = [block_pairs(b) for b in range(min(k, n) + 1)]
-    for part in rgs_partitions(n, k):
+def enumerate_k_flips(g, k, max_n=None):
+    """Partition stream of the <= k-flips of g: partitions in restricted-growth
+    lexicographic order, every block pair allowed, so the identity comes
+    first."""
+    check_flip_enum(g.n, k, max_n)
+    pairs = [block_pairs(b) for b in range(min(k, g.n) + 1)]
+    for part in rgs_partitions(g.n, k):
         yield None, part, pairs[part.size]
-
-
-def enumerate_k_flips(g, k, max_n=None, partitions=False):
-    """Stream (FlipSpec, rows) for every distinct edge set among the <= k-flips
-    of g, identity first; with partitions, stream k_flip_partitions instead,
-    the form the numpy engine reads."""
-    parts = k_flip_partitions(g.n, k, max_n)
-    return parts if partitions else family_flips(g, parts)
 
 
 def compose_flips(g, first, second):
@@ -303,7 +294,7 @@ def s_types(g, s_set, split_s_singletons=False):
     return Partition(canon)
 
 
-def definable_partitions(g, k, max_k=None):
+def enumerate_definable_flips(g, k, max_k=None):
     """Partition stream of the definable flips: for every S with |S| <= k, by
     size and then numerically, the S-types of g tagged with S, every block
     pair allowed."""
@@ -317,14 +308,7 @@ def definable_partitions(g, k, max_k=None):
         yield s_set, part, pairs[part.size]
 
 
-def enumerate_definable_flips(g, k, max_k=None, partitions=False):
-    """Stream ((S, FlipSpec), rows) over all S with |S| <= k, one per
-    distinct edge set; with partitions, stream definable_partitions instead."""
-    parts = definable_partitions(g, k, max_k)
-    return parts if partitions else family_flips(g, parts)
-
-
-def bipartite_partitions(g, left_mask, k):
+def enumerate_bipartite_flips(g, left_mask, k):
     """Partition stream of the bipartite flips: partitions refine the sides,
     <= k blocks per side, and only cross-side block pairs are allowed."""
     left = [v for v in range(g.n) if (left_mask >> v) & 1]
@@ -343,13 +327,6 @@ def bipartite_partitions(g, left_mask, k):
             cross = [(remap[i], remap[lp.size + j])
                      for i in range(lp.size) for j in range(rp.size)]
             yield None, part, cross
-
-
-def enumerate_bipartite_flips(g, left_mask, k, partitions=False):
-    """Stream (FlipSpec, rows) over the bipartite flips, one per distinct edge
-    set; with partitions, stream bipartite_partitions instead."""
-    parts = bipartite_partitions(g, left_mask, k)
-    return parts if partitions else family_flips(g, parts)
 
 
 def _subsets_up_to(n, k):
@@ -453,6 +430,6 @@ def enumerate_cut_flips(og, k, max_n=None):
         if work <= CUT_FLIP_WORK_LIMIT:
             max_n = g.n
     weight0 = [(cut, order_rows(g.n, cut)) for cut in cuts]
-    for spec, w1 in enumerate_k_flips(g, k, max_n=max_n):
+    for spec, w1 in distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n)):
         for cut, w0 in weight0:
             yield CutFlip(spec, cut), (w0, w1)

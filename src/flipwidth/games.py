@@ -15,7 +15,8 @@ which reduces their partition streams from `flips` at every radius on
 1 <= n <= 16 vertices.  Everything else (other n, the ordered cut-flips and
 the Gaifman graphs of the binary ordered game) goes through
 `_outcome_stream`, which reduces a stream of (move, masks) pairs, one per
-distinct edge set, as each family's enumerator in `flips` yields them.
+distinct edge set, as `flips.distinct_flips` and the cut-flip enumerator
+yield them.
 
 Cops-style games keep their concrete states ((cops, robber) or just the
 robber vertex for the no-announcement variant).
@@ -26,10 +27,11 @@ from collections import namedtuple
 
 from .errors import IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
-                    block_pairs, cut_flip_weighted, enumerate_bipartite_flips,
-                    enumerate_cut_flips, enumerate_definable_flips,
-                    enumerate_k_flips, flip_masks, identity_flip,
-                    partition_flips, rgs_partitions, s_types, subset_flip)
+                    block_pairs, cut_flip_weighted, distinct_flips,
+                    enumerate_bipartite_flips, enumerate_cut_flips,
+                    enumerate_definable_flips, enumerate_k_flips, flip_masks,
+                    identity_flip, partition_flips, rgs_partitions, s_types,
+                    subset_flip)
 from .graphs import INF, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
@@ -258,39 +260,28 @@ def _engine_outcomes(found):
     return [Outcome(None, iso, balls, flip) for flip, iso, balls in found]
 
 
-def _flip_outcomes(g, r, k, max_n=None):
-    """Outcomes of every <= k-flip of g, first flip of each in enumeration
-    order: from the numpy engine whenever it takes n, else the Python
-    stream.  At r=inf the engine is entered as `bulk.component_outcomes`;
-    at finite r it reads the enumerator's partition stream, so flip
-    enumeration and the component engine stay separate layers when traced
-    (bench/spans.py)."""
+def _family_outcomes(g, r, parts):
+    """Outcomes of the flips of g in a partition stream from `flips`, first
+    flip of each in the stream's order: from the numpy engine whenever it
+    takes n, else the Python stream."""
     from . import bulk
-    if not bulk.supports(g.n):
-        return _outcome_stream(g.n, r, enumerate_k_flips(g, k, max_n=max_n),
-                               ball_mask, _trapped)
-    if r is INF:
+    if bulk.supports(g.n):
+        return _engine_outcomes(bulk.outcomes(g, r, parts))
+    return _outcome_stream(g.n, r, distinct_flips(g, parts), ball_mask, _trapped)
+
+
+def _flip_outcomes(g, r, k, max_n=None):
+    """Outcomes of every <= k-flip of g.  At r=inf the engine is entered
+    through `bulk.component_outcomes`: bench/spans.py times that entry as
+    the engine layer and `enumerate_k_flips` as flip enumeration."""
+    from . import bulk
+    if r is INF and bulk.supports(g.n):
         return _engine_outcomes(bulk.component_outcomes(g, k, max_n))
-    return _engine_outcomes(
-        bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n, partitions=True)))
+    return _family_outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
 
 
 def _definable_outcomes(g, r, k, max_k=None):
-    from . import bulk
-    if bulk.supports(g.n):
-        return _engine_outcomes(
-            bulk.outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k, partitions=True)))
-    return _outcome_stream(g.n, r, enumerate_definable_flips(g, k, max_k=max_k),
-                           ball_mask, _trapped)
-
-
-def _bipartite_outcomes(g, left_mask, r, k):
-    from . import bulk
-    if bulk.supports(g.n):
-        return _engine_outcomes(
-            bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k, partitions=True)))
-    return _outcome_stream(g.n, r, enumerate_bipartite_flips(g, left_mask, k),
-                           ball_mask, _trapped)
+    return _family_outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k))
 
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
@@ -530,8 +521,8 @@ def definable_flip_width(g, r, max_k=None):
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    return _solve_on_graph("bipartite", g, r, k, _bipartite_outcomes(g, left_mask, r, k),
-                           FlipSpec.to_json)
+    outcomes = _family_outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k))
+    return _solve_on_graph("bipartite", g, r, k, outcomes, FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):

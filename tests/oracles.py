@@ -13,7 +13,7 @@ against brute force.
 
 import itertools
 
-from flipwidth.flips import enumerate_definable_flips, enumerate_k_flips
+from flipwidth.flips import distinct_flips, enumerate_definable_flips, enumerate_k_flips
 from flipwidth.games import FLIPPER, RUNNER
 from flipwidth.graphs import INF
 
@@ -403,9 +403,9 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
     of v's radius-r ball in f; the runner first walks in g itself.
     """
     if definable:
-        flips = enumerate_definable_flips(g, k, max_k=max_k)
+        flips = distinct_flips(g, enumerate_definable_flips(g, k, max_k=max_k))
     else:
-        flips = enumerate_k_flips(g, k, max_n=max_n)
+        flips = distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n))
     rows = [masks for _, masks in flips]
     balls = [[_ball_of(masks, v, r) for v in range(g.n)] for masks in rows]
     # done[f]: the vertices v that f isolates or whose state (f, v) is won

@@ -16,7 +16,7 @@ from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
                                     verify_rich_division,
                                     well_linked_to_hideout)
 from flipwidth.errors import CertificateInvalid, GenerationError, SchemaError
-from flipwidth.flips import enumerate_k_flips
+from flipwidth.flips import distinct_flips, enumerate_k_flips
 from flipwidth.games import (COPS, ROBBER, RUNNER, IdentityFlipper,
                              simulate_match, solve_cops, solve_copw_prime,
                              solve_flipper, solve_ordered)
@@ -324,7 +324,7 @@ def test_matching_flip_probe():
     left = list(range(n_pairs))
     right = list(range(n_pairs, 2 * n_pairs))
     for k in (1, 2):
-        for spec, _ in enumerate_k_flips(g, k, max_n=10):
+        for spec, _ in distinct_flips(g, enumerate_k_flips(g, k, max_n=10)):
             from flipwidth.flips import apply_flip
             flipped = apply_flip(g, spec)
             pairs = [(u, v) for u in left for v in right if flipped.has_edge(u, v)]
@@ -354,7 +354,7 @@ def test_path_flip_probe():
         return any(u == t for u, _ in frontier)
 
     for k in (1, 2):
-        for spec, _ in enumerate_k_flips(g, k, max_n=12):
+        for spec, _ in distinct_flips(g, enumerate_k_flips(g, k, max_n=12)):
             flipped = apply_flip(g, spec)
             good = sum(1 for t in targets
                        if any(has_r_path(flipped, s, t) for s in sources))
@@ -378,7 +378,7 @@ def test_star_forest_flip_probe():
     from flipwidth.flips import apply_flip
     need = (leaves_per_root + 1) // 2
     for k in (1, 2):
-        for spec, _ in enumerate_k_flips(g, k, max_n=g.n):
+        for spec, _ in distinct_flips(g, enumerate_k_flips(g, k, max_n=g.n)):
             flipped = apply_flip(g, spec)
             covers = [(x, y) for x in range(roots) for y in range(roots)
                       if sum(1 for c in children[y] if flipped.has_edge(x, c)) >= need]

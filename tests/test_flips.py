@@ -6,7 +6,7 @@ import oracles
 from flipwidth.errors import GenerationError, LimitExceeded
 from flipwidth.flips import (CutFlip, FlipSpec, Partition, apply_flip,
                              block_pairs, compose_flips, count_raw_flips,
-                             cut_flip_ball, cut_flip_weighted,
+                             cut_flip_ball, cut_flip_weighted, distinct_flips,
                              enumerate_bipartite_flips, enumerate_cut_flips,
                              enumerate_definable_flips, enumerate_k_flips,
                              flip_masks, identity_flip, rgs_partitions,
@@ -65,7 +65,7 @@ def test_flip_involution(atlas4):
 
 def test_enumerate_k1_two_flips():
     g = generate("path", 3)
-    flips = list(enumerate_k_flips(g, 1))
+    flips = list(distinct_flips(g, enumerate_k_flips(g, 1)))
     graphs = {apply_flip(g, s).adj for s, _ in flips}
     assert len(flips) == 2
     assert graphs == {g.adj, complement(g).adj}
@@ -73,13 +73,13 @@ def test_enumerate_k1_two_flips():
 
 def test_enumerate_identity_first(atlas4):
     for g in atlas4:
-        first, rows = next(iter(enumerate_k_flips(g, 2)))
+        first, rows = next(iter(distinct_flips(g, enumerate_k_flips(g, 2))))
         assert apply_flip(g, first).adj == rows == g.adj
 
 
 def test_enumerate_k3_reaches_all_3vertex_graphs():
     g = generate("cycle", 3)
-    got = {apply_flip(g, s).adj for s, _ in enumerate_k_flips(g, 3)}
+    got = {apply_flip(g, s).adj for s, _ in distinct_flips(g, enumerate_k_flips(g, 3))}
     want = {oracles.graph_from_edges(3, e).adj for e in oracles.all_labeled_graphs(3)}
     assert got == want
 
@@ -95,7 +95,7 @@ def test_raw_flip_count_n4_k2():
 
 def test_enumerate_contains_complement(atlas4):
     for g in atlas4:
-        graphs = {apply_flip(g, s).adj for s, _ in enumerate_k_flips(g, 1)}
+        graphs = {apply_flip(g, s).adj for s, _ in distinct_flips(g, enumerate_k_flips(g, 1))}
         assert complement(g).adj in graphs
 
 
@@ -107,9 +107,10 @@ def test_limit_exceeded():
 def test_enumerators_yield_each_edge_set_once_with_its_rows():
     g = generate("random_gnp", 5, 0.5, 2)
     streams = {
-        "k": [(spec, rows) for spec, rows in enumerate_k_flips(g, 3)],
-        "definable": [(spec, rows) for (_, spec), rows in enumerate_definable_flips(g, 2)],
-        "bipartite": list(enumerate_bipartite_flips(g, 0b00111, 2)),
+        "k": list(distinct_flips(g, enumerate_k_flips(g, 3))),
+        "definable": [(spec, rows) for (_, spec), rows
+                      in distinct_flips(g, enumerate_definable_flips(g, 2))],
+        "bipartite": list(distinct_flips(g, enumerate_bipartite_flips(g, 0b00111, 2))),
     }
     for name, flips in streams.items():
         assert all(rows == flip_masks(g, spec) for spec, rows in flips), name
@@ -118,7 +119,8 @@ def test_enumerators_yield_each_edge_set_once_with_its_rows():
     cut_flips = list(enumerate_cut_flips(og, 2))
     assert all(rows == cut_flip_weighted(og, cf) for cf, rows in cut_flips)
     # every distinct edge flip with every cut of size <= 2
-    assert len(cut_flips) == len(list(enumerate_k_flips(g, 2))) * (1 + 5 + 10)
+    edge_sets = list(distinct_flips(g, enumerate_k_flips(g, 2)))
+    assert len(cut_flips) == len(edge_sets) * (1 + 5 + 10)
 
 
 def test_sequential_flip_equivalence():
@@ -192,21 +194,23 @@ def test_s_types_singleton_split_ktt_bound():
 
 def test_definable_k0():
     g = generate("path", 4)
-    flips = [apply_flip(g, spec).adj for (s, spec), _ in enumerate_definable_flips(g, 0)]
+    flips = [apply_flip(g, spec).adj
+             for (s, spec), _ in distinct_flips(g, enumerate_definable_flips(g, 0))]
     assert set(flips) == {g.adj, complement(g).adj}
 
 
 def test_definable_flips_are_2k_flips(atlas4):
     for g in atlas4:
-        for (s, spec), _ in enumerate_definable_flips(g, 2):
+        for (s, spec), _ in distinct_flips(g, enumerate_definable_flips(g, 2)):
             assert spec.partition.size <= 2 ** len(s)
 
 
 def test_definable_subset_of_k_flips():
     # every k-definable flip appears among the 2^k-flips (n <= 6, k <= 2)
     for g in [generate("path", 5), generate("cycle", 6), generate("random_gnp", 6, 0.5, 3)]:
-        khats = {apply_flip(g, s).adj for s, _ in enumerate_k_flips(g, 4, max_n=6)}
-        for (s, spec), _ in enumerate_definable_flips(g, 2):
+        khats = {apply_flip(g, s).adj
+                 for s, _ in distinct_flips(g, enumerate_k_flips(g, 4, max_n=6))}
+        for (s, spec), _ in distinct_flips(g, enumerate_definable_flips(g, 2)):
             assert apply_flip(g, spec).adj in khats
 
 
@@ -217,7 +221,8 @@ def test_clique_plus_isolated_not_definable():
     blocks = [0] * 4 + [1] * 4
     spec = spec_of(blocks, [(1, 1), (0, 1)])
     assert apply_flip(k8, spec).adj == target.adj
-    definable = {apply_flip(k8, s).adj for (_, s), _ in enumerate_definable_flips(k8, 3)}
+    definable = {apply_flip(k8, s).adj
+                 for (_, s), _ in distinct_flips(k8, enumerate_definable_flips(k8, 3))}
     assert target.adj not in definable
 
 

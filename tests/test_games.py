@@ -52,8 +52,8 @@ def test_bulk_outcomes_match_stream(monkeypatch):
     from functools import partial
 
     from flipwidth import bulk, games
-    from flipwidth.flips import (enumerate_bipartite_flips, enumerate_definable_flips,
-                                 enumerate_k_flips)
+    from flipwidth.flips import (distinct_flips, enumerate_bipartite_flips,
+                                 enumerate_definable_flips, enumerate_k_flips)
     from flipwidth.graphs import ball_mask
     engine = bulk.outcomes
     calls = []
@@ -63,6 +63,9 @@ def test_bulk_outcomes_match_stream(monkeypatch):
     def key(outcomes):
         return [((o.move[0], o.move[1].to_json()) if isinstance(o.move, tuple)
                  else o.move.to_json(), o.iso, o.balls) for o in outcomes]
+
+    def bipartite_outcomes(g, r, left, k):
+        return games._family_outcomes(g, r, enumerate_bipartite_flips(g, left, k))
 
     cases = []     # (g, outcomes at radius r, the family's enumerator)
     for g in atlas_graphs(5):
@@ -75,10 +78,10 @@ def test_bulk_outcomes_match_stream(monkeypatch):
         left = _bipartition(g)
         if left is not None:
             for k in (1, 2, 3):
-                cases.append((g, partial(games._bipartite_outcomes, g, left, k=k),
+                cases.append((g, partial(bipartite_outcomes, g, left=left, k=k),
                               enumerate_bipartite_flips(g, left, k)))
-    for g, solve, stream in cases:
-        flips = list(stream)
+    for g, solve, parts in cases:
+        flips = list(distinct_flips(g, parts))
         for r in (0, 1, 2, INF):
             want = games._outcome_stream(g.n, r, flips, ball_mask, games._trapped)
             assert key(solve(r)) == key(want), (g.adj, r, flips[-1][0])
@@ -90,7 +93,7 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
     partition with 64 or more pair subsets is sliced over several; the
     outcomes stay the stream's."""
     from flipwidth import bulk, games
-    from flipwidth.flips import enumerate_definable_flips, enumerate_k_flips
+    from flipwidth.flips import distinct_flips, enumerate_definable_flips, enumerate_k_flips
     from flipwidth.graphs import ball_mask
     monkeypatch.setattr(bulk, "BATCH", 16)
 
@@ -98,8 +101,8 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
         return [(repr(o.move), o.iso, o.balls) for o in outcomes]
 
     for g in atlas_graphs(5, min_n=5)[::8]:
-        flips = list(enumerate_k_flips(g, 3))
-        defin = list(enumerate_definable_flips(g, 2))
+        flips = list(distinct_flips(g, enumerate_k_flips(g, 3)))
+        defin = list(distinct_flips(g, enumerate_definable_flips(g, 2)))
         for r in (0, 2, INF):
             assert key(games._flip_outcomes(g, r, 3)) == key(
                 games._outcome_stream(g.n, r, flips, ball_mask, games._trapped))
@@ -109,7 +112,7 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_radius_inf_solves_the_engine_does_not_take():
     from flipwidth import bulk
-    from flipwidth.flips import k_flip_partitions
+    from flipwidth.flips import enumerate_k_flips
     for r in (INF, 0, 2):
         sol = solve_flipper(Graph(0, []), r, 1)
         assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
@@ -117,7 +120,7 @@ def test_radius_inf_solves_the_engine_does_not_take():
     with pytest.raises(LimitExceeded):
         bulk.component_outcomes(path, 1)
     with pytest.raises(LimitExceeded):
-        bulk.outcomes(path, 2, k_flip_partitions(17, 1))
+        bulk.outcomes(path, 2, enumerate_k_flips(path, 1))
     assert solve_flipper(path, INF, 1).winner == RUNNER
     assert solve_flipper(path, 2, 1).winner == RUNNER
     with pytest.raises(GenerationError):

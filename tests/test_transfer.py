@@ -4,7 +4,7 @@ import pytest
 
 from conftest import atlas_graphs
 from flipwidth.errors import GenerationError, ParseError
-from flipwidth.flips import FlipSpec, Partition, enumerate_k_flips
+from flipwidth.flips import FlipSpec, Partition, distinct_flips, enumerate_k_flips
 from flipwidth.games import (FLIPPER, RUNNER, bipartite_flip_width,
                              flip_width, pursuer_beats_every_evader,
                              simulate_match, solve_bipartite, solve_flipper)
@@ -89,7 +89,7 @@ def test_flip_map_width_bound():
     g = generate("random_gnp", 6, 0.5, 3)
     cg = ColoredGraph(g, (1, 2, 1, 2, 1, 2))
     fm = qf_flip_map(cg, parse_formula("E(x,y) & C1(x) & C1(y)"))
-    for spec, _ in enumerate_k_flips(g, 2):
+    for spec, _ in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)
         assert mapped.partition.size <= spec.partition.size * 2
 
@@ -99,7 +99,7 @@ def test_flip_map_stretch_invariant_all_pairs():
     cg = ColoredGraph(g, (1, 1, 2, 2, 1, 2))
     fm = qf_flip_map(cg, parse_formula("!E(x,y) & !(C2(x) & C2(y))"))
     from flipwidth.flips import flip_masks
-    for spec, g_masks in enumerate_k_flips(g, 2):
+    for spec, g_masks in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)       # map() asserts the invariant internally
         h_masks = flip_masks(fm.target, mapped)
         for u in range(6):
@@ -169,7 +169,7 @@ def test_split_map_paths_project():
     g = generate("cycle", 4)
     fm = semi_induced_flip_map(g, [0, 1], [1, 2])
     from flipwidth.flips import apply_flip
-    for spec, src in enumerate_k_flips(g, 2):
+    for spec, src in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)
         h = apply_flip(fm.target, mapped)
         origin = fm.xs + fm.ys
