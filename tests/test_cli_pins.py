@@ -70,7 +70,11 @@ def _duel_cases():
             duel(C5, "bipartite", "1", 2, pursuer="random:3"),
             duel(P5, "ordered", "1", 2), duel(P5, "ordered", "1", 1),
             duel(C5, "cop", "1", 3), duel(C5, "copprime", "1", 3),
-            duel(C5, "isolation", "1", 2)]
+            duel(C5, "isolation", "1", 2),
+            # the evader survives: the solver-witness evaders outside their losses
+            duel(C5, "cop", "1", 2), duel(C5, "copprime", "1", 2),
+            duel(C5, "isolation", "1", 1), duel(C5, "dfw", "1", 1),
+            duel(C5, "flip", "inf", 1), duel(C5, "ordered", "inf", 1)]
 
 
 CASES = _game_cases() + _duel_cases()
