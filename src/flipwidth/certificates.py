@@ -7,8 +7,7 @@ from collections import namedtuple
 
 from .errors import (CertificateInvalid, GenerationError, LimitExceeded,
                      SchemaError)
-from .flips import (FlipSpec, Partition, block_pairs, distinct_flips,
-                    enumerate_k_flips, flip_masks)
+from .flips import distinct_flips, enumerate_k_flips, flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
 
@@ -135,7 +134,7 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
     if mode == "sampled":
         rng = random.Random(seed)
         for _ in range(trials):
-            spec = _random_flip(g.n, cert.k, rng)
+            spec = random_flip(g.n, cert.k, rng)
             masks = flip_masks(g, spec)
             if hideout_violation(g, cert, masks) > cert.d:
                 return HideoutReport(False, "sampled", spec)
@@ -145,14 +144,6 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
 
 def verify_flip_hideout(g, cert, mode="exhaustive", **kw):
     return verify_flip_hideout_report(g, cert, mode, **kw).valid
-
-
-def _random_flip(n, k, rng):
-    blocks = [rng.randrange(k) for _ in range(n)]
-    part = Partition(blocks)
-    pairs = block_pairs(part.size)
-    chosen = [p for p in pairs if rng.random() < 0.5]
-    return FlipSpec(part, chosen)
 
 
 class HideoutRunner:
@@ -212,6 +203,16 @@ def find_hideout_small(g, r, k, d, max_n=None):
 # cops hideouts and orders
 
 
+def _cut_reaches(g, v, r, k):
+    """(A, reach) for every set A of fewer than k vertices other than v, by
+    size and then lexicographically: A's mask and v's radius-r reach in G - A."""
+    candidates = [w for w in range(g.n) if w != v]
+    for size in range(k):
+        for a_set in itertools.combinations(candidates, size):
+            amask = mask_of(a_set)
+            yield amask, ball_mask([row & ~amask for row in g.adj], v, r)
+
+
 def verify_cops_hideout(g, cert, max_k=None):
     """Every v in U keeps a <= r escape path to U-v after deleting any < k
     vertices other than v."""
@@ -221,17 +222,8 @@ def verify_cops_hideout(g, cert, max_k=None):
     umask = mask_of(cert.u)
     if popcount(umask) < 2:
         return False
-    others = list(range(g.n))
-    for v in cert.u:
-        candidates = [w for w in others if w != v]
-        for size in range(cert.k):
-            for a_set in itertools.combinations(candidates, size):
-                amask = mask_of(a_set)
-                masks = [g.adj[u] & ~amask for u in range(g.n)]
-                reach = ball_mask(masks, v, cert.r)
-                if reach & umask & ~(1 << v) == 0:
-                    return False
-    return True
+    return not any(reach & umask & ~(1 << v) == 0
+                   for v in cert.u for _, reach in _cut_reaches(g, v, cert.r, cert.k))
 
 
 def order_cert_check(g, order, r, k, max_k=None):
@@ -242,18 +234,7 @@ def order_cert_check(g, order, r, k, max_k=None):
         raise LimitExceeded(f"order_cert_check: k={k} exceeds bound {limit}")
     placed = 0
     for v in order:
-        ok = False
-        candidates = [w for w in range(g.n) if w != v]
-        for size in range(k):
-            for a_set in itertools.combinations(candidates, size):
-                amask = mask_of(a_set)
-                masks = [g.adj[u] & ~amask for u in range(g.n)]
-                if ball_mask(masks, v, r) & placed & ~amask == 0:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+        if not any(reach & placed & ~amask == 0 for amask, reach in _cut_reaches(g, v, r, k)):
             return False
         placed |= 1 << v
     return True
@@ -265,22 +246,10 @@ def greedy_copprime_order(g, r, k):
     remaining = set(range(g.n))
     suffix = []
     while remaining:
-        found = None
-        for v in sorted(remaining):
-            candidates = [w for w in range(g.n) if w != v]
-            for size in range(k):
-                for a_set in itertools.combinations(candidates, size):
-                    amask = mask_of(a_set)
-                    masks = [g.adj[u] & ~amask for u in range(g.n)]
-                    reach = ball_mask(masks, v, r)
-                    rest = mask_of(remaining) & ~(1 << v) & ~amask
-                    if reach & rest == 0:
-                        found = v
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        rest = mask_of(remaining)
+        found = next((v for v in sorted(remaining)
+                      if any(reach & rest & ~(1 << v) & ~amask == 0
+                             for amask, reach in _cut_reaches(g, v, r, k))), None)
         if found is None:
             return None
         suffix.append(found)

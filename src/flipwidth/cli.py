@@ -110,8 +110,10 @@ def _read_file(path, what):
 
 
 def _read_certificate(path):
-    """Certificate JSON: an unreadable file is a parse error, text that is
-    not JSON a schema error."""
+    """Certificate JSON: a missing path or an unreadable file is a parse
+    error, text that is not JSON a schema error."""
+    if path is None:
+        raise ParseError("this strategy reads a certificate: pass --certificate")
     data = _read_file(path, "certificate")
     try:
         return json.loads(data)

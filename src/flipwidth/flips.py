@@ -212,6 +212,13 @@ def subset_flip(part, pairs, sub):
     return FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
 
 
+def random_flip(n, k, rng):
+    """A <= k-flip drawn from rng: a uniform block label per vertex, then each
+    block pair of the partition flipped with probability 1/2."""
+    part = Partition([rng.randrange(k) for _ in range(n)])
+    return FlipSpec(part, [p for p in block_pairs(part.size) if rng.random() < 0.5])
+
+
 def partition_flips(g, part, pairs, seen):
     """(FlipSpec, rows) for every subset of `pairs` flipped over part, pair
     subsets in binary counting order; rows are computed once per flip, and a

@@ -20,6 +20,14 @@ yield them.
 
 Cops-style games keep their concrete states ((cops, robber) or just the
 robber vertex for the no-announcement variant).
+
+Each game's rules are stated once, in a stateless rules object (the
+`_*Rules` classes, built by `make_rules`): the move before round 1, what a
+move does (`masks`), how far the evader may go (`ball`, `legal`), when it is
+caught (`trapped`) and the state a response leads to (`after`).  The
+solvers, their witnesses (`TableFlipper`, `CopTable`, `CopPrimeTable` and
+the one `TableEvader`) and the simulation harness all read that object; the
+harness carries the previous move itself.
 """
 
 import random
@@ -30,9 +38,9 @@ from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
                     block_pairs, cut_flip_weighted, distinct_flips,
                     enumerate_bipartite_flips, enumerate_cut_flips,
                     enumerate_definable_flips, enumerate_k_flips, flip_masks,
-                    identity_flip, partition_flips, rgs_partitions, s_types,
-                    subset_flip)
-from .graphs import INF, ball_mask, bits, mask_of, popcount
+                    identity_flip, partition_flips, random_flip,
+                    rgs_partitions, s_types, subset_flip)
+from .graphs import INF, OrderedGraph, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
 RUNNER = "runner"
@@ -178,11 +186,7 @@ class RandomFlipper(Pursuer):
 
     def move(self, state, position):
         rng = random.Random(self.seed * 1000003 + state)
-        blocks = [rng.randrange(self.k) for _ in range(self.n)]
-        part = Partition(blocks)
-        pairs = block_pairs(part.size)
-        chosen = [p for p in pairs if rng.random() < 0.5]
-        return FlipSpec(part, chosen), state + 1
+        return random_flip(self.n, self.k, rng), state + 1
 
 
 class FirstLegalEvader(Evader):
@@ -232,13 +236,256 @@ class HalfGraphFlipper(Pursuer):
 
 
 # ---------------------------------------------------------------------------
+# rules
+
+
+class _FlipRules:
+    """Flipper game: moves are <= k-flips and the runner walks at most r
+    steps in the flip announced the round before.
+
+    A rules object holds no match state.  `start` is the move before round
+    1, None when the runner picks round 1 freely.  masks(move) checks a move
+    and gives what it does, here the flipped adjacency rows; ball(masks, v)
+    is the runner's reach from v, trapped(masks, v) whether the move
+    isolates v, legal(prev, masks, pos) the responses from pos to the move
+    masks when prev came before it, and after(masks, u) the state that the
+    response u leads to, here the position set ball(masks, u).
+    """
+
+    game = "flip"
+
+    def __init__(self, g, r, k):
+        self.g = g
+        self.r = r
+        self.k = k
+        self.n = g.n
+        self.start = g.adj
+
+    def masks(self, move, rnd=0):
+        if not isinstance(move, FlipSpec):
+            raise IllegalMoveError(f"round {rnd}: flip game expects a FlipSpec")
+        if len(move.partition.blocks) != self.n:
+            raise IllegalMoveError(f"round {rnd}: flip partition does not cover V")
+        if move.partition.size > self.k:
+            raise IllegalMoveError(
+                f"round {rnd}: flip uses {move.partition.size} parts, width is {self.k}")
+        return flip_masks(self.g, move)
+
+    def ball(self, masks, v):
+        return ball_mask(masks, v, self.r)
+
+    def trapped(self, masks, v):
+        return masks[v] == 0
+
+    def legal(self, prev, masks, pos):
+        if prev is None:
+            return tuple(range(self.n))
+        return tuple(bits(self.ball(prev, pos)))
+
+    def after(self, masks, u):
+        return self.ball(masks, u)
+
+
+class _DefinableRules(_FlipRules):
+    game = "dfw"
+
+    def masks(self, move, rnd=0):
+        if not (isinstance(move, tuple) and len(move) == 2):
+            raise IllegalMoveError(f"round {rnd}: definable game expects (S, FlipSpec)")
+        s_set, spec = move
+        if len(s_set) > self.k:
+            raise IllegalMoveError(f"round {rnd}: |S|={len(s_set)} exceeds width {self.k}")
+        if spec.partition != s_types(self.g, s_set):
+            raise IllegalMoveError(f"round {rnd}: flip partition is not the S-type partition")
+        return flip_masks(self.g, spec)
+
+
+class _BipartiteRules(_FlipRules):
+    game = "bipartite"
+
+    def __init__(self, g, r, k, left_mask):
+        super().__init__(g, r, k)
+        self.left_mask = left_mask
+
+    def masks(self, move, rnd=0):
+        if not isinstance(move, FlipSpec):
+            raise IllegalMoveError(f"round {rnd}: bipartite game expects a FlipSpec")
+        part = move.partition
+        side_of_block = {}
+        for v in range(self.n):
+            side = (self.left_mask >> v) & 1
+            b = part.blocks[v]
+            if side_of_block.setdefault(b, side) != side:
+                raise IllegalMoveError(f"round {rnd}: block {b} mixes the two sides")
+        counts = [0, 0]
+        for b, side in side_of_block.items():
+            counts[side] += 1
+        if max(counts) > self.k:
+            raise IllegalMoveError(f"round {rnd}: {max(counts)} blocks on one side, width {self.k}")
+        for i, j in move.pairs:
+            if side_of_block.get(i) == side_of_block.get(j):
+                raise IllegalMoveError(f"round {rnd}: flip pair ({i},{j}) is not cross-side")
+        return flip_masks(self.g, move)
+
+
+class _OrderedRules(_FlipRules):
+    """Ordered flipper game: k-cut-flips, weighted walks, and the runner
+    picks round 1 freely.  A cut-flip's masks are its (weight-0, weight-1)
+    adjacency rows."""
+
+    game = "ordered"
+
+    def __init__(self, og, r, k):
+        if not hasattr(og, "graph"):
+            og = OrderedGraph(og)
+        super().__init__(og.graph, r, k)
+        self.og = og
+        self.start = None
+
+    def masks(self, move, rnd=0):
+        if not isinstance(move, CutFlip):
+            raise IllegalMoveError(f"round {rnd}: ordered game expects a CutFlip")
+        if len(move.cut) > self.k or move.flip.partition.size > self.k:
+            raise IllegalMoveError(f"round {rnd}: cut-flip exceeds width {self.k}")
+        return cut_flip_weighted(self.og, move)
+
+    def ball(self, w, v):
+        return _weighted_ball(w[0], w[1], v, self.r)
+
+    def trapped(self, w, v):
+        return w[0][v] == 0 and w[1][v] == 0
+
+
+class _OrderedBinaryRules(_FlipRules):
+    """The ordered graph as a binary structure: a move's masks are the
+    Gaifman graph of a flip of (V, E, <), and the runner picks round 1
+    freely.  Only the solver reads these rules; its moves are not kept."""
+
+    game = "ordered-binary"
+
+    def __init__(self, og, r, k):
+        super().__init__(og.graph, r, k)
+        self.start = None
+
+
+class _CopRules:
+    """Cops and Robber with announced moves: a move is the next cop set S2,
+    whose masks are its vertex mask, and the robber runs at speed r through
+    the vertices free of grounded(S, S2), the cops both on the old set S and
+    on S2.  ball(blocked, v) is the reach from v in G - blocked, the robber
+    is caught on a cop, and after(S2, u) is the state (S2, u)."""
+
+    game = "cop"
+    start = 0
+
+    def __init__(self, g, r, k):
+        self.g = g
+        self.r = r
+        self.k = k
+        self.n = g.n
+
+    def masks(self, move, rnd=0):
+        if not isinstance(move, (frozenset, set)):
+            raise IllegalMoveError(f"round {rnd}: {self.game} game expects a vertex set")
+        if len(move) > self.k:
+            raise IllegalMoveError(f"round {rnd}: {len(move)} cops exceed width {self.k}")
+        return mask_of(move)
+
+    @staticmethod
+    def grounded(S, S2):
+        return S & S2
+
+    def ball(self, blocked, v):
+        return ball_mask([row & ~blocked for row in self.g.adj], v, self.r)
+
+    def trapped(self, s2, v):
+        return bool((s2 >> v) & 1)
+
+    def legal(self, prev, s2, pos):
+        return tuple(bits(self.ball(self.grounded(prev, s2), pos)))
+
+    def after(self, s2, u):
+        return s2, u
+
+
+class _IsolationRules(_CopRules):
+    """Isolation game: the robber's path avoids all previous cop positions."""
+
+    game = "isolation"
+
+    @staticmethod
+    def grounded(S, S2):
+        return S
+
+
+class _CopPrimeRules(_CopRules):
+    """No-announcement variant: against the cop set A the robber may stay
+    off A or move along a path of length 1..r whose non-start vertices avoid
+    A, and is caught when no response is left.  ball(A, v) is the mask of
+    those responses and after(A, u) the robber's vertex u."""
+
+    game = "copprime"
+
+    def ball(self, a_mask, v):
+        adj = self.g.adj
+        legal = 0
+        if not (a_mask >> v) & 1:
+            legal |= 1 << v
+        frontier = adj[v] & ~a_mask
+        reached = frontier
+        steps = 1
+        while frontier and (self.r is INF or steps < self.r):
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            nxt &= ~a_mask & ~reached
+            nxt &= ~(1 << v)
+            reached |= nxt
+            frontier = nxt
+            steps += 1
+        return legal | reached
+
+    def trapped(self, a_mask, v):
+        return False    # capture happens through an empty legal set
+
+    def legal(self, prev, a_mask, pos):
+        return tuple(bits(self.ball(a_mask, pos)))
+
+    def after(self, a_mask, u):
+        return u
+
+
+_RULES = {"flip": _FlipRules, "dfw": _DefinableRules, "cop": _CopRules,
+          "copprime": _CopPrimeRules, "isolation": _IsolationRules,
+          "ordered": _OrderedRules, "bipartite": _BipartiteRules}
+
+
+def make_rules(game, g, r, k, left_mask=None):
+    if game == "bipartite":
+        return _BipartiteRules(g, r, k, left_mask)
+    try:
+        cls = _RULES[game]
+    except KeyError:
+        raise IllegalMoveError(f"unknown game kind {game!r}") from None
+    return cls(g, r, k)
+
+
+def _initial_states(rules):
+    """The states before round 1: every vertex's state after rules.start,
+    or the whole vertex set when the runner picks round 1 freely."""
+    if rules.start is None:
+        return [(1 << rules.n) - 1]
+    return [rules.after(rules.start, v) for v in range(rules.n)]
+
+
+# ---------------------------------------------------------------------------
 # flip-family outcome tables
 
 
-def _outcome_stream(n, r, moves, ball, trapped):
+def _outcome_stream(rules, moves):
     """Distinct (iso, ballmap) outcomes over a stream of (move, masks), each
-    with the first move that gives it.  ball(masks, v, r) is the runner's
-    reach from v and trapped(masks, v) whether the move isolates v."""
+    with the first move that gives it, under the rules' ball and trapped."""
+    n, ball, trapped = rules.n, rules.ball, rules.trapped
     seen = set()
     order = []
     for move, masks in moves:
@@ -246,7 +493,7 @@ def _outcome_stream(n, r, moves, ball, trapped):
         for v in range(n):
             if trapped(masks, v):
                 iso |= 1 << v
-        key = (iso, tuple(ball(masks, v, r) for v in range(n)))
+        key = (iso, tuple(ball(masks, v) for v in range(n)))
         if key not in seen:
             seen.add(key)
             order.append(Outcome(move, *key))
@@ -260,14 +507,15 @@ def _engine_outcomes(found):
     return [Outcome(None, iso, balls, flip) for flip, iso, balls in found]
 
 
-def _family_outcomes(g, r, parts):
-    """Outcomes of the flips of g in a partition stream from `flips`, first
-    flip of each in the stream's order: from the numpy engine whenever it
-    takes n, else the Python stream."""
+def _family_outcomes(rules, parts):
+    """Outcomes of the flips of rules.g in a partition stream from `flips`,
+    first flip of each in the stream's order: from the numpy engine whenever
+    it takes n, else the Python stream."""
     from . import bulk
+    g = rules.g
     if bulk.supports(g.n):
-        return _engine_outcomes(bulk.outcomes(g, r, parts))
-    return _outcome_stream(g.n, r, distinct_flips(g, parts), ball_mask, _trapped)
+        return _engine_outcomes(bulk.outcomes(g, rules.r, parts))
+    return _outcome_stream(rules, distinct_flips(g, parts))
 
 
 def _flip_outcomes(g, r, k, max_n=None):
@@ -277,16 +525,16 @@ def _flip_outcomes(g, r, k, max_n=None):
     from . import bulk
     if r is INF and bulk.supports(g.n):
         return _engine_outcomes(bulk.component_outcomes(g, k, max_n))
-    return _family_outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
+    return _family_outcomes(_FlipRules(g, r, k), enumerate_k_flips(g, k, max_n=max_n))
 
 
 def _definable_outcomes(g, r, k, max_k=None):
-    return _family_outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k))
+    return _family_outcomes(_DefinableRules(g, r, k),
+                            enumerate_definable_flips(g, k, max_k=max_k))
 
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
-    return _outcome_stream(og.n, r, enumerate_cut_flips(og, k, max_n=max_n),
-                           _cut_ball, _cut_trapped)
+    return _outcome_stream(_OrderedRules(og, r, k), enumerate_cut_flips(og, k, max_n=max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +582,7 @@ def _abstract_solve(outcomes, init_states, n):
         if not pending:
             break
     if len(won) <= 2000:
-        check_anti_tone({R: (rd, o) for R, (rd, o) in won.items()})
+        check_anti_tone(won)
     return won
 
 
@@ -350,50 +598,28 @@ def check_anti_tone(won):
                                          f"but won later ({won[a][0]} > {won[b][0]})")
 
 
-# A move's masks, as the simulation rules compute them, are adjacency masks
-# for a flip and a (weight-0, weight-1) pair of masks for a cut-flip.
-
-
-def _trapped(masks, v):
-    return masks[v] == 0
-
-
-def _cut_ball(w, v, r):
-    return _weighted_ball(w[0], w[1], v, r)
-
-
-def _cut_trapped(w, v):
-    return w[0][v] == 0 and w[1][v] == 0
-
-
 class TableFlipper(Pursuer):
     """Witness pursuer for flip-family games, replaying the solve table.
 
-    Its state is the masks of the last move played (`start` before the
-    first, None when the runner picks round 1 freely); ball(masks, v, r)
-    is the runner's reach from v and masks_of(move) the masks a move
-    gives.  A state off the table gets the move that covers most of it.
+    Its state maps each vertex to the runner's position set from it: the
+    initial states before round 1 (None when the runner picks round 1
+    freely, from the whole vertex set), then the balls of the outcome last
+    played.  A state off the table gets the move that covers most of it.
     """
 
-    def __init__(self, n, r, outcomes, won, masks_of, ball, start=None):
-        self.full = (1 << n) - 1
-        self.r = r
+    def __init__(self, rules, outcomes, won):
+        self.full = (1 << rules.n) - 1
         self.outcomes = outcomes
         self.won = won
-        self.masks_of = masks_of
-        self.ball = ball
-        self.initial_masks = start
+        self.sets = None if rules.start is None else tuple(_initial_states(rules))
 
     def start(self):
-        return self.initial_masks
+        return self.sets
 
     def move(self, state, position):
-        if state is None or position is None:
-            R = self.full
-        else:
-            R = self.ball(state, position, self.r)
+        R = self.full if state is None or position is None else state[position]
         chosen = self.won[R][1] if R in self.won else self._greedy(R)
-        return chosen.move, self.masks_of(chosen.move)
+        return chosen.move, chosen.balls
 
     def _greedy(self, R):
         best = None
@@ -410,40 +636,36 @@ class TableFlipper(Pursuer):
         return best
 
 
-class TableRunner(Evader):
-    """Maximally-surviving evader for flip-family games: it starts where the
-    win table is latest or silent, and answers each move the same way over
-    the legal vertices; trapped(masks, u) tells the move's isolated ones."""
+class TableEvader(Evader):
+    """Maximally-surviving evader for every game, read off the pursuer's win
+    table `won`, which maps a state to (rounds, ...).
 
-    def __init__(self, r, won, init_states, masks_of, ball, trapped):
-        self.r = r
+    It starts at the first initial state the table does not hold, else the
+    one won latest, and answers each move with the first legal vertex whose
+    rules.after state is unwon, else won latest; a vertex the move traps
+    scores -1.
+    """
+
+    def __init__(self, rules, won, init_states):
+        self.rules = rules
         self.won = won
         self.init_states = init_states
-        self.masks_of = masks_of
-        self.ball = ball
-        self.trapped = trapped
+
+    def _score(self, state):
+        entry = self.won.get(state)
+        return float("inf") if entry is None else entry[0]
 
     def initial(self, state):
-        best_v, best_score = 0, -2
-        for v, R in enumerate(self.init_states):
-            entry = self.won.get(R)
-            score = float("inf") if entry is None else entry[0]
-            if score > best_score:
-                best_v, best_score = v, score
-        return best_v, state
+        scores = [self._score(R) for R in self.init_states]
+        return (scores.index(max(scores)) if scores else 0), state
 
     def respond(self, state, move, legal):
-        masks = self.masks_of(move)
-        best_u, best_score = None, -2
-        for u in legal:
-            if self.trapped(masks, u):
-                score = -1
-            else:
-                entry = self.won.get(self.ball(masks, u, self.r))
-                score = float("inf") if entry is None else entry[0]
-            if score > best_score:
-                best_u, best_score = u, score
-        return best_u, state
+        rules = self.rules
+        masks = rules.masks(move)
+
+        def score(u):
+            return -1 if rules.trapped(masks, u) else self._score(rules.after(masks, u))
+        return max(legal, key=score), state
 
 
 # ---------------------------------------------------------------------------
@@ -465,42 +687,29 @@ def least_width(solve, winner, stop, start=1):
     raise AssertionError(f"no {winner} win at any k <= {stop}")
 
 
-def _solve_table(game, r, k, n, outcomes, init, move_json, witnesses=None):
+def _solve_table(rules, outcomes, move_json, witnesses=True):
     """Solve a flip-family game over its outcomes and package the result.
 
     The pursuer wins when every initial position set is won, in the worst
     of their rounds.  The win table gives each won state its rounds and
-    move_json of its move; witnesses(won), when given, returns the
-    (pursuer, evader) pair that replays it.
+    move_json of its move; with `witnesses` the solution carries the
+    TableFlipper and TableEvader that replay it.
     """
-    won = _abstract_solve(outcomes, init, n)
+    init = _initial_states(rules)
+    won = _abstract_solve(outcomes, init, rules.n)
     wins = all(R in won for R in init)
     rounds = max((won[R][0] for R in init), default=0) if wins else None
     table = {R: (rd, move_json(o.move)) for R, (rd, o) in won.items()}
-    pursuer, evader = witnesses(won) if witnesses else (None, None)
-    return GameSolution(game, r, k, FLIPPER if wins else RUNNER, rounds, table,
-                        pursuer, evader, init)
-
-
-def _solve_on_graph(game, g, r, k, outcomes, move_json):
-    """_solve_table for the games that flip g itself (flip, dfw, bipartite):
-    the runner starts in a radius-r ball of g, and a move is a FlipSpec or
-    an (S, FlipSpec) pair."""
-    init = [ball_mask(g.adj, v, r) for v in range(g.n)]
-
-    def masks_of(move):
-        return flip_masks(g, move[1] if isinstance(move, tuple) else move)
-
-    def witnesses(won):
-        return (TableFlipper(g.n, r, outcomes, won, masks_of, ball_mask, tuple(g.adj)),
-                TableRunner(r, won, init, masks_of, ball_mask, _trapped))
-    return _solve_table(game, r, k, g.n, outcomes, init, move_json, witnesses)
+    pursuer = TableFlipper(rules, outcomes, won) if witnesses else None
+    evader = TableEvader(rules, won, init) if witnesses else None
+    return GameSolution(rules.game, rules.r, rules.k, FLIPPER if wins else RUNNER,
+                        rounds, table, pursuer, evader, init)
 
 
 def solve_flipper(g, r, k, max_n=None):
     """Exact flipper-game solve on g with radius r and width k."""
-    return _solve_on_graph("flip", g, r, k, _flip_outcomes(g, r, k, max_n=max_n),
-                           FlipSpec.to_json)
+    return _solve_table(_FlipRules(g, r, k), _flip_outcomes(g, r, k, max_n=max_n),
+                        FlipSpec.to_json)
 
 
 def flip_width(g, r, max_n=None):
@@ -510,8 +719,8 @@ def flip_width(g, r, max_n=None):
 
 def solve_definable(g, r, k, max_k=None):
     """Definable flipper game: flips restricted to S-definable ones, |S| <= k."""
-    return _solve_on_graph("dfw", g, r, k, _definable_outcomes(g, r, k, max_k=max_k),
-                           lambda move: {"s": list(move[0]), "flip": move[1].to_json()})
+    return _solve_table(_DefinableRules(g, r, k), _definable_outcomes(g, r, k, max_k=max_k),
+                        lambda move: {"s": list(move[0]), "flip": move[1].to_json()})
 
 
 def definable_flip_width(g, r, max_k=None):
@@ -521,8 +730,9 @@ def definable_flip_width(g, r, max_k=None):
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    outcomes = _family_outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k))
-    return _solve_on_graph("bipartite", g, r, k, outcomes, FlipSpec.to_json)
+    rules = _BipartiteRules(g, r, k, left_mask)
+    outcomes = _family_outcomes(rules, enumerate_bipartite_flips(g, left_mask, k))
+    return _solve_table(rules, outcomes, FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):
@@ -531,16 +741,8 @@ def bipartite_flip_width(g, left_mask, r):
 
 def solve_ordered(og, r, k, max_n=None):
     """Ordered flipper game with k-cut-flips; the runner picks round 1 freely."""
-    outcomes = _cut_flip_outcomes(og, r, k, max_n=max_n)
-    init = [(1 << og.n) - 1]
-
-    def masks_of(cf):
-        return cut_flip_weighted(og, cf)
-
-    def witnesses(won):
-        return (TableFlipper(og.n, r, outcomes, won, masks_of, _cut_ball),
-                TableRunner(r, won, init, masks_of, _cut_ball, _cut_trapped))
-    return _solve_table("ordered", r, k, og.n, outcomes, init, CutFlip.to_json, witnesses)
+    return _solve_table(_OrderedRules(og, r, k), _cut_flip_outcomes(og, r, k, max_n=max_n),
+                        CutFlip.to_json)
 
 
 def ordered_flip_width(og, r, max_n=None):
@@ -599,7 +801,7 @@ def _binary_gaifman_outcomes(og, r, k):
                     if gm not in graphs:     # a repeated Gaifman graph repeats its outcome
                         graphs.add(gm)
                         yield None, gm
-    return _outcome_stream(n, r, gaifman_graphs(), ball_mask, _trapped)
+    return _outcome_stream(_OrderedBinaryRules(og, r, k), gaifman_graphs())
 
 
 def _ternary(m):
@@ -617,9 +819,8 @@ def _ternary(m):
 
 def solve_ordered_binary(og, r, k):
     """Flipper game on the ordered graph as a binary structure (Gaifman moves)."""
-    outcomes = _binary_gaifman_outcomes(og, r, k)
-    init = [(1 << og.n) - 1]
-    return _solve_table("ordered-binary", r, k, og.n, outcomes, init, lambda move: None)
+    return _solve_table(_OrderedBinaryRules(og, r, k), _binary_gaifman_outcomes(og, r, k),
+                        lambda move: None, witnesses=False)
 
 
 def ordered_binary_flip_width(og, r):
@@ -633,7 +834,7 @@ def ordered_binary_flip_width(og, r):
 COPS_MAX_N = 10
 
 
-def _reach_table(g, r, avoid_self=False):
+def _reach_table(g, r):
     """reach[v][B]: vertices reachable from v by a path of length <= r in
     G - B (v itself always included; callers never query v in B)."""
     n = g.n
@@ -654,33 +855,37 @@ def _subset_masks(n, k):
     return out
 
 
+def _check_cops_n(name, g, max_n):
+    limit = COPS_MAX_N if max_n is None else max_n
+    if g.n > limit:
+        raise LimitExceeded(f"{name}: n={g.n} exceeds the configured bound {limit}")
+
+
 def solve_cops(g, r, k, max_n=None):
     """Cops and Robber with announced moves: robber runs at speed r through
     vertices free of grounded cops (the old-and-new intersection)."""
-    limit = COPS_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"solve_cops: n={g.n} exceeds the configured bound {limit}")
-    return _solve_cops_family("cop", g, r, k, grounded=lambda S, S2: S & S2)
+    _check_cops_n("solve_cops", g, max_n)
+    return _solve_cops_family(_CopRules(g, r, k))
 
 
 def solve_isolation(g, r, k, max_n=None):
     """Isolation game: the robber's path avoids all previous cop positions."""
-    limit = COPS_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"solve_isolation: n={g.n} exceeds bound {limit}")
-    return _solve_cops_family("isolation", g, r, k, grounded=lambda S, S2: S)
+    _check_cops_n("solve_isolation", g, max_n)
+    return _solve_cops_family(_IsolationRules(g, r, k))
 
 
-def _solve_cops_family(game, g, r, k, grounded):
+def _solve_cops_family(rules):
+    """Least fixpoint over the states (S, v) of the cop and isolation games;
+    rules.grounded(S, S2) names the cops that block the robber's path."""
     import numpy as np
-    n = g.n
+    n = rules.n
     nstates = 1 << n
-    reach = _reach_table(g, r)
+    reach = _reach_table(rules.g, rules.r)
     reach_np = np.array(reach, dtype=np.uint32)
-    moves = _subset_masks(n, k)
+    moves = _subset_masks(n, rules.k)
     masks_arr = np.arange(nstates, dtype=np.uint32)
     win = np.zeros(nstates, dtype=np.uint32)       # bit v: cops win at (S, v)
-    rounds = {}
+    won = {}                                       # (S, v) -> (rounds, None)
     iteration = 0
     while True:
         iteration += 1
@@ -688,7 +893,7 @@ def _solve_cops_family(game, g, r, k, grounded):
         new = np.zeros(nstates, dtype=np.uint32)
         for s2 in moves:
             a = allowed[s2]
-            B = grounded(masks_arr, np.uint32(s2))
+            B = rules.grounded(masks_arr, np.uint32(s2))
             for v in range(n):
                 rv = reach_np[v][B]
                 ok = (rv & ~a) == 0
@@ -699,88 +904,43 @@ def _solve_cops_family(game, g, r, k, grounded):
             break
         idx = np.nonzero(new)[0]
         for s in idx.tolist():
-            m = int(new[s])
-            for v in bits(m):
-                rounds[(s, v)] = iteration
+            for v in bits(int(new[s])):
+                won[(s, v)] = (iteration, None)
         win |= new
-    empty_bits = int(win[0])
-    cops_win = all((empty_bits >> v) & 1 for v in range(n))
-    value_rounds = max((rounds[(0, v)] for v in range(n)), default=0) if cops_win else None
-    win_table = {}
-    for (s, v), rd in rounds.items():
-        win_table[(s, v)] = (rd, None)
-    sol = GameSolution(game, r, k, COPS if cops_win else ROBBER, value_rounds,
-                       win_table, None, None, [(0, v) for v in range(n)])
-    sol.witness_pursuer = CopTable(reach, rounds, moves, grounded)
-    sol.witness_evader = RobberTable(g, rounds)
-    return sol
+    init = _initial_states(rules)
+    cops_win = all(state in won for state in init)
+    rounds = max((won[state][0] for state in init), default=0) if cops_win else None
+    return GameSolution(rules.game, rules.r, rules.k, COPS if cops_win else ROBBER, rounds,
+                        won, CopTable(rules, reach, won, moves), TableEvader(rules, won, init),
+                        init)
 
 
 class CopTable(Pursuer):
     """Witness cop policy: round-decreasing, enumeration-first cop sets."""
 
-    def __init__(self, reach, rounds, moves, grounded):
+    def __init__(self, rules, reach, won, moves):
+        self.rules = rules
         self.reach = reach
-        self.rounds = rounds
+        self.won = won
         self.moves = moves
-        self.grounded = grounded
 
     def start(self):
-        return 0   # current cop set mask
+        return self.rules.start   # current cop set mask
 
     def move(self, state, position):
         S = state
-        t = self.rounds.get((S, position))
+        entry = self.won.get((S, position))
+        t = None if entry is None else entry[0]
+        reach = self.reach[position]
+        grounded = self.rules.grounded
         for s2 in self.moves:
-            B = self.grounded(S, s2)
-            rv = self.reach[position][B]
-            ok = True
-            for u in bits(rv & ~s2):
-                ru = self.rounds.get((s2, u))
-                if ru is None or (t is not None and ru >= t):
-                    ok = False
-                    break
-            if ok:
+            rv = reach[grounded(S, s2)]
+            if all((s2, u) in self.won and (t is None or self.won[(s2, u)][0] < t)
+                   for u in bits(rv & ~s2)):
                 return frozenset(bits(s2)), s2
         # losing side: grab the reachable set greedily
-        best, best_cover = self.moves[0], -1
-        for s2 in self.moves:
-            B = self.grounded(S, s2)
-            rv = self.reach[position][B]
-            cover = popcount(rv & s2)
-            if cover > best_cover:
-                best, best_cover = s2, cover
+        best = max(self.moves, key=lambda s2: popcount(reach[grounded(S, s2)] & s2))
         return frozenset(bits(best)), best
-
-
-class RobberTable(Evader):
-    """Maximally-surviving robber: escape the win table if possible."""
-
-    def __init__(self, g, rounds):
-        self.g = g
-        self.rounds = rounds
-
-    def initial(self, state):
-        best_v, best_score = 0, -1
-        for v in range(self.g.n):
-            rd = self.rounds.get((0, v))
-            score = float("inf") if rd is None else rd
-            if score > best_score:
-                best_v, best_score = v, score
-        return best_v, 0
-
-    def respond(self, state, move, legal):
-        s2 = mask_of(move)
-        best_u, best_score = None, -2
-        for u in legal:
-            if (s2 >> u) & 1:
-                score = -1
-            else:
-                rd = self.rounds.get((s2, u))
-                score = float("inf") if rd is None else rd
-            if score > best_score:
-                best_u, best_score = u, score
-        return best_u, s2
 
 
 def cop_width(g, r, max_n=None):
@@ -791,33 +951,10 @@ def isolation_width(g, r, max_n=None):
     return least_width(lambda k: solve_isolation(g, r, k, max_n=max_n), COPS, max(g.n, 1))
 
 
-def _copprime_responses(g, r, v, A):
-    """Legal robber responses in the no-announcement game: stay if v not in
-    A, or move along a path of length 1..r whose non-start vertices avoid A."""
-    legal = 0
-    if not (A >> v) & 1:
-        legal |= 1 << v
-    frontier = g.adj[v] & ~A
-    reached = frontier
-    steps = 1
-    while frontier and steps < r:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        nxt &= ~A & ~reached
-        nxt &= ~(1 << v)
-        reached |= nxt
-        frontier = nxt
-        steps += 1
-    legal |= reached
-    return legal
-
-
 def solve_copw_prime(g, r, k, max_n=None):
     """No-announcement cop variant: memoryless states, cops pick A each round."""
-    limit = COPS_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"solve_copw_prime: n={g.n} exceeds bound {limit}")
+    _check_cops_n("solve_copw_prime", g, max_n)
+    rules = _CopPrimeRules(g, r, k)
     n = g.n
     moves = _subset_masks(n, k)
     won = {}
@@ -829,8 +966,7 @@ def solve_copw_prime(g, r, k, max_n=None):
             if v in won:
                 continue
             for A in moves:
-                legal = _copprime_responses(g, r, v, A)
-                if legal == 0 or all(u in won for u in bits(legal)):
+                if all(u in won for u in bits(rules.ball(A, v))):
                     new[v] = (iteration, A)
                     break
         if not new:
@@ -839,58 +975,31 @@ def solve_copw_prime(g, r, k, max_n=None):
     cops_win = len(won) == n
     rounds = max((rd for rd, _ in won.values()), default=0) if cops_win else None
     table = {v: (rd, {"cops": sorted(bits(A))}) for v, (rd, A) in won.items()}
-    sol = GameSolution("copprime", r, k, COPS if cops_win else ROBBER, rounds,
-                       table, None, None, list(range(n)))
-    sol.witness_pursuer = CopPrimeTable(g, r, moves, won)
-    sol.witness_evader = CopPrimeRobber(g, won)
-    return sol
+    init = _initial_states(rules)
+    return GameSolution("copprime", r, k, COPS if cops_win else ROBBER, rounds, table,
+                        CopPrimeTable(rules, moves, won), TableEvader(rules, won, init), init)
 
 
 class CopPrimeTable(Pursuer):
-    def __init__(self, g, r, moves, won):
-        self.g = g
-        self.r = r
+    """Witness cop policy for the no-announcement game: a cop set that leaves
+    only responses won earlier, else the one leaving most won responses."""
+
+    def __init__(self, rules, moves, won):
+        self.rules = rules
         self.moves = moves
         self.won = won
 
     def move(self, state, position):
-        entry = self.won.get(position)
+        won = self.won
+        entry = won.get(position)
         if entry is not None:
             t = entry[0]
             for A in self.moves:
-                legal = _copprime_responses(self.g, self.r, position, A)
-                if legal == 0 or all(u in self.won and self.won[u][0] < t
-                                     for u in bits(legal)):
+                if all(u in won and won[u][0] < t for u in bits(self.rules.ball(A, position))):
                     return frozenset(bits(A)), None
-        best, best_score = self.moves[0], -1
-        for A in self.moves:
-            legal = _copprime_responses(self.g, self.r, position, A)
-            score = sum(1 for u in bits(legal) if u in self.won)
-            if score > best_score:
-                best, best_score = A, score
+        best = max(self.moves,
+                   key=lambda A: sum(1 for u in bits(self.rules.ball(A, position)) if u in won))
         return frozenset(bits(best)), None
-
-
-class CopPrimeRobber(Evader):
-    def __init__(self, g, won):
-        self.g = g
-        self.won = won
-
-    def initial(self, state):
-        for v in range(self.g.n):
-            if v not in self.won:
-                return v, None
-        best = max(range(self.g.n), key=lambda v: self.won[v][0])
-        return best, None
-
-    def respond(self, state, move, legal):
-        best_u, best_score = None, -1
-        for u in legal:
-            entry = self.won.get(u)
-            score = float("inf") if entry is None else entry[0]
-            if score > best_score:
-                best_u, best_score = u, score
-        return best_u, None
 
 
 def copw_prime_width(g, r, max_n=None):
@@ -952,199 +1061,6 @@ def _move_json(move):
     return repr(move)
 
 
-class _FlipRules:
-    """Flipper game: moves are <= k-flips, runner walks in the previous flip."""
-
-    game = "flip"
-    evader_starts = True
-
-    def __init__(self, g, r, k):
-        self.g = g
-        self.r = r
-        self.k = k
-        self.prev = g.adj
-
-    def check_move(self, move, rnd):
-        if not isinstance(move, FlipSpec):
-            raise IllegalMoveError(f"round {rnd}: flip game expects a FlipSpec")
-        if len(move.partition.blocks) != self.g.n:
-            raise IllegalMoveError(f"round {rnd}: flip partition does not cover V")
-        if move.partition.size > self.k:
-            raise IllegalMoveError(
-                f"round {rnd}: flip uses {move.partition.size} parts, width is {self.k}")
-        return flip_masks(self.g, move)
-
-    def legal(self, pos, move_masks):
-        return tuple(bits(ball_mask(self.prev, pos, self.r)))
-
-    def trapped(self, move_masks, pos):
-        return move_masks[pos] == 0
-
-    def advance(self, move_masks):
-        self.prev = move_masks
-
-
-class _DefinableRules(_FlipRules):
-    game = "dfw"
-
-    def check_move(self, move, rnd):
-        if not (isinstance(move, tuple) and len(move) == 2):
-            raise IllegalMoveError(f"round {rnd}: definable game expects (S, FlipSpec)")
-        s_set, spec = move
-        if len(s_set) > self.k:
-            raise IllegalMoveError(f"round {rnd}: |S|={len(s_set)} exceeds width {self.k}")
-        if spec.partition != s_types(self.g, s_set):
-            raise IllegalMoveError(f"round {rnd}: flip partition is not the S-type partition")
-        return flip_masks(self.g, spec)
-
-
-class _BipartiteRules(_FlipRules):
-    game = "bipartite"
-
-    def __init__(self, g, r, k, left_mask):
-        super().__init__(g, r, k)
-        self.left_mask = left_mask
-
-    def check_move(self, move, rnd):
-        if not isinstance(move, FlipSpec):
-            raise IllegalMoveError(f"round {rnd}: bipartite game expects a FlipSpec")
-        part = move.partition
-        side_of_block = {}
-        for v in range(self.g.n):
-            side = (self.left_mask >> v) & 1
-            b = part.blocks[v]
-            if side_of_block.setdefault(b, side) != side:
-                raise IllegalMoveError(f"round {rnd}: block {b} mixes the two sides")
-        counts = [0, 0]
-        for b, side in side_of_block.items():
-            counts[side] += 1
-        if max(counts) > self.k:
-            raise IllegalMoveError(f"round {rnd}: {max(counts)} blocks on one side, width {self.k}")
-        for i, j in move.pairs:
-            if side_of_block.get(i) == side_of_block.get(j):
-                raise IllegalMoveError(f"round {rnd}: flip pair ({i},{j}) is not cross-side")
-        return flip_masks(self.g, move)
-
-
-class _OrderedRules:
-    """Ordered flipper game: k-cut-flips, weighted walks, free first pick."""
-
-    game = "ordered"
-    evader_starts = False
-
-    def __init__(self, og, r, k):
-        from .graphs import OrderedGraph
-        if not hasattr(og, "graph"):
-            og = OrderedGraph(og)
-        self.og = og
-        self.r = r
-        self.k = k
-        self.prev = None
-
-    def check_move(self, move, rnd):
-        if not isinstance(move, CutFlip):
-            raise IllegalMoveError(f"round {rnd}: ordered game expects a CutFlip")
-        if len(move.cut) > self.k or move.flip.partition.size > self.k:
-            raise IllegalMoveError(f"round {rnd}: cut-flip exceeds width {self.k}")
-        return cut_flip_weighted(self.og, move)
-
-    def legal(self, pos, move_masks):
-        if self.prev is None or pos is None:
-            return tuple(range(self.og.n))
-        w0, w1 = self.prev
-        return tuple(bits(_weighted_ball(w0, w1, pos, self.r)))
-
-    def trapped(self, move_masks, pos):
-        w0, w1 = move_masks
-        return w0[pos] == 0 and w1[pos] == 0
-
-    def advance(self, move_masks):
-        self.prev = move_masks
-
-
-class _CopRules:
-    """Cops and Robber: the robber's path avoids grounded cops (S old-and-new)."""
-
-    game = "cop"
-    evader_starts = True
-
-    def __init__(self, g, r, k):
-        self.g = g
-        self.r = r
-        self.k = k
-        self.prev = 0
-
-    def check_move(self, move, rnd):
-        if not isinstance(move, (frozenset, set)):
-            raise IllegalMoveError(f"round {rnd}: cop game expects a vertex set")
-        if len(move) > self.k:
-            raise IllegalMoveError(f"round {rnd}: {len(move)} cops exceed width {self.k}")
-        return mask_of(move)
-
-    def legal(self, pos, s2):
-        blocked = self.prev & s2
-        masks = [self.g.adj[u] & ~blocked for u in range(self.g.n)]
-        return tuple(bits(ball_mask(masks, pos, self.r)))
-
-    def trapped(self, s2, pos):
-        return bool((s2 >> pos) & 1)
-
-    def advance(self, s2):
-        self.prev = s2
-
-
-class _IsolationRules(_CopRules):
-    game = "isolation"
-
-    def legal(self, pos, s2):
-        blocked = self.prev
-        masks = [self.g.adj[u] & ~blocked for u in range(self.g.n)]
-        return tuple(bits(ball_mask(masks, pos, self.r)))
-
-
-class _CopPrimeRules:
-    """No-announcement variant: capture when the robber has no legal response."""
-
-    game = "copprime"
-    evader_starts = True
-
-    def __init__(self, g, r, k):
-        self.g = g
-        self.r = r
-        self.k = k
-
-    def check_move(self, move, rnd):
-        if not isinstance(move, (frozenset, set)):
-            raise IllegalMoveError(f"round {rnd}: copprime expects a vertex set")
-        if len(move) > self.k:
-            raise IllegalMoveError(f"round {rnd}: {len(move)} cops exceed width {self.k}")
-        return mask_of(move)
-
-    def legal(self, pos, a_mask):
-        return tuple(bits(_copprime_responses(self.g, self.r, pos, a_mask)))
-
-    def trapped(self, a_mask, pos):
-        return False    # capture happens through an empty legal set
-
-    def advance(self, a_mask):
-        pass
-
-
-_RULES = {"flip": _FlipRules, "dfw": _DefinableRules, "cop": _CopRules,
-          "copprime": _CopPrimeRules, "isolation": _IsolationRules,
-          "ordered": _OrderedRules, "bipartite": _BipartiteRules}
-
-
-def make_rules(game, g, r, k, left_mask=None):
-    if game == "bipartite":
-        return _BipartiteRules(g, r, k, left_mask)
-    try:
-        cls = _RULES[game]
-    except KeyError:
-        raise IllegalMoveError(f"unknown game kind {game!r}") from None
-    return cls(g, r, k)
-
-
 def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
                    on_round=None):
     """Deterministic round-by-round match between two policies.
@@ -1155,16 +1071,17 @@ def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
     rules = make_rules(game, g, r, k, left_mask=left_mask)
     pstate = pursuer.start()
     estate = evader.start()
+    prev = rules.start
     pos = None
-    if rules.evader_starts:
+    if prev is not None:       # else the runner picks round 1 freely
         pos, estate = evader.initial(estate)
-        if not isinstance(pos, int) or not 0 <= pos < rules_n(rules):
+        if not isinstance(pos, int) or not 0 <= pos < rules.n:
             raise IllegalMoveError(f"round 0: illegal initial vertex {pos!r}")
     events = []
     for rnd in range(1, max_rounds + 1):
         move, pstate = pursuer.move(pstate, pos)
-        move_masks = rules.check_move(move, rnd)
-        legal = rules.legal(pos, move_masks)
+        masks = rules.masks(move, rnd)
+        legal = rules.legal(prev, masks, pos)
         if not legal:
             events.append({"round": rnd, "move": _move_json(move),
                            "response": None, "trapped": True})
@@ -1173,20 +1090,16 @@ def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
         if newpos not in legal:
             raise IllegalMoveError(
                 f"round {rnd}: evader moved to {newpos}, legal set {list(legal)}")
-        trapped = rules.trapped(move_masks, newpos)
+        trapped = rules.trapped(masks, newpos)
         events.append({"round": rnd, "move": _move_json(move),
                        "response": newpos, "trapped": trapped})
         if on_round is not None:
             on_round(rnd, move, newpos, legal)
         if trapped:
             return Trace(rules.game, "PURSUER_WINS", rnd, events, "pursuer")
-        rules.advance(move_masks)
+        prev = masks
         pos = newpos
     return Trace(rules.game, "EVADER_SURVIVES", max_rounds, events, "evader")
-
-
-def rules_n(rules):
-    return rules.og.n if hasattr(rules, "og") else rules.g.n
 
 
 def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
@@ -1196,14 +1109,12 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
     Explores every evader play; a revisited in-progress node means the
     evader can cycle forever.  Returns (pursuer_always_wins, worst_rounds).
     """
-    sys_rules = make_rules(game, g, r, k, left_mask=left_mask)
-    n = rules_n(sys_rules)
-
+    rules = make_rules(game, g, r, k, left_mask=left_mask)
     memo = {}
-    GRAY, ESCAPE = "gray", None
+    GRAY = "gray"
 
-    def explore(pstate, rules, pos, depth):
-        key = (pstate, getattr(rules, "prev", 0), pos)
+    def explore(pstate, prev, pos, depth):
+        key = (pstate, prev, pos)
         if key in memo:
             val = memo[key]
             if val == GRAY:
@@ -1211,8 +1122,8 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
             return val
         memo[key] = GRAY
         move, pst2 = pursuer.move(pstate, pos)
-        move_masks = rules.check_move(move, 0)
-        legal = rules.legal(pos, move_masks)
+        masks = rules.masks(move, 0)
+        legal = rules.legal(prev, masks, pos)
         if not legal:
             memo[key] = 1
             return 1
@@ -1220,14 +1131,13 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
         for u in legal:
             if on_round is not None:
                 on_round(depth + 1, move, u, legal)
-            if rules.trapped(move_masks, u):
+            if rules.trapped(masks, u):
                 worst = max(worst, 1)
                 continue
             if depth + 1 > horizon:
                 memo[key] = None
                 return None
-            child = _advanced(rules, move_masks)
-            sub = explore(pst2, child, u, depth + 1)
+            sub = explore(pst2, masks, u, depth + 1)
             if sub is None:
                 memo[key] = None
                 return None
@@ -1235,19 +1145,10 @@ def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,
         memo[key] = worst
         return worst
 
-    def _advanced(rules, move_masks):
-        child = make_rules(game, g, r, k, left_mask=left_mask)
-        child.advance(move_masks)
-        return child
-
-    if sys_rules.evader_starts:
-        starts = range(n)
-    else:
-        starts = [None]
+    starts = [None] if rules.start is None else range(rules.n)
     worst_total = 0
     for v in starts:
-        rules = make_rules(game, g, r, k, left_mask=left_mask)
-        res = explore(pursuer.start(), rules, v, 0)
+        res = explore(pursuer.start(), rules.start, v, 0)
         if res is None:
             return False, None
         worst_total = max(worst_total, res)

@@ -133,12 +133,11 @@ def _greedy_order(g):
     return degeneracy(g)[1].permutation
 
 
-def _exact_by_subset_dp(g, r, cost_at):
+def _exact_by_subset_dp(g, cost_at):
     """min over orders of max per-vertex cost, when the cost of placing v
     after the set Q depends on Q only."""
     n = g.n
     full = (1 << n) - 1
-    costs = {}
     choice = {}
     fvals = {0: 0}
     masks_by_size = [[] for _ in range(n + 1)]
@@ -229,11 +228,9 @@ def generalized_coloring_number(g, kind, r, mode="exact", max_n=None):
     if kind == "wcol":
         value, order = _wcol_exact(g, r)
     elif kind == "adm":
-        value, order = _exact_by_subset_dp(
-            g, r, lambda v, prev: adm_cost_at(g, v, prev, r))
+        value, order = _exact_by_subset_dp(g, lambda v, prev: adm_cost_at(g, v, prev, r))
     else:
-        value, order = _exact_by_subset_dp(
-            g, r, lambda v, prev: _scol_cost_at(g, v, prev, r))
+        value, order = _exact_by_subset_dp(g, lambda v, prev: _scol_cost_at(g, v, prev, r))
     return value, OrderWitness(order, kind, r)
 
 
@@ -263,10 +260,6 @@ def treewidth_small(g, max_n=None):
     limit = TREEWIDTH_MAX_N if max_n is None else max_n
     if g.n > limit:
         raise LimitExceeded(f"treewidth_small: n={g.n} exceeds bound {limit}")
-    n = g.n
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
 
     def q(v, S):
         # vertices outside S+{v} reachable from v through S
@@ -285,20 +278,7 @@ def treewidth_small(g, max_n=None):
             frontier = nxt
         return popcount(out)
 
-    fvals = [0] * (1 << n)
-    masks_by_size = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        masks_by_size[popcount(m)].append(m)
-    for size in range(1, n + 1):
-        for m in masks_by_size[size]:
-            best = None
-            for v in bits(m):
-                prev = m & ~(1 << v)
-                val = max(fvals[prev], q(v, prev))
-                if best is None or val < best:
-                    best = val
-            fvals[m] = best
-    return fvals[full]
+    return _exact_by_subset_dp(g, q)[0]
 
 
 # ---------------------------------------------------------------------------

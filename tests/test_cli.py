@@ -254,9 +254,17 @@ def test_game_value_on_the_empty_graph(game, value):
     (["duel", "--family", "clique:3", "--game", "flip", "--r", "1", "--k", "1",
       "--pursuer", "random:abc", "--evader", "solver-witness"], None, 3),
     (["param", "--family", "clique:3", "cutrank", "--set", "0,a"], None, 3),
+    (["duel", "--family", "clique:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "identity", "--evader", "hideout"], None, 3),
+    (["duel", "--family", "clique:3", "--game", "ordered", "--r", "1", "--k", "1",
+      "--pursuer", "solver-witness", "--evader", "richdivision"], None, 3),
+    (["duel", "-", "--game", "copprime", "--r", "1", "--k", "1",
+      "--pursuer", "solver-witness", "--evader", "solver-witness"], "0 0\n", 5),
 ], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
-        "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type"])
+        "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type",
+        "duel-hideout-no-certificate", "duel-richdivision-no-certificate",
+        "duel-copprime-empty-graph"])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -264,3 +272,5 @@ def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     rc, out, err = run_cli(*[paths.get(a, a) for a in argv], stdin=stdin)
     assert (rc, out) == (code, "")
     assert "Traceback" not in err and err.strip()
+    if argv[-1] in ("hideout", "richdivision"):
+        assert "--certificate" in err

@@ -54,7 +54,6 @@ def test_bulk_outcomes_match_stream(monkeypatch):
     from flipwidth import bulk, games
     from flipwidth.flips import (distinct_flips, enumerate_bipartite_flips,
                                  enumerate_definable_flips, enumerate_k_flips)
-    from flipwidth.graphs import ball_mask
     engine = bulk.outcomes
     calls = []
     monkeypatch.setattr(bulk, "outcomes",
@@ -65,7 +64,8 @@ def test_bulk_outcomes_match_stream(monkeypatch):
                  else o.move.to_json(), o.iso, o.balls) for o in outcomes]
 
     def bipartite_outcomes(g, r, left, k):
-        return games._family_outcomes(g, r, enumerate_bipartite_flips(g, left, k))
+        return games._family_outcomes(games._BipartiteRules(g, r, k, left),
+                                      enumerate_bipartite_flips(g, left, k))
 
     cases = []     # (g, outcomes at radius r, the family's enumerator)
     for g in atlas_graphs(5):
@@ -83,7 +83,8 @@ def test_bulk_outcomes_match_stream(monkeypatch):
     for g, solve, parts in cases:
         flips = list(distinct_flips(g, parts))
         for r in (0, 1, 2, INF):
-            want = games._outcome_stream(g.n, r, flips, ball_mask, games._trapped)
+            # the stream reads only the rules' ball and trapped, not the width
+            want = games._outcome_stream(games._FlipRules(g, r, None), flips)
             assert key(solve(r)) == key(want), (g.adj, r, flips[-1][0])
     assert len(calls) == 4 * len(cases)
 
@@ -94,7 +95,6 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
     outcomes stay the stream's."""
     from flipwidth import bulk, games
     from flipwidth.flips import distinct_flips, enumerate_definable_flips, enumerate_k_flips
-    from flipwidth.graphs import ball_mask
     monkeypatch.setattr(bulk, "BATCH", 16)
 
     def key(outcomes):
@@ -104,10 +104,11 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
         flips = list(distinct_flips(g, enumerate_k_flips(g, 3)))
         defin = list(distinct_flips(g, enumerate_definable_flips(g, 2)))
         for r in (0, 2, INF):
+            stream = games._FlipRules(g, r, None)
             assert key(games._flip_outcomes(g, r, 3)) == key(
-                games._outcome_stream(g.n, r, flips, ball_mask, games._trapped))
+                games._outcome_stream(stream, flips))
             assert key(games._definable_outcomes(g, r, 2)) == key(
-                games._outcome_stream(g.n, r, defin, ball_mask, games._trapped))
+                games._outcome_stream(stream, defin))
 
 
 def test_radius_inf_solves_the_engine_does_not_take():

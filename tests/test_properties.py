@@ -1,17 +1,20 @@
 """Property tests on random graphs with at most six vertices."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipwidth.games import FLIPPER, flip_width, solve_flipper
-from flipwidth.graphs import INF, Graph, complement
+from flipwidth.games import (FLIPPER, flip_width, simulate_match, solve_bipartite,
+                             solve_cops, solve_copw_prime, solve_definable,
+                             solve_flipper, solve_isolation, solve_ordered)
+from flipwidth.graphs import INF, Graph, OrderedGraph, complement
 
 RADII = st.sampled_from([1, 2, INF])
 
 
 @st.composite
-def graphs(draw, max_n=6):
-    n = draw(st.integers(0, max_n))
+def graphs(draw, max_n=6, min_n=0):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, kept in zip(pairs, keep) if kept])
@@ -33,3 +36,31 @@ def test_flipper_win_survives_a_wider_flip(g, r, k):
     if sol.winner == FLIPPER:
         assert wider.winner == FLIPPER
         assert wider.rounds <= sol.rounds
+
+
+def _solve(game, g, r, k, left):
+    if game == "bipartite":
+        return solve_bipartite(g, left, r, k)
+    if game == "ordered":
+        return solve_ordered(OrderedGraph(g), r, k)
+    return {"flip": solve_flipper, "dfw": solve_definable, "cop": solve_cops,
+            "copprime": solve_copw_prime, "isolation": solve_isolation}[game](g, r, k)
+
+
+@pytest.mark.parametrize("game", ["flip", "dfw", "bipartite", "ordered", "cop",
+                                  "copprime", "isolation"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(max_n=5, min_n=1), RADII, st.integers(1, 3), st.integers(0, 31))
+def test_solver_witnesses_play_out_the_solve(game, g, r, k, left):
+    # the winner's witness wins against the loser's witness: the pursuer
+    # within the solve's rounds, the evader over the whole horizon
+    left &= (1 << g.n) - 1
+    sol = _solve(game, g, r, k, left)
+    horizon = 3 * g.n + 5 if sol.rounds is None else sol.rounds
+    trace = simulate_match(game, g, r, k, sol.witness_pursuer, sol.witness_evader,
+                           horizon, left_mask=left)
+    if sol.rounds is None:
+        assert (trace.outcome, trace.rounds) == ("EVADER_SURVIVES", horizon)
+    else:
+        assert trace.outcome == "PURSUER_WINS"
+        assert trace.rounds <= sol.rounds
