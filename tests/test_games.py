@@ -308,8 +308,17 @@ def test_copw_inf_equals_treewidth_plus_one(atlas5):
 
 def test_copprime_le_copw(atlas5):
     for g in atlas5[:20]:
-        for r in (1, 2):
+        for r in (1, 2, INF):
             assert copw_prime_width(g, r) <= cop_width(g, r)
+
+
+def test_copprime_radius_inf_is_radius_n(atlas5):
+    # no path in G is longer than n - 1 edges
+    for g in atlas5:
+        for k in (1, 2):
+            inf, far = solve_copw_prime(g, INF, k), solve_copw_prime(g, max(g.n, 1), k)
+            assert (inf.winner, inf.rounds, inf.win_table) == (far.winner, far.rounds,
+                                                              far.win_table)
 
 
 def test_copprime_sandwich(atlas5):
