@@ -1,6 +1,14 @@
 """Flip algebra: partitions, k-flips, definable flips, bipartite flips and
 ordered cut-flips.
 
+A partition's blocks are numbered by first occurrence, whatever labels name
+them.  Code that builds a flip by naming its parts (colour and block, side
+and block, module and neighbourhood) labels each vertex and names the
+flipped parts by label pairs: `Partition.labelled(labels)` gives the
+partition and the block of each label, and
+`FlipSpec.from_labels(labels, label_pairs)` the flip, dropping a pair that
+names a label no vertex carries.
+
 The families that flip g itself (k-flips, definable, bipartite) each have
 one enumerator, which streams (tag, Partition, pairs): the flips over the
 partition by every subset of `pairs`, subsets in binary counting order,
@@ -55,14 +63,19 @@ class Partition:
         self.blocks = tuple(canon)
         self.size = len(relabel)
 
+    @classmethod
+    def labelled(cls, labels):
+        """The partition into classes of equal labels (any hashables), and
+        the block of each label: blocks are numbered by first occurrence."""
+        labels = list(labels)
+        part = cls(labels)
+        return part, dict(zip(labels, part.blocks))
+
     def block_masks(self):
         masks = [0] * self.size
         for v, b in enumerate(self.blocks):
             masks[b] |= 1 << v
         return masks
-
-    def block_of(self, v):
-        return self.blocks[v]
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.blocks == other.blocks
@@ -87,6 +100,15 @@ class FlipSpec:
             norm.add((min(i, j), max(i, j)))
         self.partition = partition
         self.pairs = frozenset(norm)
+
+    @classmethod
+    def from_labels(cls, labels, label_pairs):
+        """The flip over Partition.labelled(labels) complementing each pair of
+        labels in label_pairs; a pair naming a label no vertex carries is
+        dropped."""
+        part, block = Partition.labelled(labels)
+        return cls(part, [(block[a], block[b]) for a, b in label_pairs
+                          if a in block and b in block])
 
     def to_json(self):
         return {"blocks": list(self.partition.blocks),
@@ -215,6 +237,8 @@ def subset_flip(part, pairs, sub):
 def random_flip(n, k, rng):
     """A <= k-flip drawn from rng: a uniform block label per vertex, then each
     block pair of the partition flipped with probability 1/2."""
+    if k < 1:
+        raise GenerationError("flip width must be >= 1")
     part = Partition([rng.randrange(k) for _ in range(n)])
     return FlipSpec(part, [p for p in block_pairs(part.size) if rng.random() < 0.5])
 
@@ -252,29 +276,16 @@ def enumerate_k_flips(g, k, max_n=None):
 
 def compose_flips(g, first, second):
     """Single FlipSpec over the common refinement equivalent to applying
-    first then second."""
-    blocks = [(first.partition.blocks[v], second.partition.blocks[v]) for v in range(g.n)]
-    labels = {}
-    canon = []
-    for b in blocks:
-        if b not in labels:
-            labels[b] = len(labels)
-        canon.append(labels[b])
-    part = Partition(canon)
-    rep = {}
-    for v, b in enumerate(canon):
-        rep.setdefault(b, v)
-    pairs = []
-    for i in range(part.size):
-        for j in range(i, part.size):
-            u, v = rep[i], rep[j]
-            f1 = (min(first.partition.blocks[u], first.partition.blocks[v]),
-                  max(first.partition.blocks[u], first.partition.blocks[v])) in first.pairs
-            f2 = (min(second.partition.blocks[u], second.partition.blocks[v]),
-                  max(second.partition.blocks[u], second.partition.blocks[v])) in second.pairs
-            if f1 ^ f2:
-                pairs.append((i, j))
-    return FlipSpec(part, pairs)
+    first then second: its parts are labelled (first block, second block)."""
+    labels = [(first.partition.blocks[v], second.partition.blocks[v]) for v in range(g.n)]
+    keys = list(dict.fromkeys(labels))
+
+    def flipped(spec, i, j):
+        return (min(i, j), max(i, j)) in spec.pairs
+
+    return FlipSpec.from_labels(labels, [
+        (a, b) for t, a in enumerate(keys) for b in keys[t:]
+        if flipped(first, a[0], b[0]) != flipped(second, a[1], b[1])])
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +299,8 @@ def s_types(g, s_set, split_s_singletons=False):
     blocks (the K_{t,t} complexity-bound variant).
     """
     smask = mask_of(s_set)
-    keys = {}
-    canon = []
-    for v in range(g.n):
-        if split_s_singletons and (smask >> v) & 1:
-            key = ("s", v)
-        else:
-            key = g.adj[v] & smask
-        if key not in keys:
-            keys[key] = len(keys)
-        canon.append(keys[key])
-    return Partition(canon)
+    return Partition([("s", v) if split_s_singletons and (smask >> v) & 1
+                      else g.adj[v] & smask for v in range(g.n)])
 
 
 def enumerate_definable_flips(g, k, max_k=None):
@@ -317,23 +319,24 @@ def enumerate_definable_flips(g, k, max_k=None):
 
 def enumerate_bipartite_flips(g, left_mask, k):
     """Partition stream of the bipartite flips: partitions refine the sides,
-    <= k blocks per side, and only cross-side block pairs are allowed."""
+    <= k blocks per side, and only cross-side block pairs are allowed: the
+    parts are labelled by their left block, or by the left block count plus
+    their right block."""
+    if k < 1:
+        raise GenerationError("flip width must be >= 1")
     left = [v for v in range(g.n) if (left_mask >> v) & 1]
     right = [v for v in range(g.n) if not (left_mask >> v) & 1]
     rparts = list(rgs_partitions(len(right), k))
     for lp in rgs_partitions(len(left), k):
         for rp in rparts:
-            blocks = [0] * g.n
-            for i, v in enumerate(left):
-                blocks[v] = lp.blocks[i]
-            for j, v in enumerate(right):
-                blocks[v] = lp.size + rp.blocks[j]
-            part = Partition(blocks)
-            # partition canonicalization may relabel; map the pairs through it
-            remap = {blocks[v]: part.blocks[v] for v in range(g.n)}
-            cross = [(remap[i], remap[lp.size + j])
-                     for i in range(lp.size) for j in range(rp.size)]
-            yield None, part, cross
+            labels = [0] * g.n
+            for v, b in zip(left, lp.blocks):
+                labels[v] = b
+            for v, b in zip(right, rp.blocks):
+                labels[v] = lp.size + b
+            part, block = Partition.labelled(labels)
+            yield None, part, [(block[i], block[lp.size + j])
+                               for i in range(lp.size) for j in range(rp.size)]
 
 
 def _subsets_up_to(n, k):

@@ -34,7 +34,7 @@ import random
 from collections import namedtuple
 
 from .errors import IllegalMoveError, LimitExceeded
-from .flips import (CutFlip, FlipSpec, Partition, _weighted_ball,
+from .flips import (CutFlip, FlipSpec, _weighted_ball,
                     block_pairs, cut_flip_weighted, distinct_flips,
                     enumerate_bipartite_flips, enumerate_cut_flips,
                     enumerate_definable_flips, enumerate_k_flips, flip_masks,
@@ -117,7 +117,7 @@ class GameSolution:
         table = {}
         for state, (rounds, move_json) in sorted(self.win_table.items(),
                                                  key=lambda kv: repr(kv[0])):
-            table[_state_key(state)] = {"rounds": rounds, "move": move_json}
+            table[_state_key(self.game, state)] = {"rounds": rounds, "move": move_json}
         return table
 
     def __repr__(self):
@@ -125,7 +125,11 @@ class GameSolution:
                 f"winner={self.winner!r}, rounds={self.rounds})")
 
 
-def _state_key(state):
+def _state_key(game, state):
+    """A win-table state as text: the copprime robber's vertex, a position
+    set's vertices, or a cop state's cops and robber as "cops|robber"."""
+    if game == "copprime":
+        return str(state)
     if isinstance(state, int):
         return ",".join(str(v) for v in bits(state))
     s, v = state
@@ -222,17 +226,7 @@ class HalfGraphFlipper(Pursuer):
                     blocks.append(3)
             else:        # b_{v-n+1}
                 blocks.append(2 if v - n + 1 >= i else 3)
-        part = Partition(blocks)
-        # block ids after canonicalization depend on first occurrence; map them
-        ids = {}
-        for v, raw in enumerate(blocks):
-            ids.setdefault(raw, part.blocks[v])
-        pairs = []
-        if 0 in ids and 2 in ids:
-            pairs.append((ids[0], ids[2]))
-        if 1 in ids and 2 in ids:
-            pairs.append((ids[1], ids[2]))
-        return FlipSpec(part, pairs), state + 1
+        return FlipSpec.from_labels(blocks, [(0, 2), (1, 2)]), state + 1
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +421,7 @@ class _CopPrimeRules(_CopRules):
     game = "copprime"
 
     def ball(self, a_mask, v):
-        adj = self.g.adj
-        legal = 0
-        if not (a_mask >> v) & 1:
-            legal |= 1 << v
-        frontier = adj[v] & ~a_mask
-        reached = frontier
-        steps = 1
-        while frontier and (self.r is INF or steps < self.r):
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            nxt &= ~a_mask & ~reached
-            nxt &= ~(1 << v)
-            reached |= nxt
-            frontier = nxt
-            steps += 1
-        return legal | reached
+        return super().ball(a_mask & ~(1 << v), v) & ~a_mask
 
     def trapped(self, a_mask, v):
         return False    # capture happens through an empty legal set

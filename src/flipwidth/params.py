@@ -83,7 +83,7 @@ def scol_cost(g, order, r):
         placed |= 1 << v
         if idx == 0:
             continue
-        best = max(best, _scol_cost_at(g, v, earlier, r))
+        best = max(best, popcount(_reach_out(g, v, ~earlier, r)))
     return best
 
 
@@ -230,25 +230,27 @@ def generalized_coloring_number(g, kind, r, mode="exact", max_n=None):
     elif kind == "adm":
         value, order = _exact_by_subset_dp(g, lambda v, prev: adm_cost_at(g, v, prev, r))
     else:
-        value, order = _exact_by_subset_dp(g, lambda v, prev: _scol_cost_at(g, v, prev, r))
+        value, order = _exact_by_subset_dp(
+            g, lambda v, prev: popcount(_reach_out(g, v, ~prev, r)))
     return value, OrderWitness(order, kind, r)
 
 
-def _scol_cost_at(g, v, earlier_mask, r):
-    reached = 1 << v
-    frontier = [v]
-    targets = 0
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in bits(g.adj[u] & ~reached):
-                reached |= 1 << w
-                if (earlier_mask >> w) & 1:
-                    targets |= 1 << w
-                else:
-                    nxt.append(w)
-        frontier = nxt
-    return popcount(targets)
+def _reach_out(g, v, through, r=INF):
+    """Mask of the vertices outside `through` reachable from v by a path of
+    length <= r whose inner vertices all lie in `through`."""
+    reached = frontier = 1 << v
+    out = 0
+    steps = 0
+    while frontier and (r is INF or steps < r):
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= g.adj[u]
+        nxt &= ~reached
+        reached |= nxt
+        out |= nxt & ~through
+        frontier = nxt & through
+        steps += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +263,9 @@ def treewidth_small(g, max_n=None):
     if g.n > limit:
         raise LimitExceeded(f"treewidth_small: n={g.n} exceeds bound {limit}")
 
-    def q(v, S):
-        # vertices outside S+{v} reachable from v through S
-        reached = 1 << v
-        frontier = [v]
-        out = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in bits(g.adj[u] & ~reached):
-                    reached |= 1 << w
-                    if (S >> w) & 1:
-                        nxt.append(w)
-                    else:
-                        out |= 1 << w
-            frontier = nxt
-        return popcount(out)
-
-    return _exact_by_subset_dp(g, q)[0]
+    # the cost of eliminating v after S: the vertices outside S+{v}
+    # reachable from v through S
+    return _exact_by_subset_dp(g, lambda v, S: popcount(_reach_out(g, v, S)))[0]
 
 
 # ---------------------------------------------------------------------------

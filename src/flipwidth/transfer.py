@@ -212,31 +212,19 @@ class FlipMap:
         g = cg.graph
         n = g.n
         src_masks = flip_masks(g, spec)
-        # labels: (source block, color)
-        labels = {}
-        canon = []
-        for v in range(n):
-            key = (spec.partition.blocks[v], cg.colors[v])
-            if key not in labels:
-                labels[key] = len(labels)
-            canon.append(labels[key])
-        part = Partition(canon)
+        labels = list(zip(spec.partition.blocks, cg.colors))
         # Phi over label pairs, from vertex pairs at source-flip distance > 1
         phi = {}
         for u in range(n):
             for v in range(n):
                 if u == v or (src_masks[u] >> v) & 1:
                     continue
-                key = (canon[u], canon[v])
+                key = (labels[u], labels[v])
                 val = self.formula.holds(cg, u, v)
                 if phi.setdefault(key, val) != val:
                     raise AssertionError(
                         "flip map construction bug: label pair is not phi-constant")
-        pairs = set()
-        for (p, q), val in phi.items():
-            if val:
-                pairs.add((min(p, q), max(p, q)))
-        mapped = FlipSpec(part, pairs)
+        mapped = FlipSpec.from_labels(labels, [key for key, val in phi.items() if val])
         self._assert_stretch(spec, src_masks, mapped)
         return mapped
 
@@ -325,27 +313,12 @@ class BipartiteSplitMap:
         self.stretch = 1
 
     def map(self, spec):
-        labels = {}
-        canon = []
-        for x in self.xs:
-            key = ("x", spec.partition.blocks[x])
-            if key not in labels:
-                labels[key] = len(labels)
-            canon.append(labels[key])
-        for y in self.ys:
-            key = ("y", spec.partition.blocks[y])
-            if key not in labels:
-                labels[key] = len(labels)
-            canon.append(labels[key])
-        part = Partition(canon)
-        xsides = [(k[1], v) for k, v in labels.items() if k[0] == "x"]
-        ysides = [(k[1], v) for k, v in labels.items() if k[0] == "y"]
-        pairs = set()
-        for pb, pi in xsides:
-            for qb, qi in ysides:
-                if (min(pb, qb), max(pb, qb)) in spec.pairs:
-                    pairs.add((min(pi, qi), max(pi, qi)))
-        return FlipSpec(part, pairs)
+        """The parts are labelled (side, source block); a flipped source pair
+        flips both of its cross-side label pairs."""
+        blocks = spec.partition.blocks
+        labels = [("x", blocks[x]) for x in self.xs] + [("y", blocks[y]) for y in self.ys]
+        return FlipSpec.from_labels(labels, [(("x", i), ("y", j)) for p in spec.pairs
+                                             for i, j in (p, p[::-1])])
 
     def left_mask(self):
         return (1 << self.nx) - 1
@@ -408,64 +381,28 @@ class ModularLiftFlipper:
         return ("q", self.qs.start(), None)
 
     def _lift_quotient(self, qspec):
-        blocks = [0] * self.g.n
-        for v in range(self.g.n):
-            blocks[v] = qspec.partition.blocks[self.partition.blocks[v]]
-        return FlipSpec(Partition(blocks), qspec.pairs)
+        qblocks = qspec.partition.blocks
+        return FlipSpec.from_labels([qblocks[b] for b in self.partition.blocks],
+                                    qspec.pairs)
 
     def _isolating_flip(self, a_idx):
-        amask = self.block_masks[a_idx]
-        u = next(bits(amask))
-        nmask = self.g.adj[u] & ~amask
-        blocks = []
-        for v in range(self.g.n):
-            if (amask >> v) & 1:
-                blocks.append(0)
-            elif (nmask >> v) & 1:
-                blocks.append(1)
-            else:
-                blocks.append(2)
-        part = Partition(blocks)
-        raw_to_canon = {}
-        for v, raw in enumerate(blocks):
-            raw_to_canon.setdefault(raw, part.blocks[v])
-        pairs = []
-        if nmask:
-            pairs.append((raw_to_canon[0], raw_to_canon[1]))
-        return FlipSpec(part, pairs)
+        """The module's trivial flip lifted: 3 parts, the module's neighbours
+        flipped with the module, which cuts it off."""
+        return self._lift_block(a_idx, identity_flip(len(self.locals[a_idx][0])))
 
     def _lift_block(self, a_idx, bspec):
+        """The module's flip bspec, over parts labelled ("a", block of bspec)
+        inside the module, "n" on its neighbours and "r" elsewhere; every
+        module part is also flipped with "n", which cuts the module off."""
         amask = self.block_masks[a_idx]
         vs, local_of = self.locals[a_idx]
-        u = vs[0]
-        nmask = self.g.adj[u] & ~amask
-        blocks = []
-        for v in range(self.g.n):
-            if (amask >> v) & 1:
-                blocks.append(("a", bspec.partition.blocks[local_of[v]]))
-            elif (nmask >> v) & 1:
-                blocks.append(("n",))
-            else:
-                blocks.append(("r",))
-        keys = {}
-        canon = []
-        for key in blocks:
-            if key not in keys:
-                keys[key] = len(keys)
-            canon.append(keys[key])
-        part = Partition(canon)
-        canon_of = {}
-        for v, key in enumerate(blocks):
-            canon_of.setdefault(key, part.blocks[v])
-        pairs = set()
-        for i, j in bspec.pairs:
-            pairs.add((canon_of[("a", i)], canon_of[("a", j)]))
-        if nmask:
-            nn = canon_of[("n",)]
-            for bl in set(bspec.partition.blocks):
-                key = ("a", bl)
-                pairs.add((min(canon_of[key], nn), max(canon_of[key], nn)))
-        return FlipSpec(part, sorted(pairs))
+        nmask = self.g.adj[vs[0]] & ~amask
+        inner = bspec.partition.blocks
+        labels = [("a", inner[local_of[v]]) if (amask >> v) & 1
+                  else "n" if (nmask >> v) & 1 else "r" for v in range(self.g.n)]
+        pairs = [(("a", i), ("a", j)) for i, j in bspec.pairs]
+        pairs += [(("a", b), "n") for b in range(bspec.partition.size)]
+        return FlipSpec.from_labels(labels, pairs)
 
     def move(self, state, pos):
         phase = state[0]

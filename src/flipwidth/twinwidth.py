@@ -2,7 +2,7 @@
 strategy built from an uncontraction sequence."""
 
 from .errors import GenerationError, LimitExceeded, SchemaError
-from .flips import FlipSpec, Partition
+from .flips import FlipSpec, Partition, identity_flip
 from .graphs import bits, lowest_bit, mask_of, popcount
 
 TWW_MAX_N = 10
@@ -212,7 +212,7 @@ class TwinWidthFlipper:
     def move(self, state, position):
         i = min(state, len(self.chain))
         if i == 1:
-            return FlipSpec(Partition([0] * self.g.n), []), state + 1
+            return identity_flip(self.g.n), state + 1
         spec = self.round_flip(i, position)
         return spec, state + 1
 
@@ -249,20 +249,14 @@ class TwinWidthFlipper:
             classes.setdefault(g.adj[v] & reps, []).append(v)
         new_parts = [parts[idx] for idx in bits(ball_2r)]
         new_parts.extend(mask_of(vs) for _, vs in sorted(classes.items()))
-        blocks = [0] * g.n
+        labels = [0] * g.n
         for bidx, p in enumerate(new_parts):
             for v in bits(p):
-                blocks[v] = bidx
-        partition = Partition(blocks)
-        rep_of = {}
-        for v in range(g.n):
-            rep_of[blocks[v]] = partition.blocks[v]
-        pairs = []
-        for a in range(len(new_parts)):
-            for b in range(a + 1, len(new_parts)):
-                if _complete(g, new_parts[a], new_parts[b]):
-                    pairs.append((rep_of[a], rep_of[b]))
-        return FlipSpec(partition, pairs)
+                labels[v] = bidx
+        m = len(new_parts)
+        return FlipSpec.from_labels(labels, [
+            (a, b) for a in range(m) for b in range(a + 1, m)
+            if _complete(g, new_parts[a], new_parts[b])])
 
     def invariant_holds(self, i, flip_masks_now, c_i):
         """A_i subset of the union of red balls of radius r around c_i's part."""

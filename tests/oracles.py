@@ -42,6 +42,18 @@ def edges_of(g):
     return {frozenset((u, v)) for u, v in g.edges()}
 
 
+def flip_by_labels(g, labels, label_pairs):
+    """Edge set of g with each pair u != v toggled whose labels, in either
+    order, form one of the listed label pairs."""
+    listed = {frozenset(p) for p in label_pairs}
+    edges = edges_of(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if frozenset((labels[u], labels[v])) in listed:
+                edges ^= {frozenset((u, v))}
+    return edges
+
+
 def adjacency_dict(g):
     return {v: set(g.neighbors(v)) for v in range(g.n)}
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from test_cli_pins import C6_SIDES
 
 
 def run_cli(*args, stdin=None):
@@ -260,15 +261,26 @@ def test_game_value_on_the_empty_graph(game, value):
       "--pursuer", "solver-witness", "--evader", "richdivision"], None, 3),
     (["duel", "-", "--game", "copprime", "--r", "1", "--k", "1",
       "--pursuer", "solver-witness", "--evader", "solver-witness"], "0 0\n", 5),
+    (["game", "-", "bipartite", "--r", "1", "--k", "0"], C6_SIDES, 3),
+    (["duel", "-", "--game", "bipartite", "--r", "1", "--k", "0",
+      "--pursuer", "solver-witness", "--evader", "solver-witness"], C6_SIDES, 3),
+    (["duel", "--family", "cycle:5", "--game", "flip", "--r", "1", "--k", "0",
+      "--pursuer", "random:3", "--evader", "hideout", "--certificate", "{hideout}"],
+     None, 3),
 ], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
         "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type",
         "duel-hideout-no-certificate", "duel-richdivision-no-certificate",
-        "duel-copprime-empty-graph"])
+        "duel-copprime-empty-graph", "bipartite-width-0", "duel-bipartite-width-0",
+        "duel-random-width-0"])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    paths = {"{missing}": str(tmp_path / "missing"), "{bad_json}": str(bad_json)}
+    hideout = tmp_path / "hideout.json"
+    hideout.write_text(json.dumps({"kind": "flip_hideout", "U": [0, 1, 2, 3, 4],
+                                   "r": 2, "k": 1, "d": 1}))
+    paths = {"{missing}": str(tmp_path / "missing"), "{bad_json}": str(bad_json),
+             "{hideout}": str(hideout)}
     rc, out, err = run_cli(*[paths.get(a, a) for a in argv], stdin=stdin)
     assert (rc, out) == (code, "")
     assert "Traceback" not in err and err.strip()

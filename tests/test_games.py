@@ -308,7 +308,7 @@ def test_copw_inf_equals_treewidth_plus_one(atlas5):
 
 def test_copprime_le_copw(atlas5):
     for g in atlas5[:20]:
-        for r in (1, 2, INF):
+        for r in (0, 1, 2, INF):
             assert copw_prime_width(g, r) <= cop_width(g, r)
 
 

@@ -1,13 +1,17 @@
-"""Property tests on random graphs with at most six vertices."""
+"""Property tests on random graphs with at most seven vertices."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from flipwidth.flips import (FlipSpec, Partition, apply_flip, block_pairs, compose_flips,
+                             flip_masks)
 from flipwidth.games import (FLIPPER, flip_width, simulate_match, solve_bipartite,
                              solve_cops, solve_copw_prime, solve_definable,
                              solve_flipper, solve_isolation, solve_ordered)
-from flipwidth.graphs import INF, Graph, OrderedGraph, complement
+from flipwidth.graphs import (INF, Graph, OrderedGraph, complement, parse_graph,
+                              write_graph6)
 
 RADII = st.sampled_from([1, 2, INF])
 
@@ -18,6 +22,50 @@ def graphs(draw, max_n=6, min_n=0):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, kept in zip(pairs, keep) if kept])
+
+
+# labels of mixed types, as the package's callers use them
+LABELS = st.sampled_from([0, 1, 2, "n", ("a", 0), ("a", 1)])
+
+
+@st.composite
+def flips(draw, n):
+    """A <= 3-flip of an n-vertex graph: a block label per vertex, then a
+    subset of the block pairs."""
+    part = Partition(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    pairs = block_pairs(part.size)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FlipSpec(part, [p for p, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), graphs(max_n=7))
+def test_flip_from_labels_toggles_the_listed_label_pairs(data, g):
+    # label pairs may name labels that no vertex carries, and repeat
+    labels = data.draw(st.lists(LABELS, min_size=g.n, max_size=g.n))
+    label_pairs = data.draw(st.lists(st.tuples(LABELS, LABELS), max_size=8))
+    spec = FlipSpec.from_labels(labels, label_pairs)
+    assert oracles.edges_of(apply_flip(g, spec)) == oracles.flip_by_labels(
+        g, labels, label_pairs)
+    part, block = Partition.labelled(labels)
+    assert spec.partition == part == Partition(labels)
+    assert all(block[x] == b for x, b in zip(labels, part.blocks))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), graphs(max_n=7))
+def test_compose_flips_is_applying_both(data, g):
+    first, second = data.draw(flips(g.n)), data.draw(flips(g.n))
+    assert flip_masks(g, compose_flips(g, first, second)) == flip_masks(
+        apply_flip(g, first), second)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs(max_n=7))
+def test_graph6_round_trips(g):
+    text = write_graph6(g)
+    assert parse_graph(text, fmt="graph6").adj == g.adj
+    assert oracles.decode_graph6(text) == (g.n, oracles.edges_of(g))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
