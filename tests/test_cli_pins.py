@@ -29,6 +29,12 @@ P5 = "5 4\n0 1\n1 2\n2 3\n3 4\n"
 C6_SIDES = ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
             + "".join(f"c {v} {1 + v % 2}\n" for v in range(6)))
 EMPTY = "0 0\n"
+# the path on 20 vertices with its two sides coloured 1 (even) and 2 (odd)
+P20_SIDES = ("20 19\n" + "".join(f"{v} {v + 1}\n" for v in range(19))
+             + "".join(f"c {v} {1 + v % 2}\n" for v in range(20)))
+# certificate files under tests/fixtures, named relative to tests/
+REFUTED_HIDEOUT = "fixtures/hideout_c5_k2_refuted.json"
+VALID_HIDEOUT = "fixtures/hideout_c5_k1_valid.json"
 
 
 def _game_cases():
@@ -55,6 +61,14 @@ def _game_cases():
     add(C5, "copprime", "1", (2, 3), True)
     add(C5, "isolation", "1", (1, 2), True)
     cases.append((["--format", "tsv", "game", "-", "flip", "--r", "1", "--k", "3"], C5))
+    add(EMPTY, "ordered", "1", (1,), True)
+    for r in ("1", "inf"):
+        for game in ("flip", "dfw", "ordered"):
+            cases.append((["game", "--family", "path:20", game, "--r", r, "--k", "1",
+                           "--witness"], ""))
+        add(P20_SIDES, "bipartite", r, (1,), False)
+    for cert in (REFUTED_HIDEOUT, VALID_HIDEOUT):
+        cases.append((["certify", "-", cert], C5))
     return cases
 
 
@@ -74,19 +88,24 @@ def _duel_cases():
             # the evader survives: the solver-witness evaders outside their losses
             duel(C5, "cop", "1", 2), duel(C5, "copprime", "1", 2),
             duel(C5, "isolation", "1", 1), duel(C5, "dfw", "1", 1),
-            duel(C5, "flip", "inf", 1), duel(C5, "ordered", "inf", 1)]
+            duel(C5, "flip", "inf", 1), duel(C5, "ordered", "inf", 1),
+            (["duel", "--family", "pattern:4:eq", "--game", "ordered", "--r", "1",
+              "--k", "1", "--pursuer", "solver-witness", "--evader", "solver-witness",
+              "--max-rounds", "12"], "")]
 
 
 CASES = _game_cases() + _duel_cases()
 
 
 def run_main(argv, stdin_text):
-    """(exit code, stdout) of one in-process `flipwidth` command."""
+    """(exit code, stdout) of one in-process `flipwidth` command, run from
+    tests/ so that certificate paths resolve."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.chdir(Path(__file__).parent):
             code = cli.main(argv)
     finally:
         sys.stdin = saved
@@ -94,7 +113,8 @@ def run_main(argv, stdin_text):
 
 
 def case_id(argv, stdin_text):
-    graph = {C5: "C5", P5: "P5", C6_SIDES: "C6sides", EMPTY: "empty", "": "family"}
+    graph = {C5: "C5", P5: "P5", C6_SIDES: "C6sides", EMPTY: "empty",
+             P20_SIDES: "P20sides", "": "family"}
     return graph[stdin_text] + " " + " ".join(argv)
 
 
