@@ -8,8 +8,7 @@ from .graphs import (INF, ColoredGraph, Graph, OrderedGraph, ball, complement,
                      disjoint_union, generate, lexicographic_product,
                      parse_graph, semi_induced, write_graph)
 from .flips import (CutFlip, FlipSpec, Partition, apply_flip, cut_flip_ball,
-                    distinct_flips, enumerate_definable_flips, enumerate_k_flips,
-                    s_types)
+                    enumerate_definable_flips, enumerate_k_flips, s_types)
 from .games import (GameSolution, approx_flip_width, bipartite_flip_width,
                     cop_width, copw_prime_width, definable_flip_width,
                     flip_width, isolation_width, ordered_binary_flip_width,

@@ -1,38 +1,71 @@
-"""Vectorized outcome reduction for the flip families that flip g itself.
+"""The outcome engine: every flip family's flips reduced to their outcomes.
 
-`outcomes` takes a family's partition stream from `flips` (the <= k-flips,
-the definable flips or the bipartite flips) and reduces every flip it
-stands for to its outcome, at any radius: the set of vertices the flip
-isolates and each vertex's ball.  The flips are built in numpy batches of
-about BATCH flips, one uint16 row array per vertex, partitions that share
-a block count and allowed pairs together (a partition with more pair
-subsets than that is sliced over several batches):
+`outcomes` reduces each flip of a family's partition stream from `flips`
+(the <= k-flips, the definable or the bipartite flips) to its outcome at
+any radius: the set of vertices it isolates and each vertex's ball.  Given
+the ordered game's cuts, it crosses each flip with every cut S instead,
+flip-major and cut-minor; `rows_outcomes` reduces graphs given by their
+rows, the Gaifman graphs of the binary ordered game.  Flips are built in
+numpy batches of about BATCH (flip, cut) pairs, one row array per vertex,
+partitions sharing a block count and allowed pairs together (a partition
+with more pair subsets is sliced over several batches):
 
 - at r=inf a ball is a component, found by min-label propagation;
-- at finite r a ball takes r hops of masked OR over the rows.
+- at finite r a ball takes r hops of masked OR over the rows;
+- under a cut the weight-0 edges join each ~S class into a clique: the
+  rows hold them too, and each ball is closed under the classes at the
+  start and after every hop.
 
-Each batch is deduplicated with np.unique, and every distinct outcome keeps
-the first flip that gives it in the stream's order.  At r=inf the outcomes
-are far fewer than the flips (the half-graph H_6 has ~6.3e8 raw 4-flips but
-only a few thousand distinct component partitions).
-
-Rows are uint16 and component labels 4 bits wide, so the engine takes
-graphs on 1 <= n <= 16 vertices (`supports`); the solvers keep the others
-on the Python stream.
+Each batch is deduplicated with np.unique, and each distinct outcome keeps
+the first (flip, cut) that gives it in the stream's order.  At r=inf the
+outcomes are far fewer than the flips (the half-graph H_6 has ~6.3e8 raw
+4-flips but only a few thousand distinct component partitions).  Rows are
+uint16 up to 16 vertices and uint64 up to MAX_N = 64, and larger graphs
+are refused.
 """
 
 import numpy as np
 
 from .errors import LimitExceeded
-from .flips import enumerate_k_flips
+from .flips import CutFlip, enumerate_k_flips, order_rows, subset_flip
 from .graphs import INF
 
-BATCH = 1 << 18     # raw flips per batch, give or take one partition's
+BATCH = 1 << 18     # raw (flip, cut) pairs per batch, give or take one partition's
+MAX_N = 64
 
 
-def supports(n):
-    """Whether the engine takes graphs on n vertices."""
-    return 1 <= n <= 16
+class Outcome:
+    """What a move does: iso masks the vertices it isolates and balls[v] is
+    the runner's reach from v.  `move`, the first move that does it, is
+    built when first read from (tag, partition, pairs, subset, cut), as the
+    family's enumerator announces it or as a CutFlip; rows have no move."""
+
+    __slots__ = ("iso", "balls", "_move", "_flip")
+
+    def __init__(self, flip, iso, balls):
+        self._flip = flip
+        self._move = None
+        self.iso = iso
+        self.balls = balls
+
+    @property
+    def move(self):
+        if self._flip is not None:
+            tag, part, pairs, sub, cut = self._flip
+            spec = subset_flip(part, pairs, sub)
+            if cut is not None:
+                self._move = CutFlip(spec, cut)
+            else:
+                self._move = spec if tag is None else (tag, spec)
+            self._flip = None
+        return self._move
+
+
+def _word(n):
+    """The row dtype for n vertices; more than MAX_N is refused."""
+    if n > MAX_N:
+        raise LimitExceeded(f"outcome engine: n={n} exceeds its bound of {MAX_N} vertices")
+    return np.uint16 if n <= 16 else np.uint64
 
 
 def component_outcomes(g, k, max_n=None):
@@ -40,113 +73,177 @@ def component_outcomes(g, k, max_n=None):
     return outcomes(g, INF, enumerate_k_flips(g, k, max_n))
 
 
-def outcomes(g, r, parts):
+def outcomes(g, r, parts, cuts=None):
     """Distinct outcomes of the flips of g in a partition stream.
 
     parts yields (tag, Partition, pairs), standing for the flips over the
-    partition by every subset of pairs in binary counting order.  Returns a
-    list of ((tag, partition, pairs, subset), iso, balls), one per distinct
-    (iso, balls), in the order of each one's first flip in the stream: iso
-    is the mask of vertices the flip isolates and balls[v] the radius-r
-    ball of v in the flipped graph.
+    partition by every subset of pairs in binary counting order.  With cuts
+    (a list of vertex sets) each flip is crossed with every cut, so that
+    the pair (flip number i, cut number j) comes i * len(cuts) + j-th.
+    Returns an Outcome per distinct (iso, balls), in the order of each
+    one's first flip in the stream: iso is the mask of vertices the flip
+    isolates and balls[v] the radius-r ball of v in the flipped graph.
     """
     n = g.n
-    if not supports(n):
-        raise LimitExceeded(f"bulk: n={n} is outside 1..16")
-    base = np.array(g.adj, dtype=np.uint16)
-    found = {}      # (iso, *balls) -> (first index, (tag, partition, pairs, subset))
+    word = _word(n)
+    if n == 0:
+        first = next(iter(parts), None)
+        if first is None:
+            return []
+        return [Outcome(first + (0, None if cuts is None else cuts[0]), 0, ())]
+    base = np.array(g.adj, dtype=word)
+    classes = None if cuts is None else _class_rows(n, cuts, word)
+    step = BATCH if cuts is None else BATCH // max(1, len(cuts)) or 1
+    found = {}      # (iso, *balls) -> (first index, (tag, partition, pairs, subset, cut))
     pending = {}    # (block count, pairs) -> [(tag, partition, pairs, first index)]
     offset = 0
     for tag, part, pairs in parts:
         key = (part.size, tuple(pairs))
         nsub = 1 << len(pairs)
-        if nsub >= BATCH:
+        if nsub >= step:
             # so many pair subsets fill batches by themselves, a slice each
-            for lo in range(0, nsub, BATCH):
+            for lo in range(0, nsub, step):
                 _reduce(base, r, key, [(tag, part, pairs, offset + lo)],
-                        range(lo, min(lo + BATCH, nsub)), found)
+                        range(lo, min(lo + step, nsub)), found, cuts, classes)
         else:
             batch = pending.setdefault(key, [])
             batch.append((tag, part, pairs, offset))
-            if len(batch) * nsub >= BATCH:
-                _reduce(base, r, key, pending.pop(key), range(nsub), found)
+            if len(batch) * nsub >= step:
+                _reduce(base, r, key, pending.pop(key), range(nsub), found, cuts, classes)
         offset += nsub
     for key, batch in pending.items():
-        _reduce(base, r, key, batch, range(1 << len(key[1])), found)
+        _reduce(base, r, key, batch, range(1 << len(key[1])), found, cuts, classes)
     ranked = sorted(found.items(), key=lambda kv: kv[1][0])
-    return [(flip, out[0], out[1:]) for out, (_, flip) in ranked]
+    return [Outcome(flip, out[0], out[1:]) for out, (_, flip) in ranked]
 
 
-def _reduce(base, r, key, batch, subs, found):
+def rows_outcomes(n, r, graphs):
+    """Distinct outcomes of the graphs on n vertices given by their
+    adjacency rows (a list of n-tuples), in the order of each one's first
+    graph; their Outcomes have no move."""
+    word = _word(n)
+    if n == 0:
+        return [Outcome(None, 0, ())] if graphs else []
+    found = {}
+    for lo in range(0, len(graphs), BATCH):
+        table = np.array(graphs[lo:lo + BATCH], dtype=word)
+        first, outs = _kernel([np.ascontiguousarray(table[:, v]) for v in range(n)], n, r)
+        for out, i in zip(outs.tolist(), first.tolist()):
+            found.setdefault(tuple(out), lo + i)
+    ranked = sorted(found.items(), key=lambda kv: kv[1])
+    return [Outcome(None, out[0], out[1:]) for out, _ in ranked]
+
+
+def _class_rows(n, cuts, word):
+    """classes[v][j]: the ~S class of v under cut number j, as a mask."""
+    weight0 = [order_rows(n, cut) for cut in cuts]
+    return [np.array([rows[v] | 1 << v for rows in weight0], dtype=word) for v in range(n)]
+
+
+def _reduce(base, r, key, batch, subs, found, cuts, classes):
     """Reduce the flips of a batch of partitions sharing (block count, pairs),
-    by the pair subsets in the range subs, into `found`, keeping the earliest
-    index of each outcome; each partition comes with the index of its flip
-    by subs.start."""
+    by the pair subsets in the range subs and under every cut, into `found`,
+    keeping the earliest index of each outcome; each partition comes with
+    the index of its flip by subs.start."""
     n = base.shape[0]
+    word = base.dtype.type
     b, pairs = key
     nsub = len(subs)
     C = len(batch)
     blocks = np.array([part.blocks for _, part, _, _ in batch], dtype=np.intp)   # (C, n)
     offsets = np.array([o for _, _, _, o in batch], dtype=np.int64)
 
-    bm = np.zeros((C, b), dtype=np.uint16)
+    bm = np.zeros((C, b), dtype=word)
     for v in range(n):
-        bm[np.arange(C), blocks[:, v]] |= np.uint16(1 << v)
+        bm[np.arange(C), blocks[:, v]] |= word(1 << v)
 
     subsets = np.arange(subs.start, subs.stop)
     # toggle[c, s, a]: xor mask applied to rows of block a under subset s
-    toggle = np.zeros((C, nsub, b), dtype=np.uint16)
+    toggle = np.zeros((C, nsub, b), dtype=word)
     for pi, (i, j) in enumerate(pairs):
         sel = ((subsets >> pi) & 1).astype(bool)
         toggle[:, sel, i] |= bm[:, None, j]
         toggle[:, sel, j] |= bm[:, None, i]
 
     ar = np.arange(C)[:, None]
+    full = np.iinfo(word).max
     rows = []
     for v in range(n):
         rv = base[v] ^ toggle[ar, :, blocks[:, v][:, None]]
-        rv &= np.uint16(~(1 << v) & 0xFFFF)
+        rv &= word(~(1 << v) & full)
         rows.append(np.ascontiguousarray(rv.reshape(-1)))
     del toggle
 
-    first, table = _components(rows, n) if r is INF else _balls(rows, n, r)
-    c, s = np.divmod(first, nsub)
-    index = offsets[c] + s
-    for row, gi, ci, si in zip(table.tolist(), index.tolist(), c.tolist(), s.tolist()):
+    if cuts is None:
+        first, table = _kernel(rows, n, r)
+        c, s = np.divmod(first, nsub)
+        index, cut = offsets[c] + s, [None] * len(first)
+    else:
+        # flip-major, cut-minor; the weight-0 edges join each class
+        flips, ncuts = C * nsub, len(cuts)
+        rows = [np.repeat(rows[v], ncuts) | np.tile(classes[v] & word(~(1 << v) & full), flips)
+                for v in range(n)]
+        first, table = _kernel(rows, n, r, [np.tile(cls, flips) for cls in classes])
+        (c, s), j = np.divmod(first // ncuts, nsub), first % ncuts
+        index, cut = (offsets[c] + s) * ncuts + j, [cuts[x] for x in j.tolist()]
+    for row, gi, ci, si, cj in zip(table.tolist(), index.tolist(), c.tolist(), s.tolist(), cut):
         out = tuple(row)
         prev = found.get(out)
         if prev is None or gi < prev[0]:
-            found[out] = (gi, batch[ci][:3] + (subs.start + si,))
+            found[out] = (gi, batch[ci][:3] + (subs.start + si, cj))
 
 
-def _balls(rows, n, r):
+def _kernel(rows, n, r, classes=None):
+    """First position and (iso, *balls) row of each distinct outcome of the
+    rows, balls closed under classes when given; the 4-bit component labels
+    hold 16 vertices, so above that r=inf takes n - 1 hops."""
+    if r is not INF:
+        return _balls(rows, n, r, classes)
+    return _components(rows, n) if n <= 16 else _balls(rows, n, n - 1, classes)
+
+
+def _hop(balls, rows, bit):
+    """Each ball grown by rows[w] for every w it holds: one masked-OR pass."""
+    word = bit.dtype.type
+    grown = []
+    for ball in balls:
+        cur = ball.copy()
+        for w, row in enumerate(rows):
+            # cur |= rows[w] wherever w lies in the ball
+            np.right_shift(ball, word(w), out=bit)
+            bit &= word(1)
+            np.negative(bit, out=bit)
+            bit &= row
+            cur |= bit
+        grown.append(cur)
+    return grown
+
+
+def _balls(rows, n, r, classes=None):
     """First position and (iso, *balls) row of each distinct outcome at
     finite r: the iso column comes from rows == 0, since at r=0 a ball does
-    not show isolation."""
+    not show isolation.  Without classes the first hop is one OR; with
+    them a ball starts as its vertex's class and is closed again after
+    every hop."""
     B = rows[0].shape[0]
-    iso = np.zeros(B, dtype=np.uint16)
+    word = rows[0].dtype.type
+    iso = np.zeros(B, dtype=word)
     for v in range(n):
-        iso |= (rows[v] == 0).astype(np.uint16) << np.uint16(v)
-    if r == 0:
-        balls = [np.full(B, 1 << v, dtype=np.uint16) for v in range(n)]
+        iso |= (rows[v] == 0).astype(word) << word(v)
+    bit = np.empty(B, dtype=word)
+    if classes is not None:
+        balls = classes
+        for _ in range(min(r, n - 1)):
+            balls = _hop(_hop(balls, rows, bit), classes, bit)
     else:
-        balls = [rows[v] | np.uint16(1 << v) for v in range(n)]
-    bit = np.empty(B, dtype=np.uint16)
-    for _ in range(min(r, n - 1) - 1):
-        grown = []
-        for v in range(n):
-            cur = balls[v].copy()
-            for w in range(n):
-                # cur |= rows[w] wherever w lies in the ball
-                np.right_shift(balls[v], np.uint16(w), out=bit)
-                bit &= np.uint16(1)
-                np.negative(bit, out=bit)
-                bit &= rows[w]
-                cur |= bit
-            grown.append(cur)
-        balls = grown
+        if r == 0:
+            balls = [np.full(B, 1 << v, dtype=word) for v in range(n)]
+        else:
+            balls = [rows[v] | word(1 << v) for v in range(n)]
+        for _ in range(min(r, n - 1) - 1):
+            balls = _hop(balls, rows, bit)
     table = np.stack([iso] + balls, axis=1)
-    _, first = np.unique(table.view(np.dtype((np.void, 2 * (n + 1)))).ravel(),
+    _, first = np.unique(table.view(np.dtype((np.void, table.itemsize * (n + 1)))).ravel(),
                          return_index=True)
     return first, table[first]
 

@@ -7,7 +7,7 @@ from collections import namedtuple
 
 from .errors import (CertificateInvalid, GenerationError, LimitExceeded,
                      SchemaError)
-from .flips import distinct_flips, enumerate_k_flips, flip_masks, random_flip
+from .flips import enumerate_k_flips, flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
 
@@ -17,92 +17,120 @@ COPS_HIDEOUT_MAX_K = 3
 HIDEOUT_SEARCH_MAX_N = 8
 
 
+def _vertices(value):
+    """A JSON list of vertex numbers, else SchemaError."""
+    if not (isinstance(value, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value)):
+        raise SchemaError(f"expected a list of vertex numbers, got {value!r}")
+    return value
+
+
+def _intervals(value):
+    """A JSON list of [lo, hi] vertex pairs as tuples, else SchemaError."""
+    if not (isinstance(value, list) and all(isinstance(iv, list) and len(iv) == 2
+                                            for iv in value)):
+        raise SchemaError(f"expected a list of [lo, hi] vertex pairs, got {value!r}")
+    return tuple(tuple(_vertices(iv)) for iv in value)
+
+
+def _finite_radius(value):
+    r = int(value)
+    if r < 0:
+        raise SchemaError(f"radius must be nonnegative, got {r}")
+    return r
+
+
+def _radius(value):
+    return INF if value == "inf" else _finite_radius(value)
+
+
+def _vertex_set(value):
+    return frozenset(_vertices(value))
+
+
+# Each certificate class names its JSON kind and reads its fields, in
+# namedtuple order, as (JSON field, parser) pairs.
+
+
 class FlipHideout(namedtuple("FlipHideout", "u r k d")):
     """Vertex set letting the runner elude width-k flippers at radius r:
     every k-flip leaves at most d members with a small (<= d) trace of U
     in their radius-r ball."""
 
-    def to_json(self):
-        return {"kind": "flip_hideout", "U": sorted(self.u),
-                "r": "inf" if self.r is INF else self.r, "k": self.k, "d": self.d}
+    kind = "flip_hideout"
+    fields = (("U", _vertex_set), ("r", _radius), ("k", int), ("d", int))
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            r = obj["r"]
-            return cls(frozenset(obj["U"]), INF if r == "inf" else int(r),
-                       int(obj["k"]), int(obj["d"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"flip hideout JSON: {e}") from None
+    def to_json(self):
+        return {"kind": self.kind, "U": sorted(self.u),
+                "r": "inf" if self.r is INF else self.r, "k": self.k, "d": self.d}
 
 
 class CopsHideout(namedtuple("CopsHideout", "u r k")):
-    def to_json(self):
-        return {"kind": "cops_hideout", "U": sorted(self.u), "r": self.r, "k": self.k}
+    kind = "cops_hideout"
+    fields = (("U", _vertex_set), ("r", _finite_radius), ("k", int))
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(frozenset(obj["U"]), int(obj["r"]), int(obj["k"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"cops hideout JSON: {e}") from None
+    def to_json(self):
+        return {"kind": self.kind, "U": sorted(self.u), "r": self.r, "k": self.k}
 
 
 class RichDivision(namedtuple("RichDivision", "left right k")):
     """Interval partitions (lists of (lo, hi) inclusive ranges) of an
     ordered graph plus the richness parameter."""
 
-    def to_json(self):
-        return {"kind": "rich_division", "L": [list(iv) for iv in self.left],
-                "R": [list(iv) for iv in self.right], "k": self.k}
+    kind = "rich_division"
+    fields = (("L", _intervals), ("R", _intervals), ("k", int))
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(tuple(tuple(iv) for iv in obj["L"]),
-                       tuple(tuple(iv) for iv in obj["R"]), int(obj["k"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"rich division JSON: {e}") from None
+    def to_json(self):
+        return {"kind": self.kind, "L": [list(iv) for iv in self.left],
+                "R": [list(iv) for iv in self.right], "k": self.k}
 
 
 class WellLinkedCert(namedtuple("WellLinkedCert", "u k")):
-    def to_json(self):
-        return {"kind": "well_linked", "U": sorted(self.u), "k": self.k}
+    kind = "well_linked"
+    fields = (("U", _vertex_set), ("k", int))
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(frozenset(obj["U"]), int(obj["k"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"well linked JSON: {e}") from None
+    def to_json(self):
+        return {"kind": self.kind, "U": sorted(self.u), "k": self.k}
 
 
 class OrderCert(namedtuple("OrderCert", "order r k")):
     """Total order witnessing the no-announcement cop bound (condition 3)."""
 
-    def to_json(self):
-        return {"kind": "order", "order": list(self.order), "r": self.r, "k": self.k}
+    kind = "order"
+    fields = (("order", lambda value: tuple(_vertices(value))), ("r", _finite_radius),
+              ("k", int))
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(tuple(obj["order"]), int(obj["r"]), int(obj["k"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"order certificate JSON: {e}") from None
+    def to_json(self):
+        return {"kind": self.kind, "order": list(self.order), "r": self.r, "k": self.k}
+
+
+CERTIFICATE_KINDS = {cls.kind: cls for cls in (FlipHideout, CopsHideout, RichDivision,
+                                               WellLinkedCert, OrderCert)}
 
 
 def certificate_from_json(obj):
-    kinds = {"flip_hideout": FlipHideout, "cops_hideout": CopsHideout,
-             "rich_division": RichDivision, "well_linked": WellLinkedCert,
-             "order": OrderCert}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("certificate JSON needs a 'kind' tag")
     kind = obj["kind"]
     if kind == "contraction_sequence":
         raise SchemaError("contraction sequences are loaded with the graph size")
-    if kind not in kinds:
+    if kind not in CERTIFICATE_KINDS:
         raise SchemaError(f"unknown certificate kind {kind!r}")
-    return kinds[kind].from_json(obj)
+    cls = CERTIFICATE_KINDS[kind]
+    try:
+        return cls(*(parse(obj[name]) for name, parse in cls.fields))
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"{kind} certificate JSON: {e}") from None
+
+
+def check_vertices(cert, n):
+    """Raise SchemaError unless every vertex the certificate names is one of
+    the n vertices of the graph it is checked on."""
+    named = ([v for iv in cert.left + cert.right for v in iv] if isinstance(cert, RichDivision)
+             else cert.order if isinstance(cert, OrderCert) else cert.u)
+    if any(v >= n for v in named):
+        raise SchemaError(f"{cert.kind} certificate names vertex {max(named)}, "
+                          f"but the graph has {n} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -111,32 +139,38 @@ def certificate_from_json(obj):
 HideoutReport = namedtuple("HideoutReport", "valid mode refutation")
 
 
-def hideout_violation(g, cert, masks):
-    """Number of U-members whose radius-r ball meets U in <= d points."""
+def _thin_members(cert, balls):
+    """Number of U-members v whose ball balls[v] meets U in <= d points."""
     umask = mask_of(cert.u)
-    weak = 0
-    for v in cert.u:
-        if popcount(ball_mask(masks, v, cert.r) & umask) <= cert.d:
-            weak += 1
-    return weak
+    return sum(1 for v in cert.u if popcount(balls[v] & umask) <= cert.d)
+
+
+def _flip_balls(g, r, k, max_n=None):
+    """The outcome engine's radius-r outcomes of the <= k-flips of g."""
+    from . import bulk
+    return bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
 
 
 def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
                                max_n=None):
+    """Whether every k-flip leaves at most d thin U-members.  Exhaustive mode
+    reads the radius-r balls of every distinct outcome, and refutes with the
+    first flip of the first violating one, which is the first violating flip
+    in the enumeration order; sampled mode draws `trials` random flips."""
     if len(cert.u) <= cert.d:
         raise GenerationError(
             f"hideout precondition violated: |U|={len(cert.u)} must exceed d={cert.d}")
     if mode == "exhaustive":
-        for spec, masks in distinct_flips(g, enumerate_k_flips(g, cert.k, max_n=max_n)):
-            if hideout_violation(g, cert, masks) > cert.d:
-                return HideoutReport(False, "exhaustive", spec)
+        for o in _flip_balls(g, cert.r, cert.k, max_n=max_n):
+            if _thin_members(cert, o.balls) > cert.d:
+                return HideoutReport(False, "exhaustive", o.move)
         return HideoutReport(True, "exhaustive", None)
     if mode == "sampled":
         rng = random.Random(seed)
         for _ in range(trials):
             spec = random_flip(g.n, cert.k, rng)
             masks = flip_masks(g, spec)
-            if hideout_violation(g, cert, masks) > cert.d:
+            if _thin_members(cert, {v: ball_mask(masks, v, cert.r) for v in cert.u}) > cert.d:
                 return HideoutReport(False, "sampled", spec)
         return HideoutReport(True, "sampled", None)
     raise GenerationError(f"unknown verification mode {mode!r}")
@@ -153,6 +187,7 @@ class HideoutRunner:
     side = "evader"
 
     def __init__(self, g, cert):
+        check_vertices(cert, g.n)
         self.g = g
         self.cert = cert
         self.umask = mask_of(cert.u)
@@ -189,12 +224,11 @@ def find_hideout_small(g, r, k, d, max_n=None):
     limit = HIDEOUT_SEARCH_MAX_N if max_n is None else max_n
     if g.n > limit:
         raise LimitExceeded(f"find_hideout_small: n={g.n} exceeds bound {limit}")
-    all_masks = [masks for _, masks in
-                 distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n))]
+    all_balls = [o.balls for o in _flip_balls(g, r, k, max_n=max_n)]
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)
-            if all(hideout_violation(g, cert, masks) <= d for masks in all_masks):
+            if all(_thin_members(cert, balls) <= d for balls in all_balls):
                 return cert
     return None
 
@@ -298,30 +332,9 @@ class OrderCops:
         """Least order position over vertices on some a-b path of length
         <= r avoiding blocked."""
         masks = [row & ~blocked for row in self.g.adj]
-        fwd = [None] * self.g.n
-        cur = {a}
-        fwd[a] = 0
-        for dist in range(1, self.r + 1):
-            cur = {w for u in cur for w in bits(masks[u])
-                   if fwd[w] is None or fwd[w] > dist}
-            for w in cur:
-                if fwd[w] is None:
-                    fwd[w] = dist
-        bwd = [None] * self.g.n
-        cur = {b}
-        bwd[b] = 0
-        for dist in range(1, self.r + 1):
-            cur = {w for u in cur for w in bits(masks[u])
-                   if bwd[w] is None or bwd[w] > dist}
-            for w in cur:
-                if bwd[w] is None:
-                    bwd[w] = dist
-        best = None
-        for w in range(self.g.n):
-            if fwd[w] is not None and bwd[w] is not None and fwd[w] + bwd[w] <= self.r:
-                p = self.pos_of[w]
-                best = p if best is None else min(best, p)
-        return best
+        fwd, bwd = _distances(masks, a, self.r), _distances(masks, b, self.r)
+        return min((self.pos_of[w] for w in fwd if w in bwd and fwd[w] + bwd[w] <= self.r),
+                   default=None)
 
     def move(self, state, position):
         prev_mask, prev_pos, grounded, last_min = state
@@ -333,6 +346,16 @@ class OrderCops:
             last_min = m
         s2 = self._weakly_reachable_before(position) | (1 << position)
         return frozenset(bits(s2)), (s2, position, prev_mask & s2, last_min)
+
+
+def _distances(masks, v, r):
+    """Distance from v of each vertex at most r steps away over the rows masks."""
+    dist = {v: 0}
+    frontier = {v}
+    for d in range(1, r + 1):
+        frontier = {w for u in frontier for w in bits(masks[u]) if w not in dist}
+        dist.update(dict.fromkeys(frontier, d))
+    return dist
 
 
 def order_cop_strategy(g, order, r):
@@ -433,14 +456,12 @@ class RichDivisionRunner:
     side = "evader"
 
     def __init__(self, og, cert):
+        check_vertices(cert, og.n)
         self.og = og
         self.cert = cert
 
     def start(self):
         return 0    # number of picks made
-
-    def initial(self, state):
-        raise AssertionError("ordered game has no pre-flip pick")
 
     def respond(self, state, move, legal):
         cut = move.cut

@@ -7,6 +7,7 @@ error; 5 illegal strategy move.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -21,17 +22,28 @@ from .graphs import (FAMILIES, INF, ColoredGraph, OrderedGraph, generate,
 DEFAULT_SEED = 1729
 
 
-def _arm_timeout(seconds):
-    """Abort with diagnostics (never partial answers) once the budget is up."""
+@contextlib.contextmanager
+def _timeout(seconds):
+    """Abort with diagnostics (never partial answers) once the budget is up;
+    on leaving, the timer is disarmed and the previous SIGALRM handler is
+    back."""
     if seconds is None:
+        yield
         return
+    if not 0 <= seconds <= 1e9:     # the interval timer overflows far above
+        raise ParseError(f"--timeout must be between 0 and 1e9 seconds, got {seconds}")
     import signal
 
     def on_alarm(signum, frame):
         raise LimitExceeded(f"timeout after {seconds}s; partial diagnostics only")
 
-    signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _parse_radius(text):
@@ -122,11 +134,7 @@ def _read_certificate(path):
 
 
 def _plain(g):
-    if isinstance(g, (OrderedGraph,)):
-        return g.graph
-    if isinstance(g, ColoredGraph):
-        return g.graph
-    return g
+    return g.graph if isinstance(g, (OrderedGraph, ColoredGraph)) else g
 
 
 def _emit(ns, obj):
@@ -176,6 +184,8 @@ def cmd_param(ns):
         if not ns.set:
             raise ParseError("cutrank needs --set with comma-separated vertices")
         a_set = [_parse_int(x, "a --set vertex") for x in ns.set.split(",")]
+        if not all(0 <= v < g.n for v in a_set):
+            raise ParseError(f"--set names a vertex outside the {g.n}-vertex graph")
         value = params.cut_rank(g, a_set)
     elif name == "rankwidth":
         value, tree = params.rank_width_small(g)
@@ -275,36 +285,55 @@ def cmd_certify(ns):
                    "width": width})
         return 0
     cert = certs.certificate_from_json(obj)
+    plain = _plain(g)
+    certs.check_vertices(cert, plain.n)
+    out = {"kind": cert.kind, "mode": "exhaustive"}
     if isinstance(cert, certs.FlipHideout):
         rep = certs.verify_flip_hideout_report(
-            _plain(g), cert, mode=ns.mode, seed=ns.seed, trials=ns.trials)
-        out = {"valid": rep.valid, "mode": rep.mode, "kind": "flip_hideout"}
+            plain, cert, mode=ns.mode, seed=ns.seed, trials=ns.trials)
+        out.update(valid=rep.valid, mode=rep.mode)
         if rep.refutation is not None:
             out["refutation"] = rep.refutation.to_json()
-        _emit(ns, out)
-        return 0
-    if isinstance(cert, certs.CopsHideout):
-        valid = certs.verify_cops_hideout(_plain(g), cert)
-        _emit(ns, {"valid": valid, "mode": "exhaustive", "kind": "cops_hideout"})
-        return 0
-    if isinstance(cert, certs.RichDivision):
-        og = g if isinstance(g, OrderedGraph) else OrderedGraph(_plain(g))
-        valid = certs.verify_rich_division(og, cert)
-        _emit(ns, {"valid": valid, "mode": "exhaustive", "kind": "rich_division"})
-        return 0
-    if isinstance(cert, certs.WellLinkedCert):
-        valid = params.well_linked_check(_plain(g), cert.u, mode=ns.mode,
-                                         seed=ns.seed, trials=ns.trials)
-        _emit(ns, {"valid": valid, "mode": ns.mode, "kind": "well_linked"})
-        return 0
-    if isinstance(cert, certs.OrderCert):
-        valid = certs.order_cert_check(_plain(g), cert.order, cert.r, cert.k)
-        _emit(ns, {"valid": valid, "mode": "exhaustive", "kind": "order"})
-        return 0
-    raise SchemaError(f"no verifier for kind {kind!r}")
+    elif isinstance(cert, certs.CopsHideout):
+        out["valid"] = certs.verify_cops_hideout(plain, cert)
+    elif isinstance(cert, certs.RichDivision):
+        og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
+        out["valid"] = certs.verify_rich_division(og, cert)
+    elif isinstance(cert, certs.WellLinkedCert):
+        out.update(valid=params.well_linked_check(plain, cert.u, mode=ns.mode, seed=ns.seed,
+                                                  trials=ns.trials), mode=ns.mode)
+    else:
+        out["valid"] = certs.order_cert_check(plain, cert.order, cert.r, cert.k)
+    _emit(ns, out)
+    return 0
+
+
+# the certificate-backed evaders and the games whose moves they read
+_CERTIFICATE_GAMES = {"hideout": ("flip", "bipartite"), "richdivision": ("ordered",)}
+
+
+def _certificate_of(ns, kind):
+    """The --certificate file as a certificate of the given kind."""
+    cert = certs.certificate_from_json(_read_certificate(ns.certificate))
+    if cert.kind != kind:
+        raise SchemaError(f"this strategy reads a {kind} certificate, not {cert.kind}")
+    return cert
 
 
 def _strategy(spec_text, side, game, g, r, k, ns):
+    """The strategy spec_text names, which must play `side` in `game`."""
+    name = spec_text.split(":")[0]
+    games_played = _CERTIFICATE_GAMES.get(name, (game,))
+    if game not in games_played:
+        raise ParseError(f"strategy {name!r} plays the {' and '.join(games_played)} "
+                         f"game, not {game}")
+    strategy = _build_strategy(spec_text, side, game, g, r, k, ns)
+    if strategy.side != side:
+        raise ParseError(f"strategy {name!r} plays the {strategy.side}, not the {side}")
+    return strategy
+
+
+def _build_strategy(spec_text, side, game, g, r, k, ns):
     plain = _plain(g)
     parts = spec_text.split(":")
     name = parts[0]
@@ -317,12 +346,10 @@ def _strategy(spec_text, side, game, g, r, k, ns):
         seed = _parse_int(parts[1], "a random strategy's seed") if len(parts) > 1 else ns.seed
         return games.RandomFlipper(plain.n, k, seed)
     if name == "hideout":
-        cert = certs.certificate_from_json(_read_certificate(ns.certificate))
-        return certs.hideout_runner_strategy(plain, cert)
+        return certs.hideout_runner_strategy(plain, _certificate_of(ns, "flip_hideout"))
     if name == "richdivision":
         og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
-        cert = certs.certificate_from_json(_read_certificate(ns.certificate))
-        return certs.rich_division_runner_strategy(og, cert)
+        return certs.rich_division_runner_strategy(og, _certificate_of(ns, "rich_division"))
     if name == "btww":
         _, cs = twinwidth.tww_exact_small(plain)
         return twinwidth.btww_strategy(plain, cs, r)
@@ -389,8 +416,7 @@ def build_parser():
 
     p = sub.add_parser("game", help="exact game solving")
     add_graph_opts(p)
-    p.add_argument("game", choices=("flip", "cop", "copprime", "isolation",
-                                    "dfw", "ordered", "bipartite"))
+    p.add_argument("game", choices=tuple(_GAMES))
     p.add_argument("--r", type=_parse_radius, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--value", action="store_true",
@@ -410,9 +436,7 @@ def build_parser():
 
     p = sub.add_parser("duel", help="strategy-vs-strategy simulation")
     add_graph_opts(p)
-    p.add_argument("--game", required=True,
-                   choices=("flip", "cop", "copprime", "isolation", "dfw",
-                            "ordered", "bipartite"))
+    p.add_argument("--game", required=True, choices=tuple(_GAMES))
     p.add_argument("--r", type=_parse_radius, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--pursuer", required=True)
@@ -431,11 +455,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        _arm_timeout(ns.timeout)
-        return ns.fn(ns)
+        ns = build_parser().parse_args(argv)
+        with _timeout(ns.timeout):
+            return ns.fn(ns)
     except LimitExceeded as e:
         print(f"limit exceeded: {e}", file=sys.stderr)
         return 2

@@ -9,19 +9,16 @@ partition and the block of each label, and
 `FlipSpec.from_labels(labels, label_pairs)` the flip, dropping a pair that
 names a label no vertex carries.
 
-The families that flip g itself (k-flips, definable, bipartite) each have
-one enumerator, which streams (tag, Partition, pairs): the flips over the
-partition by every subset of `pairs`, subsets in binary counting order,
-announced as the FlipSpec when tag is None and as (tag, FlipSpec)
-otherwise.  The numpy engine in `bulk` reads these streams as they are;
-`distinct_flips` turns one into (move, masks) pairs, one per distinct edge
-set, the first flip of each edge set kept, with `masks` its adjacency rows
-as a tuple, computed once per raw flip.  The ordered cut-flip enumerator
-streams (CutFlip, (weight0, weight1)) pairs, one per distinct (edge set,
-cut), the same way.
+Each flip family has one enumerator, which streams (tag, Partition, pairs):
+the flips over the partition by every subset of `pairs`, subsets in binary
+counting order, announced as the FlipSpec when tag is None and as
+(tag, FlipSpec) otherwise.  The ordered cut-flips stream the <= k-flips
+the same way; the outcome engine in `bulk` crosses each with every cut of
+`order_cuts`.  Nothing here deduplicates flips: `bulk` reads the streams as
+they are and keeps the first flip of each distinct outcome.
 """
 
-from .errors import GenerationError, LimitExceeded, SchemaError
+from .errors import GenerationError, LimitExceeded
 from .graphs import Graph, INF, bits, mask_of
 
 # Default exhaustive-enumeration limits: largest n allowed per width k.
@@ -114,15 +111,6 @@ class FlipSpec:
         return {"blocks": list(self.partition.blocks),
                 "pairs": sorted(list(p) for p in self.pairs)}
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            blocks = obj["blocks"]
-            pairs = [tuple(p) for p in obj["pairs"]]
-        except (KeyError, TypeError) as e:
-            raise SchemaError(f"flip spec JSON missing field: {e}") from None
-        return cls(Partition(blocks), pairs)
-
     def __eq__(self, other):
         return (isinstance(other, FlipSpec) and self.partition == other.partition
                 and self.pairs == other.pairs)
@@ -151,12 +139,6 @@ class CutFlip:
         obj = self.flip.to_json()
         obj["cut"] = sorted(self.cut)
         return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if "cut" not in obj:
-            raise SchemaError("cut-flip JSON needs a 'cut' field")
-        return cls(FlipSpec.from_json(obj), obj["cut"])
 
     def __eq__(self, other):
         return isinstance(other, CutFlip) and self.flip == other.flip and self.cut == other.cut
@@ -243,27 +225,6 @@ def random_flip(n, k, rng):
     return FlipSpec(part, [p for p in block_pairs(part.size) if rng.random() < 0.5])
 
 
-def partition_flips(g, part, pairs, seen):
-    """(FlipSpec, rows) for every subset of `pairs` flipped over part, pair
-    subsets in binary counting order; rows are computed once per flip, and a
-    flip whose rows are already in `seen` is skipped (seen is extended)."""
-    for sub in range(1 << len(pairs)):
-        spec = subset_flip(part, pairs, sub)
-        masks = flip_masks(g, spec)
-        if masks not in seen:
-            seen.add(masks)
-            yield spec, masks
-
-
-def distinct_flips(g, parts):
-    """Stream (move, rows) over a partition stream (see the module docstring),
-    one per distinct edge set, the first flip of each kept."""
-    seen = set()
-    for tag, part, pairs in parts:
-        for spec, masks in partition_flips(g, part, pairs, seen):
-            yield (spec if tag is None else (tag, spec)), masks
-
-
 def enumerate_k_flips(g, k, max_n=None):
     """Partition stream of the <= k-flips of g: partitions in restricted-growth
     lexicographic order, every block pair allowed, so the identity comes
@@ -307,6 +268,8 @@ def enumerate_definable_flips(g, k, max_k=None):
     """Partition stream of the definable flips: for every S with |S| <= k, by
     size and then numerically, the S-types of g tagged with S, every block
     pair allowed."""
+    if k < 0:
+        raise GenerationError("definable flip width must be >= 0")
     limit = DEFINABLE_MAX_K if max_k is None else max_k
     if k > limit:
         raise LimitExceeded(f"enumerate_definable_flips: k={k} exceeds bound {limit}")
@@ -351,29 +314,17 @@ def _subsets_up_to(n, k):
 # ordered cut-flips
 
 
-def order_classes(n, cut):
-    """Equivalence classes of ~_S: singletons for S, maximal S-free runs."""
-    classes = []
-    cur = 0
-    for v in range(n):
-        if v in cut:
-            if cur:
-                classes.append(cur)
-                cur = 0
-            classes.append(1 << v)
-        else:
-            cur |= 1 << v
-    if cur:
-        classes.append(cur)
-    return classes
-
-
 def order_rows(n, cut):
-    """Weight-0 adjacency masks of a cut: each ~_S class is a clique."""
+    """Weight-0 adjacency masks of a cut: each ~_S class, a vertex of S or a
+    maximal S-free run, is a clique."""
     w0 = [0] * n
-    for cls in order_classes(n, cut):
-        for v in bits(cls):
-            w0[v] = cls & ~(1 << v)
+    start = 0
+    for v in range(n + 1):
+        if v == n or v in cut:
+            run = ((1 << v) - 1) & ~((1 << start) - 1)     # start..v-1
+            for u in range(start, v):
+                w0[u] = run & ~(1 << u)
+            start = v + 1
     return tuple(w0)
 
 
@@ -384,36 +335,24 @@ def cut_flip_weighted(og, cf):
 
 
 def _weighted_ball(w0, w1, v, r):
-    cur = _zero_closure(w0, 1 << v)
-    steps = 0
-    while True:
-        if r is not INF and steps >= r:
-            break
+    """v's reach in a cut-flip's weighted graph: weight-0 edges are free and
+    at most r weight-1 edges are taken.  The weight-0 rows join each ~S
+    class into a clique, so one pass over them closes a set."""
+    def close(mask):
+        for u in bits(mask):
+            mask |= w0[u]
+        return mask
+
+    cur, steps = close(1 << v), 0
+    while r is INF or steps < r:
         nxt = cur
-        m = cur
-        while m:
-            low = m & -m
-            nxt |= w1[low.bit_length() - 1]
-            m ^= low
-        nxt = _zero_closure(w0, nxt)
+        for u in bits(cur):
+            nxt |= w1[u]
+        nxt = close(nxt)
         if nxt == cur:
             break
-        cur = nxt
-        steps += 1
+        cur, steps = nxt, steps + 1
     return cur
-
-
-def _zero_closure(w0, mask):
-    while True:
-        nxt = mask
-        m = mask
-        while m:
-            low = m & -m
-            nxt |= w0[low.bit_length() - 1]
-            m ^= low
-        if nxt == mask:
-            return mask
-        mask = nxt
 
 
 def cut_flip_ball(og, cf, v, r):
@@ -426,20 +365,21 @@ def cut_flip_ball(og, cf, v, r):
 CUT_FLIP_WORK_LIMIT = 500_000
 
 
+def order_cuts(n, k):
+    """The cuts of the ordered game on n vertices: every S with |S| <= k, by
+    size and then numerically."""
+    return [frozenset(bits(cmask)) for cmask in _subsets_up_to(n, k)]
+
+
 def enumerate_cut_flips(og, k, max_n=None):
-    """Stream (CutFlip, (weight0, weight1)): every distinct <= k edge flip,
-    its rows as the weight-1 rows, crossed with every cut |S| <= k.
+    """Partition stream of the edge flips of the ordered cut-flips: the
+    <= k-flips of og's graph, each of which stands crossed with every cut
+    of order_cuts(n, k).
 
     The default limit admits any n whose raw (flip, cut) count stays small;
     otherwise the per-width vertex bounds of enumerate_k_flips apply.
     """
-    g = og.graph
-    cuts = [frozenset(bits(cmask)) for cmask in _subsets_up_to(g.n, k)]
-    if max_n is None:
-        work = count_raw_flips(g.n, k) * len(cuts)
-        if work <= CUT_FLIP_WORK_LIMIT:
-            max_n = g.n
-    weight0 = [(cut, order_rows(g.n, cut)) for cut in cuts]
-    for spec, w1 in distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n)):
-        for cut, w0 in weight0:
-            yield CutFlip(spec, cut), (w0, w1)
+    n = og.graph.n
+    if max_n is None and count_raw_flips(n, k) * len(order_cuts(n, k)) <= CUT_FLIP_WORK_LIMIT:
+        max_n = n
+    yield from enumerate_k_flips(og.graph, k, max_n=max_n)

@@ -9,14 +9,11 @@ land on, and
                  or Win(ball_f(u)).
 
 A solve needs each family's distinct (isolated set, ball map) outcomes,
-each with the first move that gives it.  The families that flip g itself
-(flip, definable, bipartite) get them from the numpy engine in `bulk`,
-which reduces their partition streams from `flips` at every radius on
-1 <= n <= 16 vertices.  Everything else (other n, the ordered cut-flips and
-the Gaifman graphs of the binary ordered game) goes through
-`_outcome_stream`, which reduces a stream of (move, masks) pairs, one per
-distinct edge set, as `flips.distinct_flips` and the cut-flip enumerator
-yield them.
+each with the first move that gives it.  They all come from the numpy
+engine in `bulk`: the flip, definable and bipartite families as their
+partition streams from `flips`, the ordered cut-flips as the k-flip stream
+crossed with the cuts, and the Gaifman graphs of the binary ordered game,
+generated here, as adjacency rows.
 
 Cops-style games keep their concrete states ((cops, robber) or just the
 robber vertex for the no-announcement variant).
@@ -30,46 +27,22 @@ the one `TableEvader`) and the simulation harness all read that object; the
 harness carries the previous move itself.
 """
 
+import itertools
 import random
 from collections import namedtuple
 
-from .errors import IllegalMoveError, LimitExceeded
+from .errors import GenerationError, IllegalMoveError, LimitExceeded
 from .flips import (CutFlip, FlipSpec, _weighted_ball,
-                    block_pairs, cut_flip_weighted, distinct_flips,
-                    enumerate_bipartite_flips, enumerate_cut_flips,
-                    enumerate_definable_flips, enumerate_k_flips, flip_masks,
-                    identity_flip, partition_flips, random_flip,
-                    rgs_partitions, s_types, subset_flip)
+                    block_pairs, cut_flip_weighted, enumerate_bipartite_flips,
+                    enumerate_cut_flips, enumerate_definable_flips,
+                    enumerate_k_flips, flip_masks, identity_flip, order_cuts,
+                    random_flip, rgs_partitions, s_types, subset_flip)
 from .graphs import INF, OrderedGraph, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
 RUNNER = "runner"
 COPS = "cops"
 ROBBER = "robber"
-
-
-class Outcome:
-    """What a move does: iso masks the vertices it isolates and balls[v] is
-    the runner's reach from v.  `move` is the first move that does it; an
-    outcome from the numpy engine keeps its (tag, partition, pairs, subset)
-    and builds the move, through FlipSpec's checks, when it is first read."""
-
-    __slots__ = ("iso", "balls", "_move", "_flip")
-
-    def __init__(self, move, iso, balls, flip=None):
-        self._move = move
-        self.iso = iso
-        self.balls = balls
-        self._flip = flip
-
-    @property
-    def move(self):
-        if self._flip is not None:
-            tag, part, pairs, sub = self._flip
-            spec = subset_flip(part, pairs, sub)
-            self._move = spec if tag is None else (tag, spec)
-            self._flip = None
-        return self._move
 
 
 class GameSolution:
@@ -213,20 +186,10 @@ class HalfGraphFlipper(Pursuer):
         return 1
 
     def move(self, state, position):
-        n = self.n
-        i = min(state, n)
-        blocks = []
-        for v in range(2 * n):
-            if v < n:    # a_{v+1}
-                if v + 1 < i:
-                    blocks.append(0)
-                elif v + 1 == i:
-                    blocks.append(1)
-                else:
-                    blocks.append(3)
-            else:        # b_{v-n+1}
-                blocks.append(2 if v - n + 1 >= i else 3)
-        return FlipSpec.from_labels(blocks, [(0, 2), (1, 2)]), state + 1
+        i = min(state, self.n)
+        a = [0 if j < i else 1 if j == i else 3 for j in range(1, self.n + 1)]
+        b = [2 if j >= i else 3 for j in range(1, self.n + 1)]
+        return FlipSpec.from_labels(a + b, [(0, 2), (1, 2)]), state + 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,59 +423,25 @@ def _initial_states(rules):
 # flip-family outcome tables
 
 
-def _outcome_stream(rules, moves):
-    """Distinct (iso, ballmap) outcomes over a stream of (move, masks), each
-    with the first move that gives it, under the rules' ball and trapped."""
-    n, ball, trapped = rules.n, rules.ball, rules.trapped
-    seen = set()
-    order = []
-    for move, masks in moves:
-        iso = 0
-        for v in range(n):
-            if trapped(masks, v):
-                iso |= 1 << v
-        key = (iso, tuple(ball(masks, v) for v in range(n)))
-        if key not in seen:
-            seen.add(key)
-            order.append(Outcome(move, *key))
-    return order
-
-
-def _engine_outcomes(found):
-    """Outcomes of the numpy engine's ((tag, partition, pairs, subset), iso,
-    balls) entries; each move is announced as its family's enumerator
-    announces it."""
-    return [Outcome(None, iso, balls, flip) for flip, iso, balls in found]
-
-
-def _family_outcomes(rules, parts):
-    """Outcomes of the flips of rules.g in a partition stream from `flips`,
-    first flip of each in the stream's order: from the numpy engine whenever
-    it takes n, else the Python stream."""
-    from . import bulk
-    g = rules.g
-    if bulk.supports(g.n):
-        return _engine_outcomes(bulk.outcomes(g, rules.r, parts))
-    return _outcome_stream(rules, distinct_flips(g, parts))
-
-
 def _flip_outcomes(g, r, k, max_n=None):
     """Outcomes of every <= k-flip of g.  At r=inf the engine is entered
     through `bulk.component_outcomes`: bench/spans.py times that entry as
     the engine layer and `enumerate_k_flips` as flip enumeration."""
     from . import bulk
-    if r is INF and bulk.supports(g.n):
-        return _engine_outcomes(bulk.component_outcomes(g, k, max_n))
-    return _family_outcomes(_FlipRules(g, r, k), enumerate_k_flips(g, k, max_n=max_n))
+    if r is INF:
+        return bulk.component_outcomes(g, k, max_n)
+    return bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
 
 
 def _definable_outcomes(g, r, k, max_k=None):
-    return _family_outcomes(_DefinableRules(g, r, k),
-                            enumerate_definable_flips(g, k, max_k=max_k))
+    from . import bulk
+    return bulk.outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k))
 
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
-    return _outcome_stream(_OrderedRules(og, r, k), enumerate_cut_flips(og, k, max_n=max_n))
+    from . import bulk
+    return bulk.outcomes(og.graph, r, enumerate_cut_flips(og, k, max_n=max_n),
+                         cuts=order_cuts(og.n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +637,9 @@ def definable_flip_width(g, r, max_k=None):
 
 def solve_bipartite(g, left_mask, r, k):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
-    rules = _BipartiteRules(g, r, k, left_mask)
-    outcomes = _family_outcomes(rules, enumerate_bipartite_flips(g, left_mask, k))
-    return _solve_table(rules, outcomes, FlipSpec.to_json)
+    from . import bulk
+    outcomes = bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k))
+    return _solve_table(_BipartiteRules(g, r, k, left_mask), outcomes, FlipSpec.to_json)
 
 
 def bipartite_flip_width(g, left_mask, r):
@@ -732,67 +661,47 @@ def ordered_flip_width(og, r, max_n=None):
 # ordered graphs as binary structures (edge + order relation flips)
 
 
-def _binary_gaifman_outcomes(og, r, k):
-    """Distinct outcomes of the Gaifman graphs of k-flips of (V, E, <) as a
-    binary structure.
-
-    Between two blocks the flipped order relation keeps all Gaifman pairs,
-    or drops exactly the pairs whose smaller endpoint lies in a chosen
-    block; within a block order pairs always survive.  Edge flips are the
-    usual symmetric ones; the two layers combine independently.
-    """
+def _gaifman_graphs(og, k):
+    """The distinct Gaifman graphs of the k-flips of (V, E, <) as a binary
+    structure, as adjacency rows, in order of first occurrence: each edge
+    flip over a partition combined with each flip of the order relation
+    over it.  Edge flips are the usual symmetric ones."""
     g = og.graph
-    n = g.n
-
-    def gaifman_graphs():
-        graphs = set()
-        for part in rgs_partitions(n, k):
-            b = part.size
-            bm = part.block_masks()
-            elayers = [masks for _, masks in
-                       partition_flips(g, part, block_pairs(b), set())]
-            # distinct <-layers: per unordered block pair choose
-            #   0 keep all, 1 drop lower-in-A pairs, 2 drop lower-in-B pairs
-            cross = [(i, j) for i in range(b) for j in range(i + 1, b)]
-            lseen = set()
-            llayers = []
-            for choice in _ternary(len(cross)):
-                masks = [0] * n
-                for v in range(n):
-                    same = bm[part.blocks[v]] & ~(1 << v)
-                    masks[v] |= same
-                for (i, j), c in zip(cross, choice):
-                    for u in bits(bm[i]):
-                        for w in bits(bm[j]):
-                            lo, hi = (u, w) if u < w else (w, u)
-                            lo_in_i = part.blocks[lo] == i
-                            if c == 0 or (c == 1 and not lo_in_i) or (c == 2 and lo_in_i):
-                                masks[u] |= 1 << w
-                                masks[w] |= 1 << u
-                t = tuple(masks)
-                if t not in lseen:
-                    lseen.add(t)
-                    llayers.append(t)
-            for em in elayers:
-                for lm in llayers:
-                    gm = tuple(em[v] | lm[v] for v in range(n))
-                    if gm not in graphs:     # a repeated Gaifman graph repeats its outcome
-                        graphs.add(gm)
-                        yield None, gm
-    return _outcome_stream(_OrderedBinaryRules(og, r, k), gaifman_graphs())
+    graphs = {}
+    for part in rgs_partitions(g.n, k):
+        bm = part.block_masks()
+        pairs = block_pairs(part.size)
+        cross = [(i, j) for i, j in pairs if i < j]
+        elayers = dict.fromkeys(flip_masks(g, subset_flip(part, pairs, sub))
+                                for sub in range(1 << len(pairs)))
+        # the first block pair's choice varies fastest
+        llayers = dict.fromkeys(_order_layer(part, bm, cross, choice[::-1]) for choice
+                                in itertools.product(range(3), repeat=len(cross)))
+        for em in elayers:
+            for lm in llayers:
+                graphs[tuple(e | o for e, o in zip(em, lm))] = None
+    return list(graphs)
 
 
-def _ternary(m):
-    state = [0] * m
-    while True:
-        yield tuple(state)
-        i = 0
-        while i < m and state[i] == 2:
-            state[i] = 0
-            i += 1
-        if i == m:
-            return
-        state[i] += 1
+def _order_layer(part, bm, cross, choice):
+    """Gaifman rows of a flip of the order relation over part.  Within a
+    block the order pairs always survive; between blocks i < j the flip
+    keeps every pair (choice 0), or drops exactly the pairs whose smaller
+    endpoint lies in i (1) or in j (2)."""
+    rows = [bm[b] & ~(1 << v) for v, b in enumerate(part.blocks)]
+    for (i, j), c in zip(cross, choice):
+        for u in bits(bm[i]):
+            for w in bits(bm[j]):
+                if c == 0 or (c == 1) != (u < w):
+                    rows[u] |= 1 << w
+                    rows[w] |= 1 << u
+    return tuple(rows)
+
+
+def _binary_gaifman_outcomes(og, r, k):
+    """Distinct outcomes of the Gaifman graphs of the k-flips of (V, E, <)."""
+    from . import bulk
+    return bulk.rows_outcomes(og.n, r, _gaifman_graphs(og, k))
 
 
 def solve_ordered_binary(og, r, k):
@@ -833,7 +742,10 @@ def _subset_masks(n, k):
     return out
 
 
-def _check_cops_n(name, g, max_n):
+def _check_cops(name, g, k, max_n):
+    """Raise unless the cop game on g with k cops may be solved."""
+    if k < 0:
+        raise GenerationError("cop width must be >= 0")
     limit = COPS_MAX_N if max_n is None else max_n
     if g.n > limit:
         raise LimitExceeded(f"{name}: n={g.n} exceeds the configured bound {limit}")
@@ -842,13 +754,13 @@ def _check_cops_n(name, g, max_n):
 def solve_cops(g, r, k, max_n=None):
     """Cops and Robber with announced moves: robber runs at speed r through
     vertices free of grounded cops (the old-and-new intersection)."""
-    _check_cops_n("solve_cops", g, max_n)
+    _check_cops("solve_cops", g, k, max_n)
     return _solve_cops_family(_CopRules(g, r, k))
 
 
 def solve_isolation(g, r, k, max_n=None):
     """Isolation game: the robber's path avoids all previous cop positions."""
-    _check_cops_n("solve_isolation", g, max_n)
+    _check_cops("solve_isolation", g, k, max_n)
     return _solve_cops_family(_IsolationRules(g, r, k))
 
 
@@ -931,7 +843,7 @@ def isolation_width(g, r, max_n=None):
 
 def solve_copw_prime(g, r, k, max_n=None):
     """No-announcement cop variant: memoryless states, cops pick A each round."""
-    _check_cops_n("solve_copw_prime", g, max_n)
+    _check_cops("solve_copw_prime", g, k, max_n)
     rules = _CopPrimeRules(g, r, k)
     n = g.n
     moves = _subset_masks(n, k)
@@ -1028,15 +940,12 @@ class Trace:
 
 
 def _move_json(move):
-    if isinstance(move, FlipSpec):
-        return move.to_json()
-    if isinstance(move, CutFlip):
-        return move.to_json()
-    if isinstance(move, frozenset):
+    """A move its rules have checked, as JSON."""
+    if isinstance(move, (frozenset, set)):
         return {"cops": sorted(move)}
-    if isinstance(move, tuple) and len(move) == 2 and isinstance(move[1], FlipSpec):
+    if isinstance(move, tuple):
         return {"s": sorted(move[0]), "flip": move[1].to_json()}
-    return repr(move)
+    return move.to_json()
 
 
 def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,

@@ -40,6 +40,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
+        if n < 0:
+            raise GenerationError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -49,10 +49,9 @@ class ContractionSequence:
     @classmethod
     def from_json(cls, n, obj):
         try:
-            merges = [tuple(m) for m in obj["merges"]]
-        except (KeyError, TypeError) as e:
-            raise SchemaError(f"contraction sequence JSON missing field: {e}") from None
-        return cls(n, merges)
+            return cls(n, [tuple(m) for m in obj["merges"]])
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"contraction sequence JSON: {e}") from None
 
 
 def homogeneous(g, xmask, ymask):

@@ -5,15 +5,22 @@ code path with the package: different data structures (sets/dicts instead
 of bitmasks), different algorithms (order enumeration instead of DP,
 path enumeration instead of incremental BFS).
 
-One shared path: solve_flipper_concrete takes its flips and their rows from
-the package enumerators.  It is an oracle for the position-set abstraction
-of the game solvers, not for enumeration, which test_flips.py checks
-against brute force.
+The flip-outcome stream at the end is the reference the package's outcome
+engine (flipwidth.bulk) is tested against.  It is the oracle's own: the
+package no longer reduces flips this way, so the two share no reduction
+code.  The stream takes its flips from the package enumerators, which
+test_flips.py checks against brute force, and reads the balls and
+isolation of the games' rules objects, whose plain bitmask walks
+test_games.py checks against these oracles.  solve_flipper_concrete, an
+oracle for the position-set abstraction of the game solvers, reads its
+flips from the same stream.
 """
 
 import itertools
+from collections import namedtuple
 
-from flipwidth.flips import distinct_flips, enumerate_definable_flips, enumerate_k_flips
+from flipwidth.flips import (CutFlip, enumerate_definable_flips, enumerate_k_flips,
+                             flip_masks, order_cuts, order_rows, subset_flip)
 from flipwidth.games import FLIPPER, RUNNER
 from flipwidth.graphs import INF
 
@@ -436,3 +443,60 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
                     changed = True
     flipper_wins = all(covered(_ball_of(g.adj, v, r)) for v in range(g.n))
     return FLIPPER if flipper_wins else RUNNER
+
+
+# ---------------------------------------------------------------------------
+# the flip-outcome stream
+
+
+def partition_flips(g, part, pairs, seen):
+    """(FlipSpec, rows) for every subset of `pairs` flipped over part, pair
+    subsets in binary counting order; rows are computed once per flip, and a
+    flip whose rows are already in `seen` is skipped (seen is extended)."""
+    for sub in range(1 << len(pairs)):
+        spec = subset_flip(part, pairs, sub)
+        masks = flip_masks(g, spec)
+        if masks not in seen:
+            seen.add(masks)
+            yield spec, masks
+
+
+def distinct_flips(g, parts):
+    """Stream (move, rows) over a partition stream from flipwidth.flips, one
+    per distinct edge set, the first flip of each kept; the move is the
+    FlipSpec when the stream's tag is None and (tag, FlipSpec) otherwise."""
+    seen = set()
+    for tag, part, pairs in parts:
+        for spec, masks in partition_flips(g, part, pairs, seen):
+            yield (spec if tag is None else (tag, spec)), masks
+
+
+def cut_flip_stream(og, k):
+    """Stream (CutFlip, (weight0, weight1)): every distinct <= k edge flip,
+    its rows as the weight-1 rows, crossed with every cut |S| <= k."""
+    g = og.graph
+    weight0 = [(cut, order_rows(g.n, cut)) for cut in order_cuts(g.n, k)]
+    for spec, w1 in distinct_flips(g, enumerate_k_flips(g, k, max_n=g.n)):
+        for cut, w0 in weight0:
+            yield CutFlip(spec, cut), (w0, w1)
+
+
+StreamOutcome = namedtuple("StreamOutcome", "move iso balls")
+
+
+def outcome_stream(rules, moves):
+    """Distinct (iso, ballmap) outcomes over a stream of (move, masks), each
+    with the first move that gives it, under the rules' ball and trapped."""
+    n, ball, trapped = rules.n, rules.ball, rules.trapped
+    seen = set()
+    order = []
+    for move, masks in moves:
+        iso = 0
+        for v in range(n):
+            if trapped(masks, v):
+                iso |= 1 << v
+        key = (iso, tuple(ball(masks, v) for v in range(n)))
+        if key not in seen:
+            seen.add(key)
+            order.append(StreamOutcome(move, *key))
+    return order

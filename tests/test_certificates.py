@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import distinct_flips
 from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
                                     RichDivision, WellLinkedCert,
                                     adm_robber_strategy, certificate_from_json,
@@ -16,7 +17,7 @@ from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
                                     verify_rich_division,
                                     well_linked_to_hideout)
 from flipwidth.errors import CertificateInvalid, GenerationError, SchemaError
-from flipwidth.flips import distinct_flips, enumerate_k_flips
+from flipwidth.flips import enumerate_k_flips
 from flipwidth.games import (COPS, ROBBER, RUNNER, IdentityFlipper,
                              simulate_match, solve_cops, solve_copw_prime,
                              solve_flipper, solve_ordered)

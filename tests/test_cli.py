@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import signal
 import subprocess
 import sys
 
 import pytest
 from test_cli_pins import C6_SIDES
+
+from flipwidth import cli
 
 
 def run_cli(*args, stdin=None):
@@ -241,6 +246,60 @@ def test_game_value_on_the_empty_graph(game, value):
     assert json.loads(out)["value"] == value
 
 
+# certificate files the cases below name as {name}
+CERTIFICATES = {
+    "hideout": {"kind": "flip_hideout", "U": [0, 1, 2, 3, 4], "r": 2, "k": 1, "d": 1},
+    "hideout_on_path3": {"kind": "flip_hideout", "U": [0, 1, 2], "r": 1, "k": 1, "d": 1},
+    "hideout_vertex_9": {"kind": "flip_hideout", "U": [0, 9], "r": 1, "k": 1, "d": 0},
+    "hideout_u_text": {"kind": "flip_hideout", "U": "ab", "r": 1, "k": 1, "d": 0},
+    "order_vertex_5": {"kind": "order", "order": [0, 5], "r": 1, "k": 1},
+    "division_short_interval": {"kind": "rich_division", "L": [[0]], "R": [[0, 2]], "k": 1},
+    "sequence_short_merge": {"kind": "contraction_sequence", "merges": [[0]]},
+    "order": {"kind": "order", "order": [0, 1, 2], "r": 1, "k": 1},
+    "cops_hideout": {"kind": "cops_hideout", "U": [0, 1], "r": 1, "k": 1},
+    "well_linked": {"kind": "well_linked", "U": [0, 1], "k": 1},
+    "division": {"kind": "rich_division", "L": [[0, 2]], "R": [[0, 2]], "k": 1},
+}
+
+
+def _duel(game, evader, cert):
+    return ["duel", "--family", "path:3", "--game", game, "--r", "1", "--k", "1",
+            "--pursuer", "identity", "--evader", evader, "--certificate", "{" + cert + "}"]
+
+
+# (id, argv, exit code): malformed certificates and certificates of the wrong kind
+CERTIFICATE_CASES = [
+    (f"certify-{cert}", ["certify", "--family", "path:3", "{" + cert + "}"], 4)
+    for cert in ("hideout_vertex_9", "hideout_u_text", "order_vertex_5",
+                 "division_short_interval", "sequence_short_merge")
+] + [
+    (f"duel-hideout-{cert}", _duel("flip", "hideout", cert), 4)
+    for cert in ("hideout_vertex_9", "hideout_u_text", "order", "cops_hideout",
+                 "well_linked", "division")
+] + [
+    ("duel-richdivision-division_short_interval",
+     _duel("ordered", "richdivision", "division_short_interval"), 4),
+    ("duel-richdivision-hideout", _duel("ordered", "richdivision", "hideout"), 4),
+]
+
+# (id, argv) exiting 3: strategies in the wrong role or game, cutrank vertices
+# outside the graph
+ROLE_CASES = [
+    (f"duel-{name}-as-evader",
+     ["duel", "--family", "path:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "solver-witness", "--evader", name])
+    for name in ("identity", "random", "btww", "order-cops", "halfgraph")
+] + [
+    ("duel-hideout-as-pursuer",
+     ["duel", "--family", "path:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "hideout", "--evader", "solver-witness",
+      "--certificate", "{hideout_on_path3}"]),
+    ("duel-hideout-in-the-cop-game", _duel("cop", "hideout", "hideout")),
+    ("cutrank-set-vertex-7", ["param", "--family", "path:3", "cutrank", "--set", "7"]),
+    ("cutrank-set-vertex-negative", ["param", "--family", "path:3", "cutrank", "--set=-1"]),
+]
+
+
 @pytest.mark.parametrize("argv,stdin,code", [
     (["param", "--family", "clique:abc", "degeneracy"], None, 3),
     (["param", "--family", "gnp:8", "degeneracy"], None, 3),
@@ -267,22 +326,49 @@ def test_game_value_on_the_empty_graph(game, value):
     (["duel", "--family", "cycle:5", "--game", "flip", "--r", "1", "--k", "0",
       "--pursuer", "random:3", "--evader", "hideout", "--certificate", "{hideout}"],
      None, 3),
-], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
+] + [(argv, None, code) for _, argv, code in CERTIFICATE_CASES]
+  + [(argv, None, 3) for _, argv in ROLE_CASES], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
         "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type",
         "duel-hideout-no-certificate", "duel-richdivision-no-certificate",
         "duel-copprime-empty-graph", "bipartite-width-0", "duel-bipartite-width-0",
-        "duel-random-width-0"])
+        "duel-random-width-0"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
+    + [case_id for case_id, _ in ROLE_CASES])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    hideout = tmp_path / "hideout.json"
-    hideout.write_text(json.dumps({"kind": "flip_hideout", "U": [0, 1, 2, 3, 4],
-                                   "r": 2, "k": 1, "d": 1}))
-    paths = {"{missing}": str(tmp_path / "missing"), "{bad_json}": str(bad_json),
-             "{hideout}": str(hideout)}
+    paths = {"{missing}": str(tmp_path / "missing"), "{bad_json}": str(bad_json)}
+    for name, cert in CERTIFICATES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert))
+        paths["{" + name + "}"] = str(path)
     rc, out, err = run_cli(*[paths.get(a, a) for a in argv], stdin=stdin)
     assert (rc, out) == (code, "")
     assert "Traceback" not in err and err.strip()
     if argv[-1] in ("hideout", "richdivision"):
         assert "--certificate" in err
+
+
+@pytest.mark.parametrize("game", ["flip", "dfw", "bipartite", "ordered"])
+def test_more_than_64_vertices_exit_2_naming_the_bound(game):
+    path65 = ("65 64\n" + "".join(f"{v} {v + 1}\n" for v in range(64))
+              + "".join(f"c {v} {1 + v % 2}\n" for v in range(65)))
+    rc, out, err = run_cli("game", "-", game, "--r", "1", "--k", "1", "--max-n", "65",
+                           stdin=path65)
+    assert (rc, out) == (2, "")
+    assert "bound of 64 vertices" in err
+
+
+def test_timeout_does_not_outlive_main():
+    """The alarm --timeout sets is disarmed, and the SIGALRM handler put
+    back, when cli.main returns."""
+    previous = signal.getsignal(signal.SIGALRM)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--timeout", "0.5", "game", "--family", "clique:3", "flip",
+                             "--r", "1", "--k", "1"]) == 0
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,14 +3,15 @@ import random
 import pytest
 
 import oracles
+from oracles import distinct_flips
 from flipwidth.errors import GenerationError, LimitExceeded
 from flipwidth.flips import (CutFlip, FlipSpec, Partition, apply_flip,
                              block_pairs, compose_flips, count_raw_flips,
-                             cut_flip_ball, cut_flip_weighted, distinct_flips,
+                             cut_flip_ball, cut_flip_weighted,
                              enumerate_bipartite_flips, enumerate_cut_flips,
                              enumerate_definable_flips, enumerate_k_flips,
-                             flip_masks, identity_flip, rgs_partitions,
-                             s_types)
+                             flip_masks, identity_flip, order_cuts,
+                             rgs_partitions, s_types)
 from flipwidth.graphs import (INF, Graph, OrderedGraph, complement, generate,
                               mask_of)
 
@@ -116,11 +117,14 @@ def test_enumerators_yield_each_edge_set_once_with_its_rows():
         assert all(rows == flip_masks(g, spec) for spec, rows in flips), name
         assert len({rows for _, rows in flips}) == len(flips), name
     og = OrderedGraph(g)
-    cut_flips = list(enumerate_cut_flips(og, 2))
+    cut_flips = list(oracles.cut_flip_stream(og, 2))
     assert all(rows == cut_flip_weighted(og, cf) for cf, rows in cut_flips)
     # every distinct edge flip with every cut of size <= 2
     edge_sets = list(distinct_flips(g, enumerate_k_flips(g, 2)))
+    assert len(order_cuts(5, 2)) == 1 + 5 + 10
     assert len(cut_flips) == len(edge_sets) * (1 + 5 + 10)
+    # the ordered family's own stream is that of the <= 2-flips
+    assert list(enumerate_cut_flips(og, 2)) == list(enumerate_k_flips(g, 2))
 
 
 def test_sequential_flip_equivalence():

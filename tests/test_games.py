@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -7,7 +8,7 @@ import oracles
 from conftest import atlas_graphs, random_graphs
 from oracles import solve_flipper_concrete
 from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
-from flipwidth.flips import FlipSpec, Partition, identity_flip
+from flipwidth.flips import CutFlip, FlipSpec, Partition, identity_flip
 from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              HalfGraphFlipper, IdentityFlipper, RandomFlipper,
                              approx_flip_width, bipartite_flip_width,
@@ -45,87 +46,129 @@ def test_halfgraph_k3_and_k4():
     assert solve_flipper(h6, INF, 3, max_n=12).winner == FLIPPER
 
 
-def test_bulk_outcomes_match_stream(monkeypatch):
-    """At every radius the numpy engine gives the Python stream's outcomes
-    for the flip, definable and bipartite families: the same moves,
-    isolated sets and balls, in the same order."""
-    from functools import partial
+def _move_key(move):
+    if move is None or isinstance(move, (FlipSpec, CutFlip)):
+        return None if move is None else move.to_json()
+    return move[0], move[1].to_json()
 
+
+def _outcome_key(outcomes):
+    return [(_move_key(o.move), o.iso, o.balls) for o in outcomes]
+
+
+def _outcome_cases(g, ks):
+    """(label, engine, stream) for each flip family of g named in ks, at each
+    of its widths there: engine(r) gives the outcome list of bulk and
+    stream(r) the oracle stream's.  The families are flip, dfw, bipartite
+    (when g has a 2-colouring), ordered (the cut-flips) and gaifman (the
+    binary ordered game's Gaifman graphs)."""
     from flipwidth import bulk, games
-    from flipwidth.flips import (distinct_flips, enumerate_bipartite_flips,
-                                 enumerate_definable_flips, enumerate_k_flips)
-    engine = bulk.outcomes
-    calls = []
-    monkeypatch.setattr(bulk, "outcomes",
-                        lambda g, r, parts: calls.append(r) or engine(g, r, parts))
+    from flipwidth.flips import (enumerate_bipartite_flips, enumerate_definable_flips,
+                                 enumerate_k_flips)
+    og = OrderedGraph(g)
+    left = _bipartition(g)
+    cases = []
 
-    def key(outcomes):
-        return [((o.move[0], o.move[1].to_json()) if isinstance(o.move, tuple)
-                 else o.move.to_json(), o.iso, o.balls) for o in outcomes]
+    def add(label, engine, rules, moves):
+        moves = list(moves)
+        cases.append((label, engine,
+                      lambda r: oracles.outcome_stream(rules(r), moves)))
 
-    def bipartite_outcomes(g, r, left, k):
-        return games._family_outcomes(games._BipartiteRules(g, r, k, left),
-                                      enumerate_bipartite_flips(g, left, k))
+    for k in ks.get("flip", ()):
+        add(f"flip k={k}", partial(games._flip_outcomes, g, k=k, max_n=g.n),
+            partial(games._FlipRules, g, k=k),
+            oracles.distinct_flips(g, enumerate_k_flips(g, k, max_n=g.n)))
+    for k in ks.get("dfw", ()):
+        add(f"dfw k={k}", partial(games._definable_outcomes, g, k=k),
+            partial(games._DefinableRules, g, k=k),
+            oracles.distinct_flips(g, enumerate_definable_flips(g, k)))
+    for k in ks.get("bipartite", ()) if left is not None else ():
+        add(f"bipartite k={k}",
+            lambda r, k=k: bulk.outcomes(g, r, enumerate_bipartite_flips(g, left, k)),
+            partial(games._BipartiteRules, g, k=k, left_mask=left),
+            oracles.distinct_flips(g, enumerate_bipartite_flips(g, left, k)))
+    for k in ks.get("ordered", ()):
+        add(f"ordered k={k}", partial(games._cut_flip_outcomes, og, k=k),
+            partial(games._OrderedRules, og, k=k), oracles.cut_flip_stream(og, k))
+    for k in ks.get("gaifman", ()):
+        add(f"gaifman k={k}", partial(games._binary_gaifman_outcomes, og, k=k),
+            partial(games._OrderedBinaryRules, og, k=k),
+            ((None, rows) for rows in games._gaifman_graphs(og, k)))
+    return cases
 
-    cases = []     # (g, outcomes at radius r, the family's enumerator)
-    for g in atlas_graphs(5):
-        for k in (1, 2, 3):
-            cases.append((g, partial(games._flip_outcomes, g, k=k), enumerate_k_flips(g, k)))
-        # definable k=3 on five vertices streams 850k raw flips per graph
-        for k in (0, 1, 2, 3) if g.n <= 4 else (0, 1, 2):
-            cases.append((g, partial(games._definable_outcomes, g, k=k),
-                          enumerate_definable_flips(g, k)))
-        left = _bipartition(g)
-        if left is not None:
-            for k in (1, 2, 3):
-                cases.append((g, partial(bipartite_outcomes, g, left=left, k=k),
-                              enumerate_bipartite_flips(g, left, k)))
-    for g, solve, parts in cases:
-        flips = list(distinct_flips(g, parts))
-        for r in (0, 1, 2, INF):
-            # the stream reads only the rules' ball and trapped, not the width
-            want = games._outcome_stream(games._FlipRules(g, r, None), flips)
-            assert key(solve(r)) == key(want), (g.adj, r, flips[-1][0])
-    assert len(calls) == 4 * len(cases)
+
+def _assert_engine_matches_stream(g, ks, radii=(0, 1, 2, INF)):
+    for label, engine, stream in _outcome_cases(g, ks):
+        for r in radii:
+            assert _outcome_key(engine(r)) == _outcome_key(stream(r)), (g.adj, label, r)
+
+
+# every family at k = 1, for paths longer than the 16 vertices of uint16 rows
+PATH_WIDTH_1 = {f: (1,) for f in ("flip", "dfw", "bipartite", "ordered", "gaifman")}
+
+
+def test_bulk_outcomes_match_stream():
+    """At every radius the numpy engine gives the oracle stream's outcomes
+    for every flip family: the same moves, isolated sets and balls, in the
+    same order; n = 0 and paths on 17, 33 and 64 vertices included."""
+    for g in atlas_graphs(5, min_n=0):
+        small = g.n <= 4
+        _assert_engine_matches_stream(g, {
+            "flip": (1, 2, 3),
+            # definable k=3 on five vertices streams 850k raw flips per graph
+            "dfw": (0, 1, 2, 3) if small else (0, 1, 2),
+            "bipartite": (1, 2, 3),
+            "ordered": (1, 2, 3) if small else (1, 2),
+            "gaifman": (1, 2, 3) if small else (1, 2)})
+    for n in (17, 33):
+        _assert_engine_matches_stream(generate("path", n), PATH_WIDTH_1)
+    _assert_engine_matches_stream(generate("path", 64), PATH_WIDTH_1, radii=(0, 1))
 
 
 def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
-    """With batches of 16 flips, partitions spread over many batches and a
-    partition with 64 or more pair subsets is sliced over several; the
-    outcomes stay the stream's."""
-    from flipwidth import bulk, games
-    from flipwidth.flips import distinct_flips, enumerate_definable_flips, enumerate_k_flips
+    """With batches of 16 (flip, cut) pairs, partitions spread over many
+    batches, a partition with 16 or more of them is sliced over several,
+    and Gaifman graphs come 16 at a time; the outcomes stay the stream's."""
+    from flipwidth import bulk
     monkeypatch.setattr(bulk, "BATCH", 16)
-
-    def key(outcomes):
-        return [(repr(o.move), o.iso, o.balls) for o in outcomes]
-
     for g in atlas_graphs(5, min_n=5)[::8]:
-        flips = list(distinct_flips(g, enumerate_k_flips(g, 3)))
-        defin = list(distinct_flips(g, enumerate_definable_flips(g, 2)))
-        for r in (0, 2, INF):
-            stream = games._FlipRules(g, r, None)
-            assert key(games._flip_outcomes(g, r, 3)) == key(
-                games._outcome_stream(stream, flips))
-            assert key(games._definable_outcomes(g, r, 2)) == key(
-                games._outcome_stream(stream, defin))
+        _assert_engine_matches_stream(
+            g, {"flip": (3,), "dfw": (2,), "ordered": (2,), "gaifman": (2,)},
+            radii=(0, 2, INF))
+    _assert_engine_matches_stream(Graph(0, []), {f: (1,) for f in PATH_WIDTH_1})
+    for n in (17, 33):
+        _assert_engine_matches_stream(generate("path", n), PATH_WIDTH_1)
+    _assert_engine_matches_stream(generate("path", 64), PATH_WIDTH_1, radii=(0, 1))
 
 
 def test_radius_inf_solves_the_engine_does_not_take():
-    from flipwidth import bulk
+    """The engine once took only 1 <= n <= 16: the empty graph and a
+    17-vertex path, at r=inf and r=2, now go through it like any other."""
+    from flipwidth import bulk, games
     from flipwidth.flips import enumerate_k_flips
     for r in (INF, 0, 2):
         sol = solve_flipper(Graph(0, []), r, 1)
         assert (sol.winner, sol.rounds, sol.win_table) == (FLIPPER, 0, {})
     path = generate("path", 17)
-    with pytest.raises(LimitExceeded):
-        bulk.component_outcomes(path, 1)
-    with pytest.raises(LimitExceeded):
-        bulk.outcomes(path, 2, enumerate_k_flips(path, 1))
+    flips = list(oracles.distinct_flips(path, enumerate_k_flips(path, 1)))
+    assert _outcome_key(bulk.component_outcomes(path, 1)) == _outcome_key(
+        oracles.outcome_stream(games._FlipRules(path, INF, 1), flips))
+    assert _outcome_key(bulk.outcomes(path, 2, enumerate_k_flips(path, 1))) == _outcome_key(
+        oracles.outcome_stream(games._FlipRules(path, 2, 1), flips))
     assert solve_flipper(path, INF, 1).winner == RUNNER
     assert solve_flipper(path, 2, 1).winner == RUNNER
     with pytest.raises(GenerationError):
         solve_flipper(generate("cycle", 4), INF, 0)
+
+
+def test_the_engine_refuses_more_than_64_vertices():
+    from flipwidth import bulk
+    from flipwidth.flips import enumerate_k_flips
+    path = generate("path", 65)
+    with pytest.raises(LimitExceeded, match="bound of 64 vertices"):
+        bulk.outcomes(path, 1, enumerate_k_flips(path, 1, max_n=65))
+    with pytest.raises(LimitExceeded, match="bound of 64 vertices"):
+        solve_definable(path, INF, 1)
 
 
 def test_complement_invariance(atlas5):

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from conftest import atlas_graphs
+from oracles import distinct_flips
 from flipwidth.errors import GenerationError, ParseError
-from flipwidth.flips import FlipSpec, Partition, distinct_flips, enumerate_k_flips
+from flipwidth.flips import FlipSpec, Partition, enumerate_k_flips
 from flipwidth.games import (FLIPPER, RUNNER, bipartite_flip_width,
                              flip_width, pursuer_beats_every_evader,
                              simulate_match, solve_bipartite, solve_flipper)
