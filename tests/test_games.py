@@ -8,7 +8,7 @@ import oracles
 from conftest import atlas_graphs, random_graphs
 from oracles import solve_flipper_concrete
 from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
-from flipwidth.flips import CutFlip, FlipSpec, Partition, identity_flip
+from flipwidth.flips import FlipSpec, Partition, identity_flip
 from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              HalfGraphFlipper, IdentityFlipper, RandomFlipper,
                              approx_flip_width, bipartite_flip_width,
@@ -47,9 +47,10 @@ def test_halfgraph_k3_and_k4():
 
 
 def _move_key(move):
-    if move is None or isinstance(move, (FlipSpec, CutFlip)):
-        return None if move is None else move.to_json()
-    return move[0], move[1].to_json()
+    """A move as JSON: none for a Gaifman graph, or a flip, cut-flip or (S, flip)."""
+    if isinstance(move, tuple):
+        return move[0], move[1].to_json()
+    return None if move is None else move.to_json()
 
 
 def _outcome_key(outcomes):
@@ -103,8 +104,8 @@ def _assert_engine_matches_stream(g, ks, radii=(0, 1, 2, INF)):
             assert _outcome_key(engine(r)) == _outcome_key(stream(r)), (g.adj, label, r)
 
 
-# every family at k = 1, for paths longer than the 16 vertices of uint16 rows
-PATH_WIDTH_1 = {f: (1,) for f in ("flip", "dfw", "bipartite", "ordered", "gaifman")}
+# every family at k = 1, for n = 0 and paths longer than uint16 rows hold
+EVERY_FAMILY_AT_K1 = {f: (1,) for f in ("flip", "dfw", "bipartite", "ordered", "gaifman")}
 
 
 def test_bulk_outcomes_match_stream():
@@ -121,8 +122,8 @@ def test_bulk_outcomes_match_stream():
             "ordered": (1, 2, 3) if small else (1, 2),
             "gaifman": (1, 2, 3) if small else (1, 2)})
     for n in (17, 33):
-        _assert_engine_matches_stream(generate("path", n), PATH_WIDTH_1)
-    _assert_engine_matches_stream(generate("path", 64), PATH_WIDTH_1, radii=(0, 1))
+        _assert_engine_matches_stream(generate("path", n), EVERY_FAMILY_AT_K1)
+    _assert_engine_matches_stream(generate("path", 64), EVERY_FAMILY_AT_K1, radii=(0, 1))
 
 
 def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
@@ -135,15 +136,18 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
         _assert_engine_matches_stream(
             g, {"flip": (3,), "dfw": (2,), "ordered": (2,), "gaifman": (2,)},
             radii=(0, 2, INF))
-    _assert_engine_matches_stream(Graph(0, []), {f: (1,) for f in PATH_WIDTH_1})
+    for g in atlas_graphs(4, min_n=4)[::3]:
+        _assert_engine_matches_stream(g, {"ordered": (3,), "gaifman": (3,)}, radii=(0, 2, INF))
+    _assert_engine_matches_stream(Graph(0, []), EVERY_FAMILY_AT_K1)
     for n in (17, 33):
-        _assert_engine_matches_stream(generate("path", n), PATH_WIDTH_1)
-    _assert_engine_matches_stream(generate("path", 64), PATH_WIDTH_1, radii=(0, 1))
+        _assert_engine_matches_stream(generate("path", n), EVERY_FAMILY_AT_K1)
+    _assert_engine_matches_stream(generate("path", 64), EVERY_FAMILY_AT_K1, radii=(0, 1))
 
 
 def test_radius_inf_solves_the_engine_does_not_take():
-    """The engine once took only 1 <= n <= 16: the empty graph and a
-    17-vertex path, at r=inf and r=2, now go through it like any other."""
+    """Graphs outside 1 <= n <= 16, where rows need a wider word than
+    uint16: on the empty graph and a 17-vertex path, at r=inf and r=2, the
+    engine gives the oracle stream's outcomes."""
     from flipwidth import bulk, games
     from flipwidth.flips import enumerate_k_flips
     for r in (INF, 0, 2):

@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from flipwidth.errors import FlipwidthError
 from flipwidth.games import (solve_bipartite, solve_definable, solve_flipper,
                              solve_ordered, solve_ordered_binary)
 from flipwidth.graphs import INF, Graph, OrderedGraph
@@ -76,7 +77,7 @@ def dump_lines():
             for game, k, solve in solves(g):
                 try:
                     out = solve(r).to_json(witness=True)
-                except Exception as e:      # the error is part of the pin
+                except FlipwidthError as e:     # the error is part of the pin
                     out = {"error": type(e).__name__, "message": str(e)}
                 head = {"atlas": index, "game": game, "r": "inf" if r is INF else r, "k": k}
                 yield json.dumps({**head, "out": out}, sort_keys=True)
