@@ -9,11 +9,11 @@ The flip-outcome stream at the end is the reference the package's outcome
 engine (flipwidth.bulk) is tested against.  It is the oracle's own: the
 package no longer reduces flips this way, so the two share no reduction
 code.  The stream takes its flips from the package enumerators, which
-test_flips.py checks against brute force, and reads the balls and
-isolation of the games' rules objects, whose plain bitmask walks
-test_games.py checks against these oracles.  solve_flipper_concrete, an
-oracle for the position-set abstraction of the game solvers, reads its
-flips from the same stream.
+test_flips.py checks against brute force, and its balls and isolation from
+the games' rules objects: plain bitmask walks, apart from the engine's
+numpy kernels (test_flips.py checks the cut-flip walk by hand).
+solve_flipper_concrete, an oracle for the position-set abstraction of the
+game solvers, reads its flips from the same stream.
 """
 
 import itertools
