@@ -2,8 +2,8 @@
 solving, certificate verification, match duels, and the approximation
 routine.  All outputs are deterministic for a fixed input and seed.
 
-Exit codes: 0 ok; 2 limit exceeded; 3 parse error; 4 certificate schema
-error; 5 illegal strategy move.
+Exit codes: 0 ok; 2 limit exceeded; 3 parse error, usage errors included;
+4 certificate schema error; 5 illegal strategy move.
 """
 
 import argparse
@@ -23,10 +23,10 @@ DEFAULT_SEED = 1729
 
 
 @contextlib.contextmanager
-def _timeout(seconds):
-    """Abort with diagnostics (never partial answers) once the budget is up;
-    on leaving, the timer is disarmed and the previous SIGALRM handler is
-    back."""
+def _timeout(seconds, command):
+    """Abort with a LimitExceeded naming the budget and the subcommand
+    (never a partial answer) once the budget is up; on leaving, the timer is
+    disarmed and the previous SIGALRM handler is back."""
     if seconds is None:
         yield
         return
@@ -35,7 +35,7 @@ def _timeout(seconds):
     import signal
 
     def on_alarm(signum, frame):
-        raise LimitExceeded(f"timeout after {seconds}s; partial diagnostics only")
+        raise LimitExceeded(f"timeout after {seconds}s in {command}")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
     try:
@@ -63,6 +63,15 @@ def _parse_int(text, what):
         return int(text)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _parse_finite_radius(text):
+    """A nonnegative integer radius: the approximation's LOWER verdict is
+    about fw_{5r}."""
+    r = _parse_int(text, "radius")
+    if r < 0:
+        raise ParseError("radius must be nonnegative")
+    return r
 
 
 def _family_graph(spec_text):
@@ -382,10 +391,19 @@ def cmd_approx(ns):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError (exit 3), not
+    argparse's SystemExit(2), which would read as "limit exceeded".  The
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 @functools.cache
 def build_parser():
     """The `flipwidth` argument parser, built once: parsing leaves it as it is."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="flipwidth",
         description="flip-width / cop-width games, width parameters, certificates")
     top.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -447,7 +465,7 @@ def build_parser():
 
     p = sub.add_parser("approx", help="definable-game approximation verdict")
     add_graph_opts(p)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_parse_finite_radius, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(fn=cmd_approx)
 
@@ -457,7 +475,7 @@ def build_parser():
 def main(argv=None):
     try:
         ns = build_parser().parse_args(argv)
-        with _timeout(ns.timeout):
+        with _timeout(ns.timeout, ns.command):
             return ns.fn(ns)
     except LimitExceeded as e:
         print(f"limit exceeded: {e}", file=sys.stderr)

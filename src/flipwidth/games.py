@@ -15,15 +15,17 @@ partition streams from `flips`, the ordered cut-flips as the k-flip stream
 crossed with the cuts, and the Gaifman graphs of the binary ordered game,
 generated here, as adjacency rows.
 
-Cops-style games keep their concrete states ((cops, robber) or just the
-robber vertex for the no-announcement variant).
+The three cop games (cop, isolation and the no-announcement copprime)
+share one least fixpoint over (cop set S, robber vertex v) states, read off
+a table of the robber's reach around each blocked set.  The copprime state
+forgets the cop set, so its table has one row that every move reads.
 
 Each game's rules are stated once, in a stateless rules object (the
 `_*Rules` classes, built by `make_rules`): the move before round 1, what a
 move does (`masks`), how far the evader may go (`ball`, `legal`), when it is
 caught (`trapped`) and the state a response leads to (`after`).  The
-solvers, their witnesses (`TableFlipper`, `CopTable`, `CopPrimeTable` and
-the one `TableEvader`) and the simulation harness all read that object; the
+solvers, their witnesses (`TableFlipper`, `CopTable` and the one
+`TableEvader`) and the simulation harness all read that object; the
 harness carries the previous move itself.
 """
 
@@ -329,11 +331,16 @@ class _CopRules:
     """Cops and Robber with announced moves: a move is the next cop set S2,
     whose masks are its vertex mask, and the robber runs at speed r through
     the vertices free of grounded(S, S2), the cops both on the old set S and
-    on S2.  ball(blocked, v) is the reach from v in G - blocked, the robber
-    is caught on a cop, and after(S2, u) is the state (S2, u)."""
+    on S2.  ball(blocked, v) is the reach from v in G - blocked, where a cop
+    on v does not block v itself, the robber is caught on a cop, and
+    after(S2, u) is the state (S2, u); `keeps_cops` says that the state
+    records the cop set.  greedy(reach, S2, won) scores S2 for a losing
+    side, given the robber's reach and the win table: here the cops on the
+    reach."""
 
     game = "cop"
     start = 0
+    keeps_cops = True
 
     def __init__(self, g, r, k):
         self.g = g
@@ -364,6 +371,10 @@ class _CopRules:
     def after(self, s2, u):
         return s2, u
 
+    @staticmethod
+    def greedy(reach, s2, won):
+        return popcount(reach & s2)
+
 
 class _IsolationRules(_CopRules):
     """Isolation game: the robber's path avoids all previous cop positions."""
@@ -378,22 +389,29 @@ class _IsolationRules(_CopRules):
 class _CopPrimeRules(_CopRules):
     """No-announcement variant: against the cop set A the robber may stay
     off A or move along a path of length 1..r whose non-start vertices avoid
-    A, and is caught when no response is left.  ball(A, v) is the mask of
-    those responses and after(A, u) the robber's vertex u."""
+    A, and is caught when no response is left.  Every cop of A blocks, ball(A,
+    v) is the mask of those responses, after(A, u) the robber's vertex u, and
+    a losing side scores A by the responses that are won."""
 
     game = "copprime"
+    keeps_cops = False
+
+    @staticmethod
+    def grounded(S, S2):
+        return S2
 
     def ball(self, a_mask, v):
-        return super().ball(a_mask & ~(1 << v), v) & ~a_mask
+        return super().ball(a_mask, v) & ~a_mask
 
     def trapped(self, a_mask, v):
         return False    # capture happens through an empty legal set
 
-    def legal(self, prev, a_mask, pos):
-        return tuple(bits(self.ball(a_mask, pos)))
-
     def after(self, a_mask, u):
         return u
+
+    @staticmethod
+    def greedy(reach, a_mask, won):
+        return sum(1 for u in bits(reach & ~a_mask) if u in won)
 
 
 _RULES = {"flip": _FlipRules, "dfw": _DefinableRules, "cop": _CopRules,
@@ -723,16 +741,13 @@ COPS_MAX_N = 10
 
 def _reach_table(g, r):
     """reach[v][B]: vertices reachable from v by a path of length <= r in
-    G - B (v itself always included; callers never query v in B)."""
+    G - B, where a cop on v does not block v itself (v always included)."""
     n = g.n
     table = [[0] * (1 << n) for _ in range(n)]
-    for v in range(n):
-        row = table[v]
-        for B in range(1 << n):
-            if (B >> v) & 1:
-                continue
-            masks = [g.adj[u] & ~B for u in range(n)]
-            row[B] = ball_mask(masks, v, r)
+    for B in range(1 << n):
+        masks = [row & ~B for row in g.adj]
+        for v in range(n):
+            table[v][B] = ball_mask(masks, v, r)
     return table
 
 
@@ -765,48 +780,57 @@ def solve_isolation(g, r, k, max_n=None):
 
 
 def _solve_cops_family(rules):
-    """Least fixpoint over the states (S, v) of the cop and isolation games;
-    rules.grounded(S, S2) names the cops that block the robber's path."""
+    """Least fixpoint over the (S, v) states of the three cop games.
+
+    Bit v of win[S] says that the cops win with the robber on v and the cop
+    set S.  The move S2 wins there when every vertex of reach[v][B], B =
+    rules.grounded(S, S2), is on S2 or won in the row of S2.  The copprime
+    state forgets the cop set, so win has one row that every move reads.
+    The win table is keyed by rules.after(S, v); copprime's records the
+    witness's move.
+    """
     import numpy as np
     n = rules.n
-    nstates = 1 << n
     reach = _reach_table(rules.g, rules.r)
-    reach_np = np.array(reach, dtype=np.uint32)
+    reach_of = np.array(reach, dtype=np.uint32).reshape(n, 1 << n).T   # [B, v]
+    bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     moves = _subset_masks(n, rules.k)
-    masks_arr = np.arange(nstates, dtype=np.uint32)
-    win = np.zeros(nstates, dtype=np.uint32)       # bit v: cops win at (S, v)
-    won = {}                                       # (S, v) -> (rounds, None)
+    rows = np.arange(1 << n if rules.keeps_cops else 1, dtype=np.uint32)
+    win = np.zeros(len(rows), dtype=np.uint32)
+    won = {}                                       # after(S, v) -> (rounds, None)
     iteration = 0
     while True:
         iteration += 1
-        allowed = {s2: np.uint32(s2 | int(win[s2])) for s2 in moves}
-        new = np.zeros(nstates, dtype=np.uint32)
+        new = np.zeros_like(win)
         for s2 in moves:
-            a = allowed[s2]
-            B = rules.grounded(masks_arr, np.uint32(s2))
-            for v in range(n):
-                rv = reach_np[v][B]
-                ok = (rv & ~a) == 0
-                new |= ok.astype(np.uint32) << np.uint32(v)
-        new &= ~masks_arr          # states require v not in S
-        new &= ~win
+            allowed = np.uint32(s2 | int(win[s2 if rules.keeps_cops else 0]))
+            hit = reach_of.take(rules.grounded(rows, np.uint32(s2)), axis=0)
+            new |= ((hit & ~allowed) == 0) @ bit
+        new &= ~rows & ~win        # states require v not in S
         if not new.any():
             break
-        idx = np.nonzero(new)[0]
-        for s in idx.tolist():
+        for s in np.nonzero(new)[0].tolist():
             for v in bits(int(new[s])):
-                won[(s, v)] = (iteration, None)
+                won[rules.after(s, v)] = (iteration, None)
         win |= new
     init = _initial_states(rules)
     cops_win = all(state in won for state in init)
     rounds = max((won[state][0] for state in init), default=0) if cops_win else None
+    pursuer = CopTable(rules, reach, won, moves)
+    table = won if rules.keeps_cops else {
+        v: (rd, {"cops": sorted(pursuer.move(rules.start, v)[0])}) for v, (rd, _) in won.items()}
     return GameSolution(rules.game, rules.r, rules.k, COPS if cops_win else ROBBER, rounds,
-                        won, CopTable(rules, reach, won, moves), TableEvader(rules, won, init),
-                        init)
+                        table, pursuer, TableEvader(rules, won, init), init)
 
 
 class CopTable(Pursuer):
-    """Witness cop policy: round-decreasing, enumeration-first cop sets."""
+    """Witness cop policy for the three cop games; its state is the cop set.
+
+    At a won state rules.after(S, v) it plays the first move whose
+    responses were all won in earlier rounds, so replaying it strictly
+    decreases rounds; off the table, the move with the highest rules.greedy
+    score.
+    """
 
     def __init__(self, rules, reach, won, moves):
         self.rules = rules
@@ -815,21 +839,18 @@ class CopTable(Pursuer):
         self.moves = moves
 
     def start(self):
-        return self.rules.start   # current cop set mask
+        return self.rules.start
 
     def move(self, state, position):
-        S = state
-        entry = self.won.get((S, position))
-        t = None if entry is None else entry[0]
-        reach = self.reach[position]
-        grounded = self.rules.grounded
-        for s2 in self.moves:
-            rv = reach[grounded(S, s2)]
-            if all((s2, u) in self.won and (t is None or self.won[(s2, u)][0] < t)
-                   for u in bits(rv & ~s2)):
-                return frozenset(bits(s2)), s2
-        # losing side: grab the reachable set greedily
-        best = max(self.moves, key=lambda s2: popcount(reach[grounded(S, s2)] & s2))
+        rules, won, reach = self.rules, self.won, self.reach[position]
+        entry = won.get(rules.after(state, position))
+        if entry is not None:
+            for s2 in self.moves:
+                if all(won.get(rules.after(s2, u), entry)[0] < entry[0]
+                       for u in bits(reach[rules.grounded(state, s2)] & ~s2)):
+                    return frozenset(bits(s2)), s2
+        best = max(self.moves,
+                   key=lambda s2: rules.greedy(reach[rules.grounded(state, s2)], s2, won))
         return frozenset(bits(best)), best
 
 
@@ -844,52 +865,7 @@ def isolation_width(g, r, max_n=None):
 def solve_copw_prime(g, r, k, max_n=None):
     """No-announcement cop variant: memoryless states, cops pick A each round."""
     _check_cops("solve_copw_prime", g, k, max_n)
-    rules = _CopPrimeRules(g, r, k)
-    n = g.n
-    moves = _subset_masks(n, k)
-    won = {}
-    iteration = 0
-    while True:
-        iteration += 1
-        new = {}
-        for v in range(n):
-            if v in won:
-                continue
-            for A in moves:
-                if all(u in won for u in bits(rules.ball(A, v))):
-                    new[v] = (iteration, A)
-                    break
-        if not new:
-            break
-        won.update(new)
-    cops_win = len(won) == n
-    rounds = max((rd for rd, _ in won.values()), default=0) if cops_win else None
-    table = {v: (rd, {"cops": sorted(bits(A))}) for v, (rd, A) in won.items()}
-    init = _initial_states(rules)
-    return GameSolution("copprime", r, k, COPS if cops_win else ROBBER, rounds, table,
-                        CopPrimeTable(rules, moves, won), TableEvader(rules, won, init), init)
-
-
-class CopPrimeTable(Pursuer):
-    """Witness cop policy for the no-announcement game: a cop set that leaves
-    only responses won earlier, else the one leaving most won responses."""
-
-    def __init__(self, rules, moves, won):
-        self.rules = rules
-        self.moves = moves
-        self.won = won
-
-    def move(self, state, position):
-        won = self.won
-        entry = won.get(position)
-        if entry is not None:
-            t = entry[0]
-            for A in self.moves:
-                if all(u in won and won[u][0] < t for u in bits(self.rules.ball(A, position))):
-                    return frozenset(bits(A)), None
-        best = max(self.moves,
-                   key=lambda A: sum(1 for u in bits(self.rules.ball(A, position)) if u in won))
-        return frozenset(bits(best)), None
+    return _solve_cops_family(_CopPrimeRules(g, r, k))
 
 
 def copw_prime_width(g, r, max_n=None):

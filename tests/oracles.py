@@ -16,8 +16,9 @@ solve_flipper_concrete, an oracle for the position-set abstraction of the
 game solvers, reads its flips from the same stream.
 """
 
+import functools
 import itertools
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from flipwidth.flips import (CutFlip, enumerate_definable_flips, enumerate_k_flips,
                              flip_masks, order_cuts, order_rows, subset_flip)
@@ -365,36 +366,74 @@ def tww_exhaustive(g):
     return best[0]
 
 
-def isolation_game_oracle(g, r, k):
-    """Tiny recursive isolation-game solve on explicit states."""
-    from functools import lru_cache
-    n = g.n
-    subsets = [frozenset(c) for size in range(k + 1)
-               for c in itertools.combinations(range(n), size)]
+def cop_game_oracle(game, g, r, k):
+    """Least fixpoint of the cop, isolation or copprime game on explicit
+    states, from the definitions.
 
-    def reach(v, blocked):
-        out = {v}
-        frontier = {v}
-        for _ in range(r):
-            frontier = {w for u in frontier for w in g.neighbors(u)} - blocked - out
-            out |= frontier
-        return out
+    A cop or isolation state is (S, v), for every S subset of V and v not
+    in S: the cops stand on S and the robber on v.  The cops announce S2
+    with |S2| <= k, the robber runs along a path of length <= r whose
+    vertices avoid the grounded cops (S & S2 in the cop game, S in the
+    isolation game), and is caught on S2; else the state becomes (S2, u).
+    A copprime state is the robber's vertex v: against the cop set A the
+    robber stays on v when v is not in A, or moves along a path of length
+    1..r whose vertices after v avoid A, and is caught when no response is
+    left.
 
-    import sys
-    sys.setrecursionlimit(100000)
+    Returns {state: (round, move)}: the round the state is won in, counted
+    from 1, and its first winning move in enumeration order, by size and
+    then by the largest differing vertex (the order of the bitmasks).
+    """
+    vertices = range(g.n)
+    adj = adjacency_dict(g)
+    subsets = [frozenset(c) for size in range(g.n + 1)
+               for c in itertools.combinations(vertices, size)]
+    moves = sorted((s for s in subsets if len(s) <= k),
+                   key=lambda s: (len(s), sorted(s, reverse=True)))
 
-    @lru_cache(maxsize=None)
-    def win(s_prev, v, fuel):
-        if fuel == 0:
-            return False
-        for s_new in subsets:
-            if all(u in s_new or win(s_new, u, fuel - 1)
-                   for u in reach(v, set(s_prev))):
-                return True
-        return False
+    @functools.cache
+    def run(v, blocked):
+        """v and the vertices at distance 1..r from v in G - blocked, BFS."""
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            if r is not INF and dist[u] == r:
+                continue
+            for w in adj[u]:
+                if w not in dist and w not in blocked:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return frozenset(dist)
 
-    fuel = (len(subsets) * n) + 1
-    return all(win(frozenset(), v, min(fuel, 40)) for v in range(n))
+    def escapes(state, move):
+        """The states the robber's responses to move lead to, captures left out."""
+        if game == "copprime":
+            return [u for u in run(state, move) if u not in move]
+        cops, v = state
+        grounded = cops & move if game == "cop" else cops
+        return [(move, u) for u in run(v, grounded) if u not in move]
+
+    if game == "copprime":
+        states = list(vertices)
+    else:
+        states = [(s, v) for s in subsets for v in vertices if v not in s]
+    options = {state: [(move, escapes(state, move)) for move in moves] for state in states}
+    won = {}
+    rnd = 0
+    while True:
+        rnd += 1
+        new = {}
+        for state in states:
+            if state in won:
+                continue
+            for move, nexts in options[state]:
+                if all(nxt in won for nxt in nexts):
+                    new[state] = (rnd, move)
+                    break
+        if not new:
+            return won
+        won.update(new)
 
 
 def _ball_of(rows, v, r):

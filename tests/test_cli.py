@@ -235,7 +235,7 @@ def test_cli_timeout_exit2():
     rc, _, err = run_cli("--timeout", "0.05", "game", "--family", "half:6",
                          "flip", "--r", "inf", "--k", "3", "--max-n", "12")
     assert rc == 2
-    assert "timeout" in err
+    assert "timeout after 0.05s in game" in err
 
 
 @pytest.mark.parametrize("game,value", [("flip", 1), ("cop", 1), ("copprime", 1),
@@ -326,13 +326,18 @@ ROLE_CASES = [
     (["duel", "--family", "cycle:5", "--game", "flip", "--r", "1", "--k", "0",
       "--pursuer", "random:3", "--evader", "hideout", "--certificate", "{hideout}"],
      None, 3),
+    (["param", "-", "degeneracy", "--set", "-1,-1"], "2 0\n", 3),
+    (["game", "--family", "clique:3", "flip", "--r", "1", "--k", "abc"], None, 3),
+    (["approx", "--family", "clique:3", "--r", "-1", "--k", "1"], None, 3),
+    (["approx", "--family", "clique:3", "--r", "inf", "--k", "1"], None, 3),
 ] + [(argv, None, code) for _, argv, code in CERTIFICATE_CASES]
   + [(argv, None, 3) for _, argv in ROLE_CASES], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
         "duel-certificate-not-json", "strategy-arg-type", "cutrank-set-type",
         "duel-hideout-no-certificate", "duel-richdivision-no-certificate",
         "duel-copprime-empty-graph", "bipartite-width-0", "duel-bipartite-width-0",
-        "duel-random-width-0"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
+        "duel-random-width-0", "usage-error-option-value", "usage-error-int-type",
+        "approx-negative-radius", "approx-radius-inf"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
     + [case_id for case_id, _ in ROLE_CASES])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"

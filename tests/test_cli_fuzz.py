@@ -5,8 +5,9 @@ subcommand, game, strategy spec and certificate kind, with numbers both in
 and out of range and certificate fields both well and badly shaped, on
 graphs with at most four vertices and widths at most 2.  It runs `cli.main`
 in-process and asserts that the exit code is 0, 2, 3, 4 or 5 and that no
-exception escapes.  The argv always parses: argparse's own usage errors are
-not what this test looks for.
+exception escapes.  The argv always parses.  Usage errors also exit 3,
+through ParseError; test_cli.py's test_malformed_input_exit_code covers
+them.
 """
 
 import contextlib

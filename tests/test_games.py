@@ -19,7 +19,7 @@ from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
                              solve_bipartite, solve_cops, solve_copw_prime,
                              solve_definable, solve_flipper, solve_isolation,
                              solve_ordered, solve_ordered_binary)
-from flipwidth.graphs import (INF, Graph, OrderedGraph, complement,
+from flipwidth.graphs import (INF, Graph, OrderedGraph, bits, complement,
                               disjoint_union, generate)
 from flipwidth.params import degeneracy, treewidth_small
 
@@ -378,9 +378,37 @@ def test_copprime_sandwich(atlas5):
 
 
 def test_iw_k3():
-    assert isolation_width(generate("clique", 3), 1) == 2
-    assert oracles.isolation_game_oracle(generate("clique", 3), 1, 2)
-    assert not oracles.isolation_game_oracle(generate("clique", 3), 1, 1)
+    k3 = generate("clique", 3)
+    assert isolation_width(k3, 1) == 2
+    for k, cops_win in ((2, True), (1, False)):
+        won = oracles.cop_game_oracle("isolation", k3, 1, k)
+        assert all((frozenset(), v) in won for v in range(3)) == cops_win
+
+
+COP_SOLVERS = {"cop": solve_cops, "isolation": solve_isolation, "copprime": solve_copw_prime}
+
+
+@pytest.mark.parametrize("game", list(COP_SOLVERS))
+def test_cop_games_match_the_oracle(game):
+    """Every recorded state's rounds, and each won state's move (the win
+    table's for copprime, the witness's otherwise), equal the explicit-state
+    oracle's on atlas graphs with n <= 5, the empty graph included.  The cop
+    and isolation games stop at k = 2 on five vertices, where the oracle's
+    80 states take most of the time; the win-table digest pins k = 3."""
+    for g in atlas_graphs(5, min_n=0):
+        for r in (0, 1, 2, INF):
+            for k in range(4 if game == "copprime" or g.n <= 4 else 3):
+                sol = COP_SOLVERS[game](g, r, k)
+                want = oracles.cop_game_oracle(game, g, r, k)
+                if game == "copprime":
+                    got = {v: (rd, frozenset(move["cops"]))
+                           for v, (rd, move) in sol.win_table.items()}
+                else:
+                    got = {(frozenset(bits(s)), v): (rd, sol.witness_pursuer.move(s, v)[0])
+                           for (s, v), (rd, _) in sol.win_table.items()}
+                assert got == want, (game, g.n, sorted(g.edges()), r, k)
+                starts = [v if game == "copprime" else (frozenset(), v) for v in range(g.n)]
+                assert (sol.winner == COPS) == all(s in want for s in starts)
 
 
 def test_iw_edgeless():
