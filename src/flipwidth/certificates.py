@@ -5,8 +5,7 @@ import itertools
 import random
 from collections import namedtuple
 
-from .errors import (CertificateInvalid, GenerationError, LimitExceeded,
-                     SchemaError)
+from .errors import CertificateInvalid, GenerationError, SchemaError, check_bound
 from .flips import enumerate_k_flips, flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
@@ -218,13 +217,11 @@ def hideout_runner_strategy(g, cert):
     return HideoutRunner(g, cert)
 
 
-def find_hideout_small(g, r, k, d, max_n=None):
+def find_hideout_small(g, r, k, d):
     """Smallest U (by size, then lexicographically) that verifies as an
     (r,k,d)-hideout, or None."""
-    limit = HIDEOUT_SEARCH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"find_hideout_small: n={g.n} exceeds bound {limit}")
-    all_balls = [o.balls for o in _flip_balls(g, r, k, max_n=max_n)]
+    check_bound("find_hideout_small", "n", g.n, HIDEOUT_SEARCH_MAX_N)
+    all_balls = [o.balls for o in _flip_balls(g, r, k)]
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)
@@ -247,12 +244,10 @@ def _cut_reaches(g, v, r, k):
             yield amask, ball_mask([row & ~amask for row in g.adj], v, r)
 
 
-def verify_cops_hideout(g, cert, max_k=None):
+def verify_cops_hideout(g, cert):
     """Every v in U keeps a <= r escape path to U-v after deleting any < k
     vertices other than v."""
-    limit = COPS_HIDEOUT_MAX_K if max_k is None else max_k
-    if cert.k > limit:
-        raise LimitExceeded(f"verify_cops_hideout: k={cert.k} exceeds bound {limit}")
+    check_bound("verify_cops_hideout", "k", cert.k, COPS_HIDEOUT_MAX_K)
     umask = mask_of(cert.u)
     if popcount(umask) < 2:
         return False
@@ -260,12 +255,10 @@ def verify_cops_hideout(g, cert, max_k=None):
                    for v in cert.u for _, reach in _cut_reaches(g, v, cert.r, cert.k))
 
 
-def order_cert_check(g, order, r, k, max_k=None):
+def order_cert_check(g, order, r, k):
     """Condition-3 order check: each v admits < k deletions (avoiding v)
     cutting all <= r paths to earlier vertices."""
-    limit = COPS_HIDEOUT_MAX_K if max_k is None else max_k
-    if k > limit:
-        raise LimitExceeded(f"order_cert_check: k={k} exceeds bound {limit}")
+    check_bound("order_cert_check", "k", k, COPS_HIDEOUT_MAX_K)
     placed = 0
     for v in order:
         if not any(reach & placed & ~amask == 0 for amask, reach in _cut_reaches(g, v, r, k)):
@@ -411,17 +404,14 @@ def _interval_mask(iv):
     return ((1 << (hi + 1)) - 1) & ~((1 << lo) - 1)
 
 
-def verify_rich_division(og, cert, max_parts=None, max_k=None):
+def verify_rich_division(og, cert):
     """Exact richness check: every part of one side against every k-subset
     of the other side's parts."""
     g = og.graph
     n = g.n
-    parts_limit = RICH_DIVISION_MAX_PARTS if max_parts is None else max_parts
-    k_limit = RICH_DIVISION_MAX_K if max_k is None else max_k
-    if len(cert.left) > parts_limit or len(cert.right) > parts_limit:
-        raise LimitExceeded("verify_rich_division: too many intervals")
-    if cert.k > k_limit:
-        raise LimitExceeded(f"verify_rich_division: k={cert.k} exceeds bound {k_limit}")
+    check_bound("verify_rich_division", "parts", max(len(cert.left), len(cert.right)),
+                RICH_DIVISION_MAX_PARTS)
+    check_bound("verify_rich_division", "k", cert.k, RICH_DIVISION_MAX_K)
     if not _intervals_cover(cert.left, n) or not _intervals_cover(cert.right, n):
         return False
     if cert.k < 1:

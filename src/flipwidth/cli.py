@@ -238,17 +238,17 @@ def _bipartite_args(g):
     return g.graph, sum(1 << v for v, c in enumerate(g.colors) if c == 1)
 
 
-# game -> (input adapter, solver, width search or None, takes max_n).  The
-# games functions are looked up by name at call time, so a wrapper put on
-# the games module is the one that runs.
+# game -> (input adapter, solver, width search or None); each takes max_n.
+# The games functions are looked up by name at call time, so a wrapper put
+# on the games module is the one that runs.
 _GAMES = {
-    "flip": (_plain_args, "solve_flipper", "flip_width", True),
-    "cop": (_plain_args, "solve_cops", "cop_width", True),
-    "copprime": (_plain_args, "solve_copw_prime", "copw_prime_width", True),
-    "isolation": (_plain_args, "solve_isolation", "isolation_width", True),
-    "dfw": (_plain_args, "solve_definable", "definable_flip_width", False),
-    "ordered": (_ordered_args, "solve_ordered", "ordered_flip_width", True),
-    "bipartite": (_bipartite_args, "solve_bipartite", None, False),
+    "flip": (_plain_args, "solve_flipper", "flip_width"),
+    "cop": (_plain_args, "solve_cops", "cop_width"),
+    "copprime": (_plain_args, "solve_copw_prime", "copw_prime_width"),
+    "isolation": (_plain_args, "solve_isolation", "isolation_width"),
+    "dfw": (_plain_args, "solve_definable", "definable_flip_width"),
+    "ordered": (_ordered_args, "solve_ordered", "ordered_flip_width"),
+    "bipartite": (_bipartite_args, "solve_bipartite", None),
 }
 
 
@@ -257,14 +257,13 @@ def _play(game, g, r, k=None, max_n=None):
     k is None."""
     if game not in _GAMES:
         raise ParseError(f"unknown game {game!r}")
-    adapt, solve, width, bounded = _GAMES[game]
+    adapt, solve, width = _GAMES[game]
     if k is None and width is None:
         raise ParseError(f"no value search for game {game!r}")
     args = adapt(g)
-    kwargs = {"max_n": max_n} if bounded else {}
     if k is None:
-        return getattr(games, width)(*args, r, **kwargs)
-    return getattr(games, solve)(*args, r, k, **kwargs)
+        return getattr(games, width)(*args, r, max_n=max_n)
+    return getattr(games, solve)(*args, r, k, max_n=max_n)
 
 
 def cmd_game(ns):

@@ -20,6 +20,13 @@ class LimitExceeded(FlipwidthError):
     """A configured exhaustive-search limit was breached (exit 2)."""
 
 
+def check_bound(what, quantity, value, bound):
+    """Raise LimitExceeded when `value`, the `quantity` that sizes the
+    exhaustive search in `what`, exceeds its configured bound."""
+    if value > bound:
+        raise LimitExceeded(f"{what}: {quantity}={value} exceeds the configured bound {bound}")
+
+
 class SchemaError(FlipwidthError):
     """Certificate or strategy JSON does not match its schema (exit 4)."""
 

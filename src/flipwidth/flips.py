@@ -18,30 +18,38 @@ the same way; the outcome engine in `bulk` crosses each with every cut of
 they are and keeps the first flip of each distinct outcome.
 """
 
-from .errors import GenerationError, LimitExceeded
+import itertools
+import math
+
+from .errors import GenerationError, check_bound
 from .graphs import Graph, INF, bits, mask_of
 
-# Default exhaustive-enumeration limits: largest n allowed per width k.
-# Configuration, not constants: every enumerating function takes max_n.
-# Width 1 only ever yields the graph and its complement, so it is bounded
-# by the interchange format, not by enumeration cost.
+# Default exhaustive-enumeration bounds: the largest n enumerated per width
+# k.  The k-flip, bipartite and cut-flip enumerators take max_n, which the
+# CLI's --max-n sets, in place of this default; the definable enumerator's
+# k bound is fixed.  Width 1 only ever yields the graph and its complement,
+# so it is bounded by the interchange format, not by enumeration cost.
 FLIP_ENUM_MAX_N = {1: 62, 2: 12, 3: 8}
 FLIP_ENUM_MAX_N_DEFAULT = 7
 DEFINABLE_MAX_K = 3
+# raw flips (times cuts) a family may enumerate on any n when max_n is unset
+CUT_FLIP_WORK_LIMIT = 500_000
 
 
 def flip_enum_limit(k):
     return FLIP_ENUM_MAX_N.get(k, FLIP_ENUM_MAX_N_DEFAULT)
 
 
-def check_flip_enum(n, k, max_n=None):
-    """Raise unless the <= k-flips of an n-vertex graph may be enumerated."""
+def check_flip_enum(what, n, k, max_n=None, raw=None):
+    """Raise unless `what` may enumerate the width-k flips of an n-vertex
+    graph.  With max_n unset, a family that gives its raw flip count is
+    admitted on any n whose count is within CUT_FLIP_WORK_LIMIT; otherwise
+    n must be at most max_n, or flip_enum_limit(k) when max_n is unset."""
     if k < 1:
         raise GenerationError("flip width must be >= 1")
-    limit = flip_enum_limit(k) if max_n is None else max_n
-    if n > limit:
-        raise LimitExceeded(
-            f"enumerate_k_flips: n={n} exceeds the configured bound {limit} for k={k}")
+    if max_n is None and raw is not None and raw <= CUT_FLIP_WORK_LIMIT:
+        return
+    check_bound(f"{what} at k={k}", "n", n, flip_enum_limit(k) if max_n is None else max_n)
 
 
 class Partition:
@@ -195,20 +203,23 @@ def block_pairs(b):
 
 def count_raw_flips(n, k):
     """Raw (partition, pair-subset) count before dedup."""
-    total = 0
-    for b in range(1, min(k, n) + 1):
-        total += _stirling(n, b) * (1 << (b * (b + 1) // 2))
-    return total
+    row = _stirling_row(n, min(k, n))
+    return sum(row[b] << (b * (b + 1) // 2) for b in range(1, len(row)))
 
 
-def _stirling(n, k):
-    # S(n, k) via the standard recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k)
-    if k == 0:
-        return 1 if n == 0 else 0
+def count_bipartite_flips(n_left, n_right, k):
+    """Raw bipartite flips: a partition of each side into <= k blocks, and a
+    subset of the cross-side block pairs."""
+    left, right = _stirling_row(n_left, min(k, n_left)), _stirling_row(n_right, min(k, n_right))
+    return sum(sl * sr << (a * b) for a, sl in enumerate(left) for b, sr in enumerate(right))
+
+
+def _stirling_row(n, k):
+    """[S(n, 0), ..., S(n, k)] by the recurrence S(n,k) = S(n-1,k-1) + k*S(n-1,k)."""
     row = [1] + [0] * k
     for _ in range(n):
         row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
-    return row[k]
+    return row
 
 
 def subset_flip(part, pairs, sub):
@@ -229,7 +240,7 @@ def enumerate_k_flips(g, k, max_n=None):
     """Partition stream of the <= k-flips of g: partitions in restricted-growth
     lexicographic order, every block pair allowed, so the identity comes
     first."""
-    check_flip_enum(g.n, k, max_n)
+    check_flip_enum("enumerate_k_flips", g.n, k, max_n)
     pairs = [block_pairs(b) for b in range(min(k, g.n) + 1)]
     for part in rgs_partitions(g.n, k):
         yield None, part, pairs[part.size]
@@ -264,15 +275,16 @@ def s_types(g, s_set, split_s_singletons=False):
                       else g.adj[v] & smask for v in range(g.n)])
 
 
-def enumerate_definable_flips(g, k, max_k=None):
+def enumerate_definable_flips(g, k, max_n=None):
     """Partition stream of the definable flips: for every S with |S| <= k, by
     size and then numerically, the S-types of g tagged with S, every block
-    pair allowed."""
+    pair allowed.  k is bounded by DEFINABLE_MAX_K, and n by max_n when it
+    is given."""
     if k < 0:
         raise GenerationError("definable flip width must be >= 0")
-    limit = DEFINABLE_MAX_K if max_k is None else max_k
-    if k > limit:
-        raise LimitExceeded(f"enumerate_definable_flips: k={k} exceeds bound {limit}")
+    check_bound("enumerate_definable_flips", "k", k, DEFINABLE_MAX_K)
+    if max_n is not None:
+        check_bound("enumerate_definable_flips", "n", g.n, max_n)
     pairs = [block_pairs(b) for b in range(g.n + 1)]
     for smask in _subsets_up_to(g.n, k):
         s_set = tuple(bits(smask))
@@ -280,15 +292,16 @@ def enumerate_definable_flips(g, k, max_k=None):
         yield s_set, part, pairs[part.size]
 
 
-def enumerate_bipartite_flips(g, left_mask, k):
+def enumerate_bipartite_flips(g, left_mask, k, max_n=None):
     """Partition stream of the bipartite flips: partitions refine the sides,
     <= k blocks per side, and only cross-side block pairs are allowed: the
     parts are labelled by their left block, or by the left block count plus
-    their right block."""
-    if k < 1:
-        raise GenerationError("flip width must be >= 1")
+    their right block.  Bounded as check_flip_enum says, by the raw count
+    of count_bipartite_flips."""
     left = [v for v in range(g.n) if (left_mask >> v) & 1]
     right = [v for v in range(g.n) if not (left_mask >> v) & 1]
+    check_flip_enum("enumerate_bipartite_flips", g.n, k, max_n,
+                    count_bipartite_flips(len(left), len(right), k))
     rparts = list(rgs_partitions(len(right), k))
     for lp in rgs_partitions(len(left), k):
         for rp in rparts:
@@ -304,7 +317,6 @@ def enumerate_bipartite_flips(g, left_mask, k):
 
 def _subsets_up_to(n, k):
     """Subset masks of 0..n-1 with popcount <= k: by size, then numerically."""
-    import itertools
     for size in range(min(k, n) + 1):
         masks = sorted(mask_of(c) for c in itertools.combinations(range(n), size))
         yield from masks
@@ -362,9 +374,6 @@ def cut_flip_ball(og, cf, v, r):
     return set(bits(_weighted_ball(w0, w1, v, r))), isolated
 
 
-CUT_FLIP_WORK_LIMIT = 500_000
-
-
 def order_cuts(n, k):
     """The cuts of the ordered game on n vertices: every S with |S| <= k, by
     size and then numerically."""
@@ -374,12 +383,9 @@ def order_cuts(n, k):
 def enumerate_cut_flips(og, k, max_n=None):
     """Partition stream of the edge flips of the ordered cut-flips: the
     <= k-flips of og's graph, each of which stands crossed with every cut
-    of order_cuts(n, k).
-
-    The default limit admits any n whose raw (flip, cut) count stays small;
-    otherwise the per-width vertex bounds of enumerate_k_flips apply.
-    """
+    of order_cuts(n, k).  Bounded as check_flip_enum says, by the raw
+    (flip, cut) count."""
     n = og.graph.n
-    if max_n is None and count_raw_flips(n, k) * len(order_cuts(n, k)) <= CUT_FLIP_WORK_LIMIT:
-        max_n = n
-    yield from enumerate_k_flips(og.graph, k, max_n=max_n)
+    cuts = sum(math.comb(n, i) for i in range(min(k, n) + 1))
+    check_flip_enum("enumerate_cut_flips", n, k, max_n, count_raw_flips(n, k) * cuts)
+    yield from enumerate_k_flips(og.graph, k, max_n=n)

@@ -33,7 +33,7 @@ import itertools
 import random
 from collections import namedtuple
 
-from .errors import GenerationError, IllegalMoveError, LimitExceeded
+from .errors import GenerationError, IllegalMoveError, check_bound
 from .flips import (CutFlip, FlipSpec, _weighted_ball,
                     block_pairs, cut_flip_weighted, enumerate_bipartite_flips,
                     enumerate_cut_flips, enumerate_definable_flips,
@@ -451,9 +451,9 @@ def _flip_outcomes(g, r, k, max_n=None):
     return bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
 
 
-def _definable_outcomes(g, r, k, max_k=None):
+def _definable_outcomes(g, r, k, max_n=None):
     from . import bulk
-    return bulk.outcomes(g, r, enumerate_definable_flips(g, k, max_k=max_k))
+    return bulk.outcomes(g, r, enumerate_definable_flips(g, k, max_n=max_n))
 
 
 def _cut_flip_outcomes(og, r, k, max_n=None):
@@ -642,21 +642,21 @@ def flip_width(g, r, max_n=None):
     return least_width(lambda k: solve_flipper(g, r, k, max_n=max_n), FLIPPER, max(g.n, 1))
 
 
-def solve_definable(g, r, k, max_k=None):
+def solve_definable(g, r, k, max_n=None):
     """Definable flipper game: flips restricted to S-definable ones, |S| <= k."""
-    return _solve_table(_DefinableRules(g, r, k), _definable_outcomes(g, r, k, max_k=max_k),
+    return _solve_table(_DefinableRules(g, r, k), _definable_outcomes(g, r, k, max_n=max_n),
                         lambda move: {"s": list(move[0]), "flip": move[1].to_json()})
 
 
-def definable_flip_width(g, r, max_k=None):
-    return least_width(lambda k: solve_definable(g, r, k, max_k=max_k), FLIPPER,
+def definable_flip_width(g, r, max_n=None):
+    return least_width(lambda k: solve_definable(g, r, k, max_n=max_n), FLIPPER,
                        None, start=0)
 
 
-def solve_bipartite(g, left_mask, r, k):
+def solve_bipartite(g, left_mask, r, k, max_n=None):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
     from . import bulk
-    outcomes = bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k))
+    outcomes = bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k, max_n))
     return _solve_table(_BipartiteRules(g, r, k, left_mask), outcomes, FlipSpec.to_json)
 
 
@@ -757,29 +757,33 @@ def _subset_masks(n, k):
     return out
 
 
-def _check_cops(name, g, k, max_n):
-    """Raise unless the cop game on g with k cops may be solved."""
-    if k < 0:
-        raise GenerationError("cop width must be >= 0")
-    limit = COPS_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"{name}: n={g.n} exceeds the configured bound {limit}")
-
-
 def solve_cops(g, r, k, max_n=None):
     """Cops and Robber with announced moves: robber runs at speed r through
     vertices free of grounded cops (the old-and-new intersection)."""
-    _check_cops("solve_cops", g, k, max_n)
+    if k < 0:
+        raise GenerationError("cop width must be >= 0")
+    check_bound("solve_cops", "n", g.n, COPS_MAX_N if max_n is None else max_n)
     return _solve_cops_family(_CopRules(g, r, k))
 
 
 def solve_isolation(g, r, k, max_n=None):
     """Isolation game: the robber's path avoids all previous cop positions."""
-    _check_cops("solve_isolation", g, k, max_n)
+    if k < 0:
+        raise GenerationError("cop width must be >= 0")
+    check_bound("solve_isolation", "n", g.n, COPS_MAX_N if max_n is None else max_n)
     return _solve_cops_family(_IsolationRules(g, r, k))
 
 
-def _solve_cops_family(rules):
+def _cops_width(name, rules_class, g, r, max_n):
+    """Least k at which the cops win the game of rules_class on g; the
+    reach table, which depends on g and r alone, is built once for every k."""
+    check_bound(name, "n", g.n, COPS_MAX_N if max_n is None else max_n)
+    reach = _reach_table(g, r)
+    return least_width(lambda k: _solve_cops_family(rules_class(g, r, k), reach), COPS,
+                       max(g.n, 1))
+
+
+def _solve_cops_family(rules, reach=None):
     """Least fixpoint over the (S, v) states of the three cop games.
 
     Bit v of win[S] says that the cops win with the robber on v and the cop
@@ -787,11 +791,13 @@ def _solve_cops_family(rules):
     rules.grounded(S, S2), is on S2 or won in the row of S2.  The copprime
     state forgets the cop set, so win has one row that every move reads.
     The win table is keyed by rules.after(S, v); copprime's records the
-    witness's move.
+    witness's move.  `reach` is _reach_table(rules.g, rules.r), built here
+    unless a width search passes it.
     """
     import numpy as np
     n = rules.n
-    reach = _reach_table(rules.g, rules.r)
+    if reach is None:
+        reach = _reach_table(rules.g, rules.r)
     reach_of = np.array(reach, dtype=np.uint32).reshape(n, 1 << n).T   # [B, v]
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
     moves = _subset_masks(n, rules.k)
@@ -855,21 +861,23 @@ class CopTable(Pursuer):
 
 
 def cop_width(g, r, max_n=None):
-    return least_width(lambda k: solve_cops(g, r, k, max_n=max_n), COPS, max(g.n, 1))
+    return _cops_width("cop_width", _CopRules, g, r, max_n)
 
 
 def isolation_width(g, r, max_n=None):
-    return least_width(lambda k: solve_isolation(g, r, k, max_n=max_n), COPS, max(g.n, 1))
+    return _cops_width("isolation_width", _IsolationRules, g, r, max_n)
 
 
 def solve_copw_prime(g, r, k, max_n=None):
     """No-announcement cop variant: memoryless states, cops pick A each round."""
-    _check_cops("solve_copw_prime", g, k, max_n)
+    if k < 0:
+        raise GenerationError("cop width must be >= 0")
+    check_bound("solve_copw_prime", "n", g.n, COPS_MAX_N if max_n is None else max_n)
     return _solve_cops_family(_CopPrimeRules(g, r, k))
 
 
 def copw_prime_width(g, r, max_n=None):
-    return least_width(lambda k: solve_copw_prime(g, r, k, max_n=max_n), COPS, max(g.n, 1))
+    return _cops_width("copw_prime_width", _CopPrimeRules, g, r, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +894,10 @@ class ApproxVerdict(namedtuple("ApproxVerdict", "kind r k dfw bound note")):
                 "note": self.note}
 
 
-def approx_flip_width(g, r, k, max_k=None):
+def approx_flip_width(g, r, k):
     """Run the definable-game decision; conclude UPPER (fw_r <= 2^k) or
     LOWER (fw_5r >= C k^(1/3), constant symbolic)."""
-    sol = solve_definable(g, r, k, max_k=max_k)
+    sol = solve_definable(g, r, k)
     if sol.winner == FLIPPER:
         return ApproxVerdict("UPPER", r, k, True, 2 ** k, None)
     return ApproxVerdict("LOWER", r, k, False, None,

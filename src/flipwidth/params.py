@@ -7,7 +7,7 @@ bounds.  Ties everywhere break toward the smallest vertex index.
 import itertools
 from collections import namedtuple
 
-from .errors import GenerationError, LimitExceeded
+from .errors import GenerationError, check_bound
 from .graphs import INF, ball_mask, bits, mask_of, popcount
 
 ORDER_SEARCH_MAX_N = 9
@@ -16,6 +16,7 @@ RANKWIDTH_MAX_N = 8
 WELL_LINKED_MAX_N = 14
 VC_MAX_N = 20
 SD_FUN_MAX_N = 10
+SHATTER_MAX_SUBSETS = 2_000_000
 
 OrderWitness = namedtuple("OrderWitness", "permutation kind r")
 
@@ -210,7 +211,7 @@ def _wcol_exact(g, r):
     return best_val, best_order
 
 
-def generalized_coloring_number(g, kind, r, mode="exact", max_n=None):
+def generalized_coloring_number(g, kind, r, mode="exact"):
     """wcol/scol/adm number of radius r; exact by order search or DP, or a
     greedy upper bound."""
     if kind not in ("wcol", "scol", "adm"):
@@ -221,10 +222,7 @@ def generalized_coloring_number(g, kind, r, mode="exact", max_n=None):
         order = _greedy_order(g)
         value = {"wcol": wcol_cost, "scol": scol_cost, "adm": adm_cost}[kind](g, order, r)
         return value, OrderWitness(order, kind, r)
-    limit = ORDER_SEARCH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(
-            f"exact {kind} search: n={g.n} exceeds the configured bound {limit}")
+    check_bound(f"generalized_coloring_number({kind})", "n", g.n, ORDER_SEARCH_MAX_N)
     if kind == "wcol":
         value, order = _wcol_exact(g, r)
     elif kind == "adm":
@@ -257,11 +255,9 @@ def _reach_out(g, v, through, r=INF):
 # treewidth
 
 
-def treewidth_small(g, max_n=None):
+def treewidth_small(g):
     """Exact treewidth via DP over elimination prefixes."""
-    limit = TREEWIDTH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"treewidth_small: n={g.n} exceeds bound {limit}")
+    check_bound("treewidth_small", "n", g.n, TREEWIDTH_MAX_N)
 
     # the cost of eliminating v after S: the vertices outside S+{v}
     # reachable from v through S
@@ -296,11 +292,9 @@ def cut_rank(g, a_set):
     return rank
 
 
-def rank_width_small(g, max_n=None):
+def rank_width_small(g):
     """Exact rank-width plus an optimal decomposition tree (nested tuples)."""
-    limit = RANKWIDTH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"rank_width_small: n={g.n} exceeds bound {limit}")
+    check_bound("rank_width_small", "n", g.n, RANKWIDTH_MAX_N)
     n = g.n
     if n <= 1:
         return 0, tuple(range(n))
@@ -364,7 +358,7 @@ def decomposition_cut_ranks(g, tree):
     return best
 
 
-def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000, max_n=None):
+def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):
     """rk(A,B) >= min(|A∩U|, |B∩U|) over bipartitions; exhaustive is exact,
     sampled can only refute."""
     import random as _random
@@ -374,9 +368,7 @@ def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000, max_n=No
     if n < 2:
         return True
     if mode == "exhaustive":
-        limit = WELL_LINKED_MAX_N if max_n is None else max_n
-        if n > limit:
-            raise LimitExceeded(f"well_linked_check: n={n} exceeds bound {limit}")
+        check_bound("well_linked_check", "n", n, WELL_LINKED_MAX_N)
         for m in range(1 << (n - 1)):
             a = m << 1 | 1   # vertex 0 pinned to side A kills mirror duplicates
             b = full & ~a
@@ -400,10 +392,8 @@ def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000, max_n=No
 # VC dimension and shatter function
 
 
-def vc_dimension(g, two_vc=False, max_n=None):
-    limit = VC_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"vc_dimension: n={g.n} exceeds bound {limit}")
+def vc_dimension(g, two_vc=False):
+    check_bound("vc_dimension", "n", g.n, VC_MAX_N)
     return _two_vc(g) if two_vc else _vc(g)
 
 
@@ -448,12 +438,11 @@ def _two_vc(g):
     return size
 
 
-def shatter_function(g, m, max_subsets=2_000_000):
+def shatter_function(g, m):
     """Exact pi_G(m) = max over |X| <= m of the number of neighborhood traces."""
     n = g.n
-    total = sum(_choose(n, i) for i in range(min(m, n) + 1))
-    if total > max_subsets:
-        raise LimitExceeded(f"shatter_function: {total} subsets exceed the bound")
+    check_bound("shatter_function", "subsets",
+                sum(_choose(n, i) for i in range(min(m, n) + 1)), SHATTER_MAX_SUBSETS)
     best = 0
     for size in range(min(m, n) + 1):
         for xs in itertools.combinations(range(n), size):
@@ -499,11 +488,9 @@ def near_twin_cliques(g, b, k):
     return None
 
 
-def symmetric_difference_param(g, max_n=None):
+def symmetric_difference_param(g):
     """sd(G): max over induced subgraphs of the min pair symmetric difference."""
-    limit = SD_FUN_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"symmetric_difference_param: n={g.n} exceeds bound {limit}")
+    check_bound("symmetric_difference_param", "n", g.n, SD_FUN_MAX_N)
     best = 0
     for m in range(1 << g.n):
         if popcount(m) < 2:
@@ -537,12 +524,10 @@ def _function_cost(g, hmask, v):
     return len(candidates)
 
 
-def functionality_param(g, max_n=None):
+def functionality_param(g):
     """fun(G): max over induced subgraphs of min over v of the least |S|
     such that v is a function of S."""
-    limit = SD_FUN_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"functionality_param: n={g.n} exceeds bound {limit}")
+    check_bound("functionality_param", "n", g.n, SD_FUN_MAX_N)
     best = 0
     for m in range(1, 1 << g.n):
         if popcount(m) < 2:

@@ -1,7 +1,7 @@
 """Contraction sequences, exact small-instance twin-width, and the flipper
 strategy built from an uncontraction sequence."""
 
-from .errors import GenerationError, LimitExceeded, SchemaError
+from .errors import GenerationError, SchemaError, check_bound
 from .flips import FlipSpec, Partition, identity_flip
 from .graphs import bits, lowest_bit, mask_of, popcount
 
@@ -107,16 +107,14 @@ def _red_degree_after_merge(g, parts, i, j):
     return red_graph(g, merged).max_degree(), tuple(sorted(merged))
 
 
-def tww_exact_small(g, max_n=None):
+def tww_exact_small(g):
     """Exact twin-width plus an optimal contraction sequence.
 
     Branch and bound over merge pairs, memoized on the canonical partition;
     merges are explored in ascending resulting-red-degree order and pruned
     against the running minimum, which keeps the memo path-independent.
     """
-    limit = TWW_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise LimitExceeded(f"tww_exact_small: n={g.n} exceeds bound {limit}")
+    check_bound("tww_exact_small", "n", g.n, TWW_MAX_N)
     if g.n <= 1:
         return 0, ContractionSequence(g.n, [])
     memo = {}

@@ -452,7 +452,7 @@ def _ball_of(rows, v, r):
     return sum(1 << w for w in dist)
 
 
-def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
+def solve_flipper_concrete(g, r, k, definable=False, max_n=None):
     """Flipper game solved over concrete (flip, vertex) states; returns only
     the winner.
 
@@ -461,7 +461,7 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None, max_k=None):
     of v's radius-r ball in f; the runner first walks in g itself.
     """
     if definable:
-        flips = distinct_flips(g, enumerate_definable_flips(g, k, max_k=max_k))
+        flips = distinct_flips(g, enumerate_definable_flips(g, k, max_n=max_n))
     else:
         flips = distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n))
     rows = [masks for _, masks in flips]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from test_cli_pins import C6_SIDES
+from test_cli_pins import C6_SIDES, P20_SIDES
 
 from flipwidth import cli
 
@@ -362,6 +362,31 @@ def test_more_than_64_vertices_exit_2_naming_the_bound(game):
                            stdin=path65)
     assert (rc, out) == (2, "")
     assert "bound of 64 vertices" in err
+
+
+@pytest.mark.parametrize("k, bound", [(2, 12), (3, 8)])
+def test_bipartite_p20_sides_exit_2_at_once(k, bound):
+    """P20's sides give 4,182,026 raw bipartite flips at k=2 and about
+    4.5e10 at k=3, over the work limit, so the vertex bound of the width
+    applies; the timeout would exit 2 as well, but names itself."""
+    rc, out, err = run_cli("--timeout", "8", "game", "-", "bipartite", "--r", "1",
+                           "--k", str(k), stdin=P20_SIDES)
+    assert (rc, out) == (2, "")
+    assert f"enumerate_bipartite_flips at k={k}: n=20 exceeds the configured bound {bound}" in err
+
+
+def test_dfw_honours_max_n():
+    rc, out, err = run_cli("game", "--family", "path:20", "dfw", "--r", "1", "--k", "2",
+                           "--max-n", "3")
+    assert (rc, out) == (2, "")
+    assert "enumerate_definable_flips: n=20 exceeds the configured bound 3" in err
+
+
+def test_limit_exit_2_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-m", "flipwidth.cli", "param", "--family",
+                           "clique:13", "treewidth"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "treewidth_small: n=13 exceeds the configured bound 12" in proc.stderr
 
 
 def test_timeout_does_not_outlive_main():

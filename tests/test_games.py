@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import atlas_graphs, random_graphs
 from oracles import solve_flipper_concrete
+from flipwidth import games
 from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
 from flipwidth.flips import FlipSpec, Partition, identity_flip
 from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
@@ -409,6 +410,33 @@ def test_cop_games_match_the_oracle(game):
                 assert got == want, (game, g.n, sorted(g.edges()), r, k)
                 starts = [v if game == "copprime" else (frozenset(), v) for v in range(g.n)]
                 assert (sol.winner == COPS) == all(s in want for s in starts)
+
+
+@pytest.mark.parametrize("game, width", [("cop", cop_width), ("isolation", isolation_width),
+                                         ("copprime", copw_prime_width)])
+def test_cop_width_searches_build_the_reach_table_once(monkeypatch, game, width):
+    """A width search builds the reach table once, solves each k up to its
+    value, and finds the least k at which the game's solver wins."""
+    calls = {"reach": 0, "solves": 0}
+    reach_table, solve_family = games._reach_table, games._solve_cops_family
+
+    def counted_reach(*args):
+        calls["reach"] += 1
+        return reach_table(*args)
+
+    def counted_solve(*args):
+        calls["solves"] += 1
+        return solve_family(*args)
+
+    g = generate("random_gnp", 8, 0.5, 3)
+    for r in (1, INF):
+        want = next(k for k in range(1, g.n + 1) if COP_SOLVERS[game](g, r, k).winner == COPS)
+        calls.update(reach=0, solves=0)
+        with monkeypatch.context() as m:
+            m.setattr(games, "_reach_table", counted_reach)
+            m.setattr(games, "_solve_cops_family", counted_solve)
+            assert width(g, r) == want
+        assert calls == {"reach": 1, "solves": want}
 
 
 def test_iw_edgeless():
