@@ -1,14 +1,14 @@
 """The outcome engine: every flip family's flips reduced to their outcomes.
 
-`outcomes` reduces each flip of a family's partition stream from `flips`
-(the <= k-flips, the definable or the bipartite flips) to its outcome at
-any radius: the set of vertices it isolates and each vertex's ball.  Given
-the ordered game's cuts, it crosses each flip with every cut S instead,
-flip-major and cut-minor; `rows_outcomes` reduces graphs given by their
-rows, the Gaifman graphs of the binary ordered game.  Flips are built in
-numpy batches of about BATCH (flip, cut) pairs, one row array per vertex,
-partitions sharing a block count and allowed pairs together (a partition
-with more pair subsets is sliced over several batches):
+`outcomes` reduces each flip of every family's partition stream from
+`flips` to its outcome at any radius: the set of vertices it isolates and
+each vertex's ball.  The two ordered families cross each flip with a layer
+of per-vertex masks ORed into its rows, flip-major and mask-minor: every
+cut's ~S classes (CutLayer), or every flip of the order relation
+(OrderLayer).  Flips are built in numpy batches of about BATCH (flip,
+mask) pairs, one row array per vertex, partitions sharing a block count
+and allowed pairs together (a partition with more pair subsets is sliced
+over several batches):
 
 - at r=inf a ball is a component, found by min-label propagation;
 - at finite r a ball takes r hops of masked OR over the rows;
@@ -17,7 +17,7 @@ with more pair subsets is sliced over several batches):
   start and after every hop.
 
 Each batch is deduplicated with np.unique, and each distinct outcome keeps
-the first (flip, cut) that gives it in the stream's order.  At r=inf the
+the first (flip, mask) that gives it in the stream's order.  At r=inf the
 outcomes are far fewer than the flips (the half-graph H_6 has ~6.3e8 raw
 4-flips but only a few thousand distinct component partitions).  Rows are
 uint16 up to 16 vertices and uint64 up to MAX_N = 64, and larger graphs
@@ -30,7 +30,7 @@ from .errors import LimitExceeded
 from .flips import CutFlip, enumerate_k_flips, order_rows, subset_flip
 from .graphs import INF
 
-BATCH = 1 << 18     # raw (flip, cut) pairs per batch, give or take one partition's
+BATCH = 1 << 18     # raw (flip, mask) pairs per batch, give or take one partition's
 MAX_N = 64
 
 
@@ -38,7 +38,8 @@ class Outcome:
     """What a move does: iso masks the vertices it isolates and balls[v] is
     the runner's reach from v.  `move`, the first move that does it, is
     built when first read from (tag, partition, pairs, subset, cut), as the
-    family's enumerator announces it or as a CutFlip; rows have no move."""
+    family's enumerator announces it or as a CutFlip; the binary ordered
+    game's flips have no move."""
 
     __slots__ = ("iso", "balls", "_move", "_flip")
 
@@ -73,78 +74,117 @@ def component_outcomes(g, k, max_n=None):
     return outcomes(g, INF, enumerate_k_flips(g, k, max_n))
 
 
-def outcomes(g, r, parts, cuts=None):
+def outcomes(g, r, parts, layer=None):
     """Distinct outcomes of the flips of g in a partition stream.
 
     parts yields (tag, Partition, pairs), standing for the flips over the
-    partition by every subset of pairs in binary counting order.  With cuts
-    (a list of vertex sets) each flip is crossed with every cut, so that
-    the pair (flip number i, cut number j) comes i * len(cuts) + j-th.
-    Returns an Outcome per distinct (iso, balls), in the order of each
-    one's first flip in the stream: iso is the mask of vertices the flip
-    isolates and balls[v] the radius-r ball of v in the flipped graph.
+    partition by every subset of pairs in binary counting order.  With a
+    layer, the pair (flip number i, mask j) of a partition whose layer has
+    L masks comes i * L + j-th in its share of the stream.  Returns an
+    Outcome per distinct (iso, balls), in the order of each one's first
+    flip in the stream: iso is the mask of vertices the flip isolates and
+    balls[v] the radius-r ball of v in the flipped graph.
     """
     n = g.n
     word = _word(n)
     if n == 0:
         first = next(iter(parts), None)
-        if first is None:
-            return []
-        return [Outcome(first + (0, None if cuts is None else cuts[0]), 0, ())]
+        return [] if first is None else [Outcome(_record(layer, first + (0,), 0), 0, ())]
     base = np.array(g.adj, dtype=word)
-    classes = None if cuts is None else _class_rows(n, cuts, word)
-    step = BATCH if cuts is None else BATCH // max(1, len(cuts)) or 1
-    found = {}      # (iso, *balls) -> (first index, (tag, partition, pairs, subset, cut))
+    found = {}      # (iso, *balls) -> (first index, what Outcome.move is built from)
     pending = {}    # (block count, pairs) -> [(tag, partition, pairs, first index)]
     offset = 0
     for tag, part, pairs in parts:
         key = (part.size, tuple(pairs))
         nsub = 1 << len(pairs)
+        L = 1 if layer is None else layer.size(part.size)
+        step = BATCH // L or 1
         if nsub >= step:
             # so many pair subsets fill batches by themselves, a slice each
             for lo in range(0, nsub, step):
-                _reduce(base, r, key, [(tag, part, pairs, offset + lo)],
-                        range(lo, min(lo + step, nsub)), found, cuts, classes)
+                _reduce(base, r, key, [(tag, part, pairs, offset + lo * L)],
+                        range(lo, min(lo + step, nsub)), found, layer)
         else:
             batch = pending.setdefault(key, [])
             batch.append((tag, part, pairs, offset))
             if len(batch) * nsub >= step:
-                _reduce(base, r, key, pending.pop(key), range(nsub), found, cuts, classes)
-        offset += nsub
+                _reduce(base, r, key, pending.pop(key), range(nsub), found, layer)
+        offset += nsub * L
     for key, batch in pending.items():
-        _reduce(base, r, key, batch, range(1 << len(key[1])), found, cuts, classes)
+        _reduce(base, r, key, batch, range(1 << len(key[1])), found, layer)
     ranked = sorted(found.items(), key=lambda kv: kv[1][0])
     return [Outcome(flip, out[0], out[1:]) for out, (_, flip) in ranked]
 
 
-def rows_outcomes(n, r, graphs):
-    """Distinct outcomes of the graphs on n vertices given by their
-    adjacency rows (a list of n-tuples), in the order of each one's first
-    graph; their Outcomes have no move."""
-    word = _word(n)
-    if n == 0:
-        return [Outcome(None, 0, ())] if graphs else []
-    found = {}
-    for lo in range(0, len(graphs), BATCH):
-        table = np.array(graphs[lo:lo + BATCH], dtype=word)
-        first, outs = _kernel([np.ascontiguousarray(table[:, v]) for v in range(n)], n, r)
-        for out, i in zip(outs.tolist(), first.tolist()):
-            found.setdefault(tuple(out), lo + i)
-    ranked = sorted(found.items(), key=lambda kv: kv[1])
-    return [Outcome(None, out[0], out[1:]) for out, _ in ranked]
+class CutLayer:
+    """The ordered cut-flips' layer, one mask per cut (a vertex set): the
+    weight-0 edges that join each ~S class into a clique.  Balls are
+    closed under the classes, and a move records its cut."""
+
+    closed = True
+
+    def __init__(self, n, cuts):
+        self.cuts = cuts
+        self.classes = list(zip(*(order_rows(n, cut) for cut in cuts)))    # [v][cut]
+
+    def size(self, b):
+        return len(self.cuts)
+
+    def masks(self, bm, blocks):
+        """masks[v][0, j]: the ~S class of v under cut number j, v left out."""
+        return [np.array([row], dtype=bm.dtype) for row in self.classes]
+
+    def record(self, flip, j):
+        return flip + (self.cuts[j],)
 
 
-def _class_rows(n, cuts, word):
-    """classes[v][j]: the ~S class of v under cut number j, as a mask."""
-    weight0 = [order_rows(n, cut) for cut in cuts]
-    return [np.array([rows[v] | 1 << v for rows in weight0], dtype=word) for v in range(n)]
+class OrderLayer:
+    """The binary ordered game's layer, one mask per flip of the order
+    relation over the partition, as Gaifman rows: each block is a clique,
+    and between blocks i < j a flip keeps every pair (choice 0) or drops
+    those whose smaller end lies in i (1) or in j (2).  Digit t of mask j
+    in base 3 is cross pair t's choice.  Its flips keep no move."""
+
+    closed = False
+
+    @staticmethod
+    def size(b):
+        return 3 ** (b * (b - 1) // 2)
+
+    def masks(self, bm, blocks):
+        """masks[v][c, j]: v's order row under mask j over partition c."""
+        C, b = bm.shape
+        word = bm.dtype.type
+        cross = [(i, j) for i in range(b) for j in range(i + 1, b)]
+        digits = np.arange(self.size(b)) // 3 ** np.arange(len(cross))[:, None] % 3
+        out = []
+        for v in range(blocks.shape[1]):
+            a = blocks[:, v]
+            below = word((1 << v) - 1)
+            rows = (bm[np.arange(C), a] & ~word(1 << v))[:, None] | np.zeros(digits.shape[1], word)
+            for t, (i, j) in enumerate(cross):
+                # v in i keeps partner vertices below it under choice 1, v in j above it
+                partner = np.where(a == i, bm[:, j], np.where(a == j, bm[:, i], word(0)))
+                keep = np.where(a == i, below, ~below)
+                rows |= np.stack([partner, partner & keep, partner & ~keep], axis=1)[:, digits[t]]
+            out.append(rows)
+        return out
+
+    @staticmethod
+    def record(flip, j):
+        return None
 
 
-def _reduce(base, r, key, batch, subs, found, cuts, classes):
+def _record(layer, flip, j):
+    """Outcome.move's source for the flip (tag, partition, pairs, subset) and mask j."""
+    return flip + (None,) if layer is None else layer.record(flip, j)
+
+
+def _reduce(base, r, key, batch, subs, found, layer):
     """Reduce the flips of a batch of partitions sharing (block count, pairs),
-    by the pair subsets in the range subs and under every cut, into `found`,
-    keeping the earliest index of each outcome; each partition comes with
-    the index of its flip by subs.start."""
+    by the pair subsets in the range subs and crossed with the layer's
+    masks, into `found`, keeping the earliest index of each outcome; each
+    partition comes with the index of its flip by subs.start."""
     n = base.shape[0]
     word = base.dtype.type
     b, pairs = key
@@ -171,26 +211,31 @@ def _reduce(base, r, key, batch, subs, found, cuts, classes):
     for v in range(n):
         rv = base[v] ^ toggle[ar, :, blocks[:, v][:, None]]
         rv &= word(~(1 << v) & full)
-        rows.append(np.ascontiguousarray(rv.reshape(-1)))
+        rows.append(rv.reshape(C, nsub, 1))
     del toggle
 
-    if cuts is None:
-        first, table = _kernel(rows, n, r)
-        c, s = np.divmod(first, nsub)
-        index, cut = offsets[c] + s, [None] * len(first)
+    classes = None
+    if layer is None:
+        L = 1
+        rows = [rv.reshape(-1) for rv in rows]
     else:
-        # flip-major, cut-minor; the weight-0 edges join each class
-        flips, ncuts = C * nsub, len(cuts)
-        rows = [np.repeat(rows[v], ncuts) | np.tile(classes[v] & word(~(1 << v) & full), flips)
-                for v in range(n)]
-        first, table = _kernel(rows, n, r, [np.tile(cls, flips) for cls in classes])
-        (c, s), j = np.divmod(first // ncuts, nsub), first % ncuts
-        index, cut = (offsets[c] + s) * ncuts + j, [cuts[x] for x in j.tolist()]
-    for row, gi, ci, si, cj in zip(table.tolist(), index.tolist(), c.tolist(), s.tolist(), cut):
+        # flip-major, layer-minor: the rows of flip s under mask j
+        masks = layer.masks(bm, blocks)
+        L = masks[0].shape[1]
+        rows = [(rv | m[:, None, :]).reshape(-1) for rv, m in zip(rows, masks)]
+        if layer.closed:
+            classes = [np.broadcast_to(m[:, None, :] | word(1 << v), (C, nsub, L)).reshape(-1)
+                       for v, m in enumerate(masks)]
+    first, table = _kernel(rows, n, r, classes)
+    c, rest = np.divmod(first, nsub * L)
+    s, j = np.divmod(rest, L)
+    index = offsets[c] + s * L + j
+    for row, gi, ci, si, lj in zip(table.tolist(), index.tolist(), c.tolist(), s.tolist(),
+                                   j.tolist()):
         out = tuple(row)
         prev = found.get(out)
         if prev is None or gi < prev[0]:
-            found[out] = (gi, batch[ci][:3] + (subs.start + si, cj))
+            found[out] = (gi, _record(layer, batch[ci][:3] + (subs.start + si,), lj))
 
 
 def _kernel(rows, n, r, classes=None):

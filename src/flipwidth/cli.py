@@ -441,7 +441,8 @@ def build_parser():
     p.add_argument("--witness", action="store_true",
                    help="dump the witness strategy table")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help="raise the exhaustive enumeration limit")
+                   help="replace the default vertex bound of the flip, ordered, "
+                        "bipartite and cop games; cap n in dfw")
     p.set_defaults(fn=cmd_game)
 
     p = sub.add_parser("certify", help="verify a certificate")

@@ -12,10 +12,13 @@ names a label no vertex carries.
 Each flip family has one enumerator, which streams (tag, Partition, pairs):
 the flips over the partition by every subset of `pairs`, subsets in binary
 counting order, announced as the FlipSpec when tag is None and as
-(tag, FlipSpec) otherwise.  The ordered cut-flips stream the <= k-flips
-the same way; the outcome engine in `bulk` crosses each with every cut of
-`order_cuts`.  Nothing here deduplicates flips: `bulk` reads the streams as
-they are and keeps the first flip of each distinct outcome.
+(tag, FlipSpec) otherwise: the <= k-flips, the definable and the
+bipartite flips.  The ordered cut-flips stream the <= k-flips, which the
+outcome engine in `bulk` crosses with every cut of `order_cuts`; the
+binary ordered game streams the edge flips over cross block pairs, which
+`bulk` crosses with every flip of the order relation.  Nothing here
+deduplicates flips: `bulk` reads the streams as they are and keeps the
+first flip of each distinct outcome.
 """
 
 import itertools
@@ -32,7 +35,8 @@ from .graphs import Graph, INF, bits, mask_of
 FLIP_ENUM_MAX_N = {1: 62, 2: 12, 3: 8}
 FLIP_ENUM_MAX_N_DEFAULT = 7
 DEFINABLE_MAX_K = 3
-# raw flips (times cuts) a family may enumerate on any n when max_n is unset
+# raw flips (times cuts) a family may enumerate on any n when max_n is unset;
+# the binary ordered game's stream has this bound alone
 CUT_FLIP_WORK_LIMIT = 500_000
 
 
@@ -205,6 +209,14 @@ def count_raw_flips(n, k):
     """Raw (partition, pair-subset) count before dedup."""
     row = _stirling_row(n, min(k, n))
     return sum(row[b] << (b * (b + 1) // 2) for b in range(1, len(row)))
+
+
+def count_binary_flips(n, k):
+    """Raw flips of the binary ordered game: a partition into b <= k blocks,
+    and for each of its b(b-1)/2 cross block pairs one of 2 edge choices
+    and one of 3 order choices."""
+    row = _stirling_row(n, min(k, n))
+    return sum(row[b] * 6 ** (b * (b - 1) // 2) for b in range(len(row)))
 
 
 def count_bipartite_flips(n_left, n_right, k):
@@ -389,3 +401,15 @@ def enumerate_cut_flips(og, k, max_n=None):
     cuts = sum(math.comb(n, i) for i in range(min(k, n) + 1))
     check_flip_enum("enumerate_cut_flips", n, k, max_n, count_raw_flips(n, k) * cuts)
     yield from enumerate_k_flips(og.graph, k, max_n=n)
+
+
+def enumerate_binary_flips(og, k):
+    """Partition stream of the edge flips of the binary ordered game on
+    (V, E, <): the <= k-flip partitions, only block pairs i < j allowed,
+    since each block is a clique of the order's Gaifman graph and a pair
+    (i, i) changes nothing there.  Bounded by count_binary_flips alone."""
+    n = og.graph.n
+    check_bound(f"enumerate_binary_flips at k={k}", "raw", count_binary_flips(n, k),
+                CUT_FLIP_WORK_LIMIT)
+    for part in rgs_partitions(n, k):
+        yield None, part, list(itertools.combinations(range(part.size), 2))

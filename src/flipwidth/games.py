@@ -9,11 +9,11 @@ land on, and
                  or Win(ball_f(u)).
 
 A solve needs each family's distinct (isolated set, ball map) outcomes,
-each with the first move that gives it.  They all come from the numpy
-engine in `bulk`: the flip, definable and bipartite families as their
-partition streams from `flips`, the ordered cut-flips as the k-flip stream
-crossed with the cuts, and the Gaifman graphs of the binary ordered game,
-generated here, as adjacency rows.
+each with the first move that gives it.  Every family's flips are a
+partition stream from `flips`, and `bulk.outcomes` reduces them all: the
+ordered cut-flips crossed with the cuts, and the binary ordered game's
+edge flips crossed with the flips of the order relation, whose Gaifman
+graphs the runner walks in.
 
 The three cop games (cop, isolation and the no-announcement copprime)
 share one least fixpoint over (cop set S, robber vertex v) states, read off
@@ -29,16 +29,15 @@ solvers, their witnesses (`TableFlipper`, `CopTable` and the one
 harness carries the previous move itself.
 """
 
-import itertools
 import random
 from collections import namedtuple
 
 from .errors import GenerationError, IllegalMoveError, check_bound
-from .flips import (CutFlip, FlipSpec, _weighted_ball,
-                    block_pairs, cut_flip_weighted, enumerate_bipartite_flips,
+from .flips import (CutFlip, FlipSpec, _weighted_ball, cut_flip_weighted,
+                    enumerate_binary_flips, enumerate_bipartite_flips,
                     enumerate_cut_flips, enumerate_definable_flips,
                     enumerate_k_flips, flip_masks, identity_flip, order_cuts,
-                    random_flip, rgs_partitions, s_types, subset_flip)
+                    random_flip, s_types)
 from .graphs import INF, OrderedGraph, ball_mask, bits, mask_of, popcount
 
 FLIPPER = "flipper"
@@ -166,11 +165,6 @@ class RandomFlipper(Pursuer):
     def move(self, state, position):
         rng = random.Random(self.seed * 1000003 + state)
         return random_flip(self.n, self.k, rng), state + 1
-
-
-class FirstLegalEvader(Evader):
-    def respond(self, state, move, legal):
-        return legal[0], state
 
 
 class HalfGraphFlipper(Pursuer):
@@ -459,7 +453,7 @@ def _definable_outcomes(g, r, k, max_n=None):
 def _cut_flip_outcomes(og, r, k, max_n=None):
     from . import bulk
     return bulk.outcomes(og.graph, r, enumerate_cut_flips(og, k, max_n=max_n),
-                         cuts=order_cuts(og.n, k))
+                         bulk.CutLayer(og.n, order_cuts(og.n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,53 +673,12 @@ def ordered_flip_width(og, r, max_n=None):
 # ordered graphs as binary structures (edge + order relation flips)
 
 
-def _gaifman_graphs(og, k):
-    """The distinct Gaifman graphs of the k-flips of (V, E, <) as a binary
-    structure, as adjacency rows, in order of first occurrence: each edge
-    flip over a partition combined with each flip of the order relation
-    over it.  Edge flips are the usual symmetric ones."""
-    g = og.graph
-    graphs = {}
-    for part in rgs_partitions(g.n, k):
-        bm = part.block_masks()
-        pairs = block_pairs(part.size)
-        cross = [(i, j) for i, j in pairs if i < j]
-        elayers = dict.fromkeys(flip_masks(g, subset_flip(part, pairs, sub))
-                                for sub in range(1 << len(pairs)))
-        # the first block pair's choice varies fastest
-        llayers = dict.fromkeys(_order_layer(part, bm, cross, choice[::-1]) for choice
-                                in itertools.product(range(3), repeat=len(cross)))
-        for em in elayers:
-            for lm in llayers:
-                graphs[tuple(e | o for e, o in zip(em, lm))] = None
-    return list(graphs)
-
-
-def _order_layer(part, bm, cross, choice):
-    """Gaifman rows of a flip of the order relation over part.  Within a
-    block the order pairs always survive; between blocks i < j the flip
-    keeps every pair (choice 0), or drops exactly the pairs whose smaller
-    endpoint lies in i (1) or in j (2)."""
-    rows = [bm[b] & ~(1 << v) for v, b in enumerate(part.blocks)]
-    for (i, j), c in zip(cross, choice):
-        for u in bits(bm[i]):
-            for w in bits(bm[j]):
-                if c == 0 or (c == 1) != (u < w):
-                    rows[u] |= 1 << w
-                    rows[w] |= 1 << u
-    return tuple(rows)
-
-
-def _binary_gaifman_outcomes(og, r, k):
-    """Distinct outcomes of the Gaifman graphs of the k-flips of (V, E, <)."""
-    from . import bulk
-    return bulk.rows_outcomes(og.n, r, _gaifman_graphs(og, k))
-
-
 def solve_ordered_binary(og, r, k):
     """Flipper game on the ordered graph as a binary structure (Gaifman moves)."""
-    return _solve_table(_OrderedBinaryRules(og, r, k), _binary_gaifman_outcomes(og, r, k),
-                        lambda move: None, witnesses=False)
+    from . import bulk
+    outcomes = bulk.outcomes(og.graph, r, enumerate_binary_flips(og, k), bulk.OrderLayer())
+    return _solve_table(_OrderedBinaryRules(og, r, k), outcomes, lambda move: None,
+                        witnesses=False)
 
 
 def ordered_binary_flip_width(og, r):

@@ -50,13 +50,6 @@ def degeneracy(g):
     return d, OrderWitness(order, "degeneracy", 1)
 
 
-def order_back_degree(g, order):
-    """Max number of neighbors a vertex has before it; degeneracy checker."""
-    pos = {v: i for i, v in enumerate(order)}
-    return max((sum(1 for u in g.neighbors(v) if pos[u] < pos[v])
-                for v in order), default=0)
-
-
 # ---------------------------------------------------------------------------
 # generalized coloring numbers
 
@@ -339,23 +332,6 @@ def rank_width_small(g):
         return (build(a_side), build(S & ~a_side))
 
     return value, build(full)
-
-
-def decomposition_cut_ranks(g, tree):
-    """Max cut-rank over all subtree cuts; checker for rank_width_small."""
-    best = 0
-
-    def walk(t):
-        nonlocal best
-        if isinstance(t, int):
-            return 1 << t
-        left = walk(t[0])
-        right = walk(t[1])
-        best = max(best, cut_rank(g, left), cut_rank(g, right))
-        return left | right
-
-    walk(tree)
-    return best
 
 
 def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):

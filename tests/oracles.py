@@ -13,17 +13,22 @@ test_flips.py checks against brute force, and its balls and isolation from
 the games' rules objects: plain bitmask walks, apart from the engine's
 numpy kernels (test_flips.py checks the cut-flip walk by hand).
 solve_flipper_concrete, an oracle for the position-set abstraction of the
-game solvers, reads its flips from the same stream.
+game solvers, reads its flips from the same stream.  gaifman_graphs, last,
+is the reference for the binary ordered game: it builds every flip of the
+order relation with its own loops, and every edge flip over all block
+pairs, the diagonal ones included, where the package's stream has the
+cross pairs only.
 """
 
 import functools
 import itertools
 from collections import deque, namedtuple
 
-from flipwidth.flips import (CutFlip, enumerate_definable_flips, enumerate_k_flips,
-                             flip_masks, order_cuts, order_rows, subset_flip)
-from flipwidth.games import FLIPPER, RUNNER
-from flipwidth.graphs import INF
+from flipwidth.flips import (CutFlip, block_pairs, enumerate_definable_flips,
+                             enumerate_k_flips, flip_masks, order_cuts, order_rows,
+                             rgs_partitions, subset_flip)
+from flipwidth.games import FLIPPER, RUNNER, Evader
+from flipwidth.graphs import INF, bits
 
 
 def decode_graph6(text):
@@ -130,6 +135,13 @@ def degeneracy_by_orders(g):
                      for v in order), default=0)
         best = worst if best is None else min(best, worst)
     return best
+
+
+def order_back_degree(g, order):
+    """Max number of neighbors a vertex has before it; degeneracy checker."""
+    pos = {v: i for i, v in enumerate(order)}
+    return max((sum(1 for u in g.neighbors(v) if pos[u] < pos[v])
+                for v in order), default=0)
 
 
 def wcol_by_orders(g, r):
@@ -308,6 +320,23 @@ def rankwidth_by_trees(g):
     return best
 
 
+def decomposition_cut_ranks(g, tree):
+    """Max cut-rank over all subtree cuts; checker for rank_width_small."""
+    best = 0
+
+    def walk(t):
+        nonlocal best
+        if isinstance(t, int):
+            return {t}
+        left = walk(t[0])
+        right = walk(t[1])
+        best = max(best, cut_rank_oracle(g, left), cut_rank_oracle(g, right))
+        return left | right
+
+    walk(tree)
+    return best
+
+
 def shattered_sets(g, size):
     """All size-`size` shattered vertex sets (direct definition)."""
     nbhd = [set(g.neighbors(v)) for v in range(g.n)]
@@ -436,6 +465,11 @@ def cop_game_oracle(game, g, r, k):
         won.update(new)
 
 
+class FirstLegalEvader(Evader):
+    def respond(self, state, move, legal):
+        return legal[0], state
+
+
 def _ball_of(rows, v, r):
     """Mask of the vertices within distance r of v in the graph with
     adjacency rows (r=INF: its component), by BFS layers."""
@@ -539,3 +573,40 @@ def outcome_stream(rules, moves):
             seen.add(key)
             order.append(StreamOutcome(move, *key))
     return order
+
+
+def gaifman_graphs(og, k):
+    """The distinct Gaifman graphs of the k-flips of (V, E, <) as a binary
+    structure, as adjacency rows, in order of first occurrence: each edge
+    flip over a partition combined with each flip of the order relation
+    over it.  Edge flips are the usual symmetric ones."""
+    g = og.graph
+    graphs = {}
+    for part in rgs_partitions(g.n, k):
+        bm = part.block_masks()
+        pairs = block_pairs(part.size)
+        cross = [(i, j) for i, j in pairs if i < j]
+        elayers = dict.fromkeys(flip_masks(g, subset_flip(part, pairs, sub))
+                                for sub in range(1 << len(pairs)))
+        # the first block pair's choice varies fastest
+        llayers = dict.fromkeys(order_layer(part, bm, cross, choice[::-1]) for choice
+                                in itertools.product(range(3), repeat=len(cross)))
+        for em in elayers:
+            for lm in llayers:
+                graphs[tuple(e | o for e, o in zip(em, lm))] = None
+    return list(graphs)
+
+
+def order_layer(part, bm, cross, choice):
+    """Gaifman rows of a flip of the order relation over part.  Within a
+    block the order pairs always survive; between blocks i < j the flip
+    keeps every pair (choice 0), or drops exactly the pairs whose smaller
+    endpoint lies in i (1) or in j (2)."""
+    rows = [bm[b] & ~(1 << v) for v, b in enumerate(part.blocks)]
+    for (i, j), c in zip(cross, choice):
+        for u in bits(bm[i]):
+            for w in bits(bm[j]):
+                if c == 0 or (c == 1) != (u < w):
+                    rows[u] |= 1 << w
+                    rows[w] |= 1 << u
+    return tuple(rows)

@@ -36,6 +36,11 @@ CASES = [
     ("enumerate_cut_flips", flips, "rgs_partitions",
      lambda: list(flips.enumerate_cut_flips(OrderedGraph(Graph(13)), 2)),
      "enumerate_cut_flips at k=2: n=13 exceeds the configured bound 12"),
+    # the binary ordered game is bounded by its raw count alone: P8 gives
+    # 209,419 raw flips at k=3, P9 654,931
+    ("solve_ordered_binary", flips, "rgs_partitions",
+     lambda: games.solve_ordered_binary(OrderedGraph(generate("path", 9)), 1, 3),
+     "enumerate_binary_flips at k=3: raw=654931 exceeds the configured bound 500000"),
     ("solve_cops", games, "_reach_table", lambda: games.solve_cops(Graph(11), 1, 1),
      "solve_cops: n=11 exceeds the configured bound 10"),
     ("solve_isolation", games, "_reach_table", lambda: games.solve_isolation(Graph(11), 1, 1),
@@ -114,3 +119,17 @@ def test_bipartite_work_limit_admits_what_the_stream_counts(n, k):
     raw = sum(1 << len(pairs) for _, _, pairs in flips.enumerate_bipartite_flips(g, left, k))
     assert raw == flips.count_bipartite_flips((n + 1) // 2, n // 2, k)
     assert raw <= flips.CUT_FLIP_WORK_LIMIT
+
+
+def test_binary_raw_count_is_the_streams(monkeypatch):
+    """count_binary_flips, which the binary ordered game's bound reads, is
+    the stream's raw count: 2 edge choices times 3 order choices for each
+    cross block pair a partition allows.  The bound is lifted so that the
+    stream runs on every n <= 7 at k <= 4."""
+    monkeypatch.setattr(flips, "CUT_FLIP_WORK_LIMIT", 1 << 40)
+    for n in range(8):
+        og = OrderedGraph(Graph(n))
+        for k in range(1, 5):
+            raw = sum(2 ** len(pairs) * 3 ** len(pairs)
+                      for _, _, pairs in flips.enumerate_binary_flips(og, k))
+            assert raw == flips.count_binary_flips(n, k), (n, k)

@@ -6,12 +6,12 @@ import pytest
 
 import oracles
 from conftest import atlas_graphs, random_graphs
-from oracles import solve_flipper_concrete
+from oracles import FirstLegalEvader, solve_flipper_concrete
 from flipwidth import games
 from flipwidth.errors import GenerationError, IllegalMoveError, LimitExceeded
 from flipwidth.flips import FlipSpec, Partition, identity_flip
-from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, FirstLegalEvader,
-                             HalfGraphFlipper, IdentityFlipper, RandomFlipper,
+from flipwidth.games import (COPS, FLIPPER, ROBBER, RUNNER, HalfGraphFlipper,
+                             IdentityFlipper, RandomFlipper,
                              approx_flip_width, bipartite_flip_width,
                              cop_width, copw_prime_width, definable_flip_width,
                              flip_width, isolation_width, ordered_flip_width,
@@ -65,8 +65,8 @@ def _outcome_cases(g, ks):
     (when g has a 2-colouring), ordered (the cut-flips) and gaifman (the
     binary ordered game's Gaifman graphs)."""
     from flipwidth import bulk, games
-    from flipwidth.flips import (enumerate_bipartite_flips, enumerate_definable_flips,
-                                 enumerate_k_flips)
+    from flipwidth.flips import (enumerate_binary_flips, enumerate_bipartite_flips,
+                                 enumerate_definable_flips, enumerate_k_flips)
     og = OrderedGraph(g)
     left = _bipartition(g)
     cases = []
@@ -93,9 +93,10 @@ def _outcome_cases(g, ks):
         add(f"ordered k={k}", partial(games._cut_flip_outcomes, og, k=k),
             partial(games._OrderedRules, og, k=k), oracles.cut_flip_stream(og, k))
     for k in ks.get("gaifman", ()):
-        add(f"gaifman k={k}", partial(games._binary_gaifman_outcomes, og, k=k),
+        add(f"gaifman k={k}",
+            lambda r, k=k: bulk.outcomes(g, r, enumerate_binary_flips(og, k), bulk.OrderLayer()),
             partial(games._OrderedBinaryRules, og, k=k),
-            ((None, rows) for rows in games._gaifman_graphs(og, k)))
+            ((None, rows) for rows in oracles.gaifman_graphs(og, k)))
     return cases
 
 
@@ -705,6 +706,15 @@ def test_position_set_abstraction_sound(atlas5):
     for g in atlas5[8:28]:
         for k in (1, 2):
             assert solve_flipper(g, 1, k).winner == solve_flipper_concrete(g, 1, k)
+
+
+def test_position_set_abstraction_sound_on_random_graphs():
+    # n <= 6, r in {1, 2, inf}, k <= 2: the same agreement on random graphs
+    for g in random_graphs(30, 6, seed=13):
+        for r in (1, 2, INF):
+            for k in (1, 2):
+                assert solve_flipper(g, r, k).winner == solve_flipper_concrete(g, r, k), (
+                    g.adj, r, k)
 
 
 def test_solution_json_round_trip():

@@ -5,13 +5,12 @@ import pytest
 
 import oracles
 from conftest import atlas_graphs, random_graphs
+from oracles import decomposition_cut_ranks, order_back_degree
 from flipwidth.graphs import Graph, INF, complement, generate, mask_of
-from flipwidth.params import (OrderWitness, adm_cost, cut_rank,
-                              decomposition_cut_ranks, degeneracy,
+from flipwidth.params import (OrderWitness, adm_cost, cut_rank, degeneracy,
                               functionality_param, generalized_coloring_number,
                               least_excluded_biclique, near_twin_cliques,
-                              near_twin_min, order_back_degree,
-                              rank_width_small, scol_cost,
+                              near_twin_min, rank_width_small, scol_cost,
                               shatter_function, symmetric_difference_param,
                               treewidth_small, vc_dimension, wcol_cost,
                               well_linked_check)

@@ -4,8 +4,8 @@ import oracles
 from conftest import atlas_graphs
 from flipwidth.errors import GenerationError
 from flipwidth.flips import Partition, flip_masks
-from flipwidth.games import (FLIPPER, FirstLegalEvader,
-                             pursuer_beats_every_evader, simulate_match)
+from oracles import FirstLegalEvader
+from flipwidth.games import FLIPPER, pursuer_beats_every_evader, simulate_match
 from flipwidth.graphs import Graph, generate
 from flipwidth.params import shatter_function
 from flipwidth.twinwidth import (ContractionSequence, btww_flip_size_bound,
