@@ -651,6 +651,28 @@ def test_binary_gaifman_matches_literal_bruteforce():
                 assert got == want, (og.graph.adj, k)
 
 
+def test_order_layer_matches_the_reference_on_uint64_rows():
+    """The engine's order masks on 17 to 64 vertices, where rows are uint64
+    and the outcome tests reach only one block, equal oracles.order_layer
+    for every order flip over random 2- and 3-block partitions."""
+    import numpy as np
+    from flipwidth import bulk
+    rng = random.Random(5)
+    for n in (17, 40, 64):
+        for b in (2, 3):
+            # every block is met: the last b vertices lie one in each
+            parts = [Partition([rng.randrange(b) for _ in range(n - b)] + list(range(b)))
+                     for _ in range(3)]
+            blocks = np.array([p.blocks for p in parts], dtype=np.intp)
+            bm = np.array([p.block_masks() for p in parts], dtype=np.uint64)
+            masks = bulk.OrderLayer().masks(bm, blocks)
+            cross = list(itertools.combinations(range(b), 2))
+            for c, part in enumerate(parts):
+                for j, choice in enumerate(itertools.product(range(3), repeat=len(cross))):
+                    assert tuple(int(masks[v][c, j]) for v in range(n)) == oracles.order_layer(
+                        part, part.block_masks(), cross, choice[::-1]), (n, b, c, j)
+
+
 def test_ordered_runner_vs_pattern():
     # a verified 2-rich division forces the runner to win at k=1, r=1
     from flipwidth.certificates import pattern_rich_division, verify_rich_division
