@@ -16,13 +16,22 @@ over several batches):
   rows hold them too, and each ball is closed under the classes at the
   start and after every hop.
 
-Each batch is deduplicated with np.unique, and each distinct outcome keeps
-the first (flip, mask) that gives it in the stream's order.  At r=inf the
-outcomes are far fewer than the flips (the half-graph H_6 has ~6.3e8 raw
-4-flips but only a few thousand distinct component partitions).  Rows are
-uint16 up to 16 vertices and uint64 up to MAX_N = 64, and larger graphs
-are refused.
+Each batch keeps its distinct (iso, *balls) rows as arrays, with the
+stream index of each row's first (flip, mask) and where that flip came
+from; of the batch's partitions it keeps only those its rows come from.
+One merge at the end sorts every batch's rows by index, keeps the first
+of each distinct row and returns them in stream order as an Outcomes
+sequence, which builds an Outcome (and its move) only for a row that is
+read.  At r=inf the outcomes are far fewer than the flips (the half-graph
+H_6 has ~6.3e8 raw 4-flips but only a few thousand distinct component
+partitions).  Rows are uint16 up to 16 vertices and uint64 up to MAX_N =
+64, and larger graphs are refused.
+
+The flip-family fixpoint reads the Outcomes arrays through `state_ids`
+and `kills`, and the witnesses and hideout checks through `popcounts`.
 """
+
+import itertools
 
 import numpy as np
 
@@ -35,11 +44,12 @@ MAX_N = 64
 
 
 class Outcome:
-    """What a move does: iso masks the vertices it isolates and balls[v] is
-    the runner's reach from v.  `move`, the first move that does it, is
-    built when first read from (tag, partition, pairs, subset, cut), as the
-    family's enumerator announces it or as a CutFlip; the binary ordered
-    game's flips have no move."""
+    """One distinct outcome, read off an Outcomes row: iso masks the
+    vertices the move isolates and balls[v] is the runner's reach from v,
+    as Python ints.  `move`, the first move that does it, is built when
+    first read from (tag, partition, pairs, subset, cut), as the family's
+    enumerator announces it or as a CutFlip; the binary ordered game's
+    flips have no move."""
 
     __slots__ = ("iso", "balls", "_move", "_flip")
 
@@ -62,6 +72,64 @@ class Outcome:
         return self._move
 
 
+class Outcomes:
+    """The distinct outcomes of a flip stream, in the order of each one's
+    first (flip, mask): iso[i] and balls[i, v] in the engine's word.  Row
+    i comes from flip number sub[i] of partition sources[src[i]] under
+    layer mask j[i].  Indexing builds row i's Outcome when first read and
+    keeps it, so the rows that are never read cost no Python objects."""
+
+    def __init__(self, iso, balls, sources, src, sub, j, layer):
+        self.iso = iso
+        self.balls = balls
+        self._sources = sources
+        self._src = src
+        self._sub = sub
+        self._j = j
+        self._layer = layer
+        self._built = {}
+
+    def __len__(self):
+        return len(self.iso)
+
+    def __getitem__(self, i):
+        o = self._built.get(i)
+        if o is None:
+            flip = self._sources[self._src[i]] + (int(self._sub[i]),)
+            o = self._built[i] = Outcome(_record(self._layer, flip, int(self._j[i])),
+                                         int(self.iso[i]), tuple(self.balls[i].tolist()))
+        return o
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def popcounts(x):
+    """The number of set bits of each word of an array."""
+    x = np.ascontiguousarray(x)
+    return np.unpackbits(x.view(np.uint8).reshape(*x.shape, -1), axis=-1).sum(axis=-1)
+
+
+def kills(iso, won):
+    """Per outcome, the vertices it isolates or whose ball won[i, v] marks."""
+    word = iso.dtype.type
+    return iso | won @ (word(1) << np.arange(won.shape[1], dtype=word))
+
+
+def state_ids(init, balls, n):
+    """Index the position-set states, init and every ball: the mask of
+    each state id, the id of each ball, and the ids of every state.  Up to
+    16 vertices a state's id is its mask, over a table of every mask."""
+    init = np.array(init, dtype=balls.dtype)
+    if balls.dtype == np.uint16:
+        seen = np.zeros(1 << n, dtype=bool)
+        seen[balls] = True
+        seen[init] = True
+        return np.arange(1 << n, dtype=np.uint16), balls, np.flatnonzero(seen)
+    states, ids = np.unique(np.concatenate([init, balls.ravel()]), return_inverse=True)
+    return states, ids[len(init):].reshape(balls.shape), np.arange(len(states))
+
+
 def _word(n):
     """The row dtype for n vertices; more than MAX_N is refused."""
     if n > MAX_N:
@@ -80,18 +148,20 @@ def outcomes(g, r, parts, layer=None):
     parts yields (tag, Partition, pairs), standing for the flips over the
     partition by every subset of pairs in binary counting order.  With a
     layer, the pair (flip number i, mask j) of a partition whose layer has
-    L masks comes i * L + j-th in its share of the stream.  Returns an
-    Outcome per distinct (iso, balls), in the order of each one's first
-    flip in the stream: iso is the mask of vertices the flip isolates and
-    balls[v] the radius-r ball of v in the flipped graph.
+    L masks comes i * L + j-th in its share of the stream.  Returns the
+    Outcomes, one per distinct (iso, balls), in the order of each one's
+    first flip in the stream: iso is the mask of vertices the flip
+    isolates and balls[v] the radius-r ball of v in the flipped graph.
     """
     n = g.n
     word = _word(n)
-    if n == 0:
-        first = next(iter(parts), None)
-        return [] if first is None else [Outcome(_record(layer, first + (0,), 0), 0, ())]
     base = np.array(g.adj, dtype=word)
-    found = {}      # (iso, *balls) -> (first index, what Outcome.move is built from)
+    kept = []       # per batch: (stream index, (iso, *balls) table, source, subset, mask)
+    sources = []    # (tag, partition, pairs) of each partition a kept row comes from
+    if n == 0:
+        # the empty graph's one outcome comes from the stream's first flip, if any
+        sources = list(itertools.islice(parts, 1))
+        parts = ()
     pending = {}    # (block count, pairs) -> [(tag, partition, pairs, first index)]
     offset = 0
     for tag, part, pairs in parts:
@@ -102,18 +172,28 @@ def outcomes(g, r, parts, layer=None):
         if nsub >= step:
             # so many pair subsets fill batches by themselves, a slice each
             for lo in range(0, nsub, step):
-                _reduce(base, r, key, [(tag, part, pairs, offset + lo * L)],
-                        range(lo, min(lo + step, nsub)), found, layer)
+                kept.append(_reduce(base, r, key, [(tag, part, pairs, offset + lo * L)],
+                                    range(lo, min(lo + step, nsub)), sources, layer))
         else:
             batch = pending.setdefault(key, [])
             batch.append((tag, part, pairs, offset))
             if len(batch) * nsub >= step:
-                _reduce(base, r, key, pending.pop(key), range(nsub), found, layer)
+                kept.append(_reduce(base, r, key, pending.pop(key), range(nsub), sources,
+                                    layer))
         offset += nsub * L
     for key, batch in pending.items():
-        _reduce(base, r, key, batch, range(1 << len(key[1])), found, layer)
-    ranked = sorted(found.items(), key=lambda kv: kv[1][0])
-    return [Outcome(flip, out[0], out[1:]) for out, (_, flip) in ranked]
+        kept.append(_reduce(base, r, key, batch, range(1 << len(key[1])), sources, layer))
+    if not kept:
+        z = np.zeros(len(sources), np.int64)
+        kept = [(z, np.zeros((len(sources), n + 1), word), z, z, z)]
+    index, table, src, sub, j = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    order = np.argsort(index)
+    if len(kept) > 1:
+        # an outcome found by several batches keeps its earliest index
+        order = order[np.sort(_first_rows(table[order]))]
+    table = table[order]
+    return Outcomes(table[:, 0], table[:, 1:], sources, src[order], sub[order], j[order],
+                    layer)
 
 
 class CutLayer:
@@ -180,11 +260,14 @@ def _record(layer, flip, j):
     return flip + (None,) if layer is None else layer.record(flip, j)
 
 
-def _reduce(base, r, key, batch, subs, found, layer):
-    """Reduce the flips of a batch of partitions sharing (block count, pairs),
-    by the pair subsets in the range subs and crossed with the layer's
-    masks, into `found`, keeping the earliest index of each outcome; each
-    partition comes with the index of its flip by subs.start."""
+def _reduce(base, r, key, batch, subs, sources, layer):
+    """The distinct outcomes of a batch of partitions sharing (block count,
+    pairs), by the pair subsets in the range subs and crossed with the
+    layer's masks; each partition comes with the index of its flip by
+    subs.start.  Returns, per outcome, its earliest stream index, its
+    (iso, *balls) row, its partition's place in `sources` (which gains the
+    partitions these rows come from, and only those), its subset number
+    and its layer mask."""
     n = base.shape[0]
     word = base.dtype.type
     b, pairs = key
@@ -229,13 +312,18 @@ def _reduce(base, r, key, batch, subs, found, layer):
     first, table = _kernel(rows, n, r, classes)
     c, rest = np.divmod(first, nsub * L)
     s, j = np.divmod(rest, L)
-    index = offsets[c] + s * L + j
-    for row, gi, ci, si, lj in zip(table.tolist(), index.tolist(), c.tolist(), s.tolist(),
-                                   j.tolist()):
-        out = tuple(row)
-        prev = found.get(out)
-        if prev is None or gi < prev[0]:
-            found[out] = (gi, _record(layer, batch[ci][:3] + (subs.start + si,), lj))
+    used = np.zeros(C, dtype=bool)
+    used[c] = True
+    src = len(sources) - 1 + np.cumsum(used)[c]
+    sources.extend(batch[u][:3] for u in np.flatnonzero(used).tolist())
+    return offsets[c] + s * L + j, table, src, subs.start + s, j
+
+
+def _first_rows(table):
+    """Position of the first occurrence of each distinct row of table."""
+    _, first = np.unique(table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel(),
+                         return_index=True)
+    return first
 
 
 def _kernel(rows, n, r, classes=None):
@@ -288,8 +376,7 @@ def _balls(rows, n, r, classes=None):
         for _ in range(min(r, n - 1) - 1):
             balls = _hop(balls, rows, bit)
     table = np.stack([iso] + balls, axis=1)
-    _, first = np.unique(table.view(np.dtype((np.void, table.itemsize * (n + 1)))).ravel(),
-                         return_index=True)
+    first = _first_rows(table)
     return first, table[first]
 
 

@@ -144,6 +144,14 @@ def _thin_members(cert, balls):
     return sum(1 for v in cert.u if popcount(balls[v] & umask) <= cert.d)
 
 
+def _thin_counts(cert, balls):
+    """_thin_members of each row of an outcome engine's balls array."""
+    from . import bulk
+    u = sorted(cert.u)
+    met = bulk.popcounts(balls[:, u] & balls.dtype.type(mask_of(u)))
+    return (met <= cert.d).sum(axis=1)
+
+
 def _flip_balls(g, r, k, max_n=None):
     """The outcome engine's radius-r outcomes of the <= k-flips of g."""
     from . import bulk
@@ -160,9 +168,10 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
         raise GenerationError(
             f"hideout precondition violated: |U|={len(cert.u)} must exceed d={cert.d}")
     if mode == "exhaustive":
-        for o in _flip_balls(g, cert.r, cert.k, max_n=max_n):
-            if _thin_members(cert, o.balls) > cert.d:
-                return HideoutReport(False, "exhaustive", o.move)
+        outcomes = _flip_balls(g, cert.r, cert.k, max_n=max_n)
+        bad = _thin_counts(cert, outcomes.balls) > cert.d
+        if bad.any():
+            return HideoutReport(False, "exhaustive", outcomes[int(bad.argmax())].move)
         return HideoutReport(True, "exhaustive", None)
     if mode == "sampled":
         rng = random.Random(seed)
@@ -221,11 +230,11 @@ def find_hideout_small(g, r, k, d):
     """Smallest U (by size, then lexicographically) that verifies as an
     (r,k,d)-hideout, or None."""
     check_bound("find_hideout_small", "n", g.n, HIDEOUT_SEARCH_MAX_N)
-    all_balls = [o.balls for o in _flip_balls(g, r, k)]
+    balls = _flip_balls(g, r, k).balls
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)
-            if all(_thin_members(cert, balls) <= d for balls in all_balls):
+            if (_thin_counts(cert, balls) <= d).all():
                 return cert
     return None
 

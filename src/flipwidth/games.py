@@ -463,58 +463,77 @@ def _cut_flip_outcomes(og, r, k, max_n=None):
 def _abstract_solve(outcomes, init_states, n):
     """Least fixpoint of Win over position sets reachable from init_states.
 
-    Returns a dict mapping each won state to (rounds, outcome), where
-    rounds is the entry iteration and outcome is the enumeration-first
-    move whose kill set covers the state with respect to the table one
-    iteration before entry (so replaying it strictly decreases rounds).
+    The states, the initial ones and every ball of the outcomes, are
+    indexed once: ids[i, v] is the state of outcome i's ball of v.
+    Iteration t kills, under each outcome, the vertices it isolates and
+    those whose ball was won before t.  A pending state is won at t by the
+    first outcome in stream order whose kill covers it, so replaying that
+    move strictly decreases rounds.  Returns a dict mapping each won state
+    to (rounds, outcome), where rounds is the entry iteration.
     """
-    states = set(init_states)
-    for o in outcomes:
-        states.update(o.balls)
-    won = {}
+    import numpy as np
+    from . import bulk
+    iso = outcomes.iso
+    states, ids, pending = bulk.state_ids(init_states, outcomes.balls, n)
+    won = np.zeros(len(states), dtype=bool)
+    rounds = np.zeros(len(states), dtype=np.int64)
+    chosen = np.zeros(len(states), dtype=np.int64)
     iteration = 0
-    pending = set(states)
-    while True:
+    while len(pending) and len(iso):
         iteration += 1
-        new = {}
-        prev_won = won
-        kills = []
-        kill_seen = set()
-        for o in outcomes:
-            kill = o.iso
-            for v in range(n):
-                if o.balls[v] in prev_won:
-                    kill |= 1 << v
-            if kill not in kill_seen:
-                kill_seen.add(kill)
-                kills.append((kill, o))
-        for R in pending:
-            for kill, o in kills:
-                if R & ~kill == 0:
-                    new[R] = (iteration, o)
-                    break
-        if not new:
+        kill = bulk.kills(iso, won[ids])
+        _, first = np.unique(kill, return_index=True)
+        first.sort()        # the first outcome of each distinct kill, in stream order
+        hit, at = _first_cover(states[pending], kill[first])
+        if not hit.any():
             break
-        won = dict(won)
-        won.update(new)
-        pending -= set(new)
-        if not pending:
-            break
+        new = pending[hit]
+        won[new] = True
+        rounds[new] = iteration
+        chosen[new] = first[at[hit]]
+        pending = pending[~hit]
+    done = np.flatnonzero(won)
+    won = {R: (rd, outcomes[i]) for R, rd, i in
+           zip(states[done].tolist(), rounds[done].tolist(), chosen[done].tolist())}
     if len(won) <= 2000:
         check_anti_tone(won)
     return won
 
 
+PAIR_CHUNK = 1 << 18     # (row, column) pairs an array test holds at once
+
+
+def _first_cover(R, kills):
+    """Whether some kill covers each state of R (R & ~kill == 0), and the first one."""
+    import numpy as np
+    out = ~kills
+    step = max(1, PAIR_CHUNK // len(kills))
+    hit = np.empty(len(R), dtype=bool)
+    at = np.empty(len(R), dtype=np.intp)
+    for lo in range(0, len(R), step):
+        cover = (R[lo:lo + step, None] & out) == 0
+        cover.any(axis=1, out=hit[lo:lo + step])
+        cover.argmax(axis=1, out=at[lo:lo + step])
+    return hit, at
+
+
 def check_anti_tone(won):
     """R subset R' with Win(R') forces Win(R) with no more rounds, over the
-    recorded (reachable) states."""
+    recorded (reachable) states; the first violation names the pair (a, b)
+    that comes first with a and then b in increasing order."""
+    import numpy as np
     masks = sorted(won)
-    for a in masks:
-        for b in masks:
-            if a != b and a & ~b == 0:
-                if won[a][0] > won[b][0]:
-                    raise AssertionError(f"anti-tone violated: {a:#x} within {b:#x} "
-                                         f"but won later ({won[a][0]} > {won[b][0]})")
+    m = np.array(masks, dtype=np.uint64)
+    rounds = np.array([won[a][0] for a in masks])
+    step = max(1, PAIR_CHUNK // max(len(masks), 1))
+    for lo in range(0, len(masks), step):
+        # a == b has equal rounds, so it never counts
+        bad = ((m[lo:lo + step, None] & ~m) == 0) & (rounds[lo:lo + step, None] > rounds)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            a, b = masks[lo + i], masks[j]
+            raise AssertionError(f"anti-tone violated: {a:#x} within {b:#x} "
+                                 f"but won later ({won[a][0]} > {won[b][0]})")
 
 
 class TableFlipper(Pursuer):
@@ -530,6 +549,7 @@ class TableFlipper(Pursuer):
         self.full = (1 << rules.n) - 1
         self.outcomes = outcomes
         self.won = won
+        self._kills = None
         self.sets = None if rules.start is None else tuple(_initial_states(rules))
 
     def start(self):
@@ -541,18 +561,16 @@ class TableFlipper(Pursuer):
         return chosen.move, chosen.balls
 
     def _greedy(self, R):
-        best = None
-        best_cover = -1
-        for o in self.outcomes:
-            kill = o.iso
-            for v in bits(R & ~kill):
-                if o.balls[v] in self.won:
-                    kill |= 1 << v
-            cover = popcount(R & kill)
-            if cover > best_cover:
-                best_cover = cover
-                best = o
-        return best
+        """The first outcome, in stream order, whose kill under the table
+        covers most of R."""
+        import numpy as np
+        from . import bulk
+        o = self.outcomes
+        if self._kills is None:
+            won = np.array(list(self.won), dtype=o.balls.dtype)
+            self._kills = bulk.kills(o.iso, np.isin(o.balls, won))
+        cover = bulk.popcounts(self._kills & self._kills.dtype.type(R))
+        return o[int(np.argmax(cover))]
 
 
 class TableEvader(Evader):

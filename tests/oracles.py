@@ -17,7 +17,11 @@ game solvers, reads its flips from the same stream.  gaifman_graphs, last,
 is the reference for the binary ordered game: it builds every flip of the
 order relation with its own loops, and every edge flip over all block
 pairs, the diagonal ones included, where the package's stream has the
-cross pairs only.
+cross pairs only.  abstract_solve and check_anti_tone are the dict-based
+fixpoint over position sets and its monotonicity check, as the package
+ran them before its fixpoint moved to arrays: the reference the package's
+array fixpoint is tested against.  greedy_cover is the table flipper's
+move off its table, as that loop chose it.
 """
 
 import functools
@@ -28,7 +32,7 @@ from flipwidth.flips import (CutFlip, block_pairs, enumerate_definable_flips,
                              enumerate_k_flips, flip_masks, order_cuts, order_rows,
                              rgs_partitions, subset_flip)
 from flipwidth.games import FLIPPER, RUNNER, Evader
-from flipwidth.graphs import INF, bits
+from flipwidth.graphs import INF, bits, popcount
 
 
 def decode_graph6(text):
@@ -610,3 +614,77 @@ def order_layer(part, bm, cross, choice):
                     rows[u] |= 1 << w
                     rows[w] |= 1 << u
     return tuple(rows)
+
+
+def abstract_solve(outcomes, init_states, n):
+    """Least fixpoint of Win over position sets reachable from init_states.
+
+    Returns a dict mapping each won state to (rounds, outcome), where
+    rounds is the entry iteration and outcome is the enumeration-first
+    move whose kill set covers the state with respect to the table one
+    iteration before entry (so replaying it strictly decreases rounds).
+    """
+    states = set(init_states)
+    for o in outcomes:
+        states.update(o.balls)
+    won = {}
+    iteration = 0
+    pending = set(states)
+    while True:
+        iteration += 1
+        new = {}
+        prev_won = won
+        kills = []
+        kill_seen = set()
+        for o in outcomes:
+            kill = o.iso
+            for v in range(n):
+                if o.balls[v] in prev_won:
+                    kill |= 1 << v
+            if kill not in kill_seen:
+                kill_seen.add(kill)
+                kills.append((kill, o))
+        for R in pending:
+            for kill, o in kills:
+                if R & ~kill == 0:
+                    new[R] = (iteration, o)
+                    break
+        if not new:
+            break
+        won = dict(won)
+        won.update(new)
+        pending -= set(new)
+        if not pending:
+            break
+    if len(won) <= 2000:
+        check_anti_tone(won)
+    return won
+
+
+def check_anti_tone(won):
+    """R subset R' with Win(R') forces Win(R) with no more rounds, over the
+    recorded (reachable) states."""
+    masks = sorted(won)
+    for a in masks:
+        for b in masks:
+            if a != b and a & ~b == 0:
+                if won[a][0] > won[b][0]:
+                    raise AssertionError(f"anti-tone violated: {a:#x} within {b:#x} "
+                                         f"but won later ({won[a][0]} > {won[b][0]})")
+
+
+def greedy_cover(outcomes, won, R):
+    """The first outcome, in stream order, whose kill under the won table
+    covers most of R."""
+    best = None
+    best_cover = -1
+    for o in outcomes:
+        kill = o.iso
+        for v in bits(R & ~kill):
+            if o.balls[v] in won:
+                kill |= 1 << v
+        cover = popcount(R & kill)
+        if cover > best_cover:
+            best_cover = cover
+            best = o
+    return best

@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from oracles import distinct_flips
+from flipwidth import certificates
 from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
                                     RichDivision, WellLinkedCert,
                                     adm_robber_strategy, certificate_from_json,
@@ -28,6 +30,21 @@ from flipwidth.params import generalized_coloring_number, near_twin_cliques
 
 # ---------------------------------------------------------------------------
 # flip hideouts
+
+
+def test_thin_counts_match_the_members_loop():
+    """The exhaustive hideout checks count thin U-members over the engine's
+    balls array as _thin_members counts them per outcome; on 17 vertices
+    the balls are uint64 words."""
+    rng = random.Random(5)
+    for g, r, k in ((generate("random_gnp", 7, 0.5, 1), 1, 2), (generate("cycle", 6), 2, 2),
+                    (generate("path", 17), 2, 1)):
+        outcomes = certificates._flip_balls(g, r, k)
+        for _ in range(20):
+            u = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            cert = FlipHideout(u, r, k, rng.randint(0, 3))
+            assert certificates._thin_counts(cert, outcomes.balls).tolist() == \
+                [certificates._thin_members(cert, o.balls) for o in outcomes]
 
 
 def test_hideout_precondition():

@@ -177,6 +177,109 @@ def test_the_engine_refuses_more_than_64_vertices():
         solve_definable(path, INF, 1)
 
 
+def _fixpoint_key(won, init):
+    """A fixpoint's win table as state -> (rounds, move JSON), and its winner."""
+    table = {R: (rd, _move_key(o.move)) for R, (rd, o) in won.items()}
+    return table, FLIPPER if all(R in won for R in init) else RUNNER
+
+
+def test_array_fixpoint_matches_the_dict_fixpoint():
+    """The package's array fixpoint gives the dict-based reference's win
+    tables, moves and winners on random graphs with 6 to 9 vertices, and
+    on paths with 17 and 20 vertices, whose states are uint64 words."""
+    cases = [(generate("random_gnp", n, 0.5, seed), r, k)
+             for n, seed in ((6, 1), (7, 2), (8, 3), (9, 0))
+             for r in (1, 2, INF) for k in (2, 3)]
+    cases += [(generate("path", n), r, 1) for n in (17, 20) for r in (1, 2, INF)]
+    for g, r, k in cases:
+        outcomes = games._flip_outcomes(g, r, k, max_n=g.n)
+        init = games._initial_states(games._FlipRules(g, r, k))
+        assert _fixpoint_key(games._abstract_solve(outcomes, init, g.n), init) == \
+            _fixpoint_key(oracles.abstract_solve(outcomes, init, g.n), init), (g.adj, r, k)
+
+
+def test_a_solve_builds_an_outcome_only_for_a_move_it_reads(monkeypatch):
+    """The engine keeps its outcomes as arrays: a solve builds at most one
+    Outcome per state of its win table, not one per distinct outcome."""
+    from flipwidth import bulk
+    built = []
+
+    class Counted(bulk.Outcome):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bulk, "Outcome", Counted)
+    sol = solve_flipper(generate("random_gnp", 8, 0.5, 0), 1, 3)
+    assert 0 < len(built) <= len(sol.win_table)
+
+
+def test_table_flipper_off_its_table_matches_the_loop():
+    """Off its win table the solver's flipper plays the first outcome that
+    covers most of the state, as the reference loop picks it; on 17
+    vertices the states are uint64 words."""
+    rng = random.Random(3)
+    for g, r, k in ((generate("cycle", 5), 1, 1), (generate("random_gnp", 6, 0.5, 2), 2, 2),
+                    (generate("random_gnp", 7, 0.5, 1), INF, 2), (generate("path", 17), 1, 1)):
+        rules = games._FlipRules(g, r, k)
+        outcomes = games._flip_outcomes(g, r, k)
+        won = games._abstract_solve(outcomes, games._initial_states(rules), g.n)
+        flipper = games.TableFlipper(rules, outcomes, won)
+        states = [rng.getrandbits(g.n) for _ in range(100)] if g.n > 8 else range(1 << g.n)
+        for R in states:
+            if R not in won:
+                assert flipper._greedy(R) is oracles.greedy_cover(outcomes, won, R), (g.adj, R)
+
+
+def _random_won_table(rng, n, size):
+    """A won table {state: (rounds, None)} on n vertices that keeps
+    anti-tone: rounds grows with the state's meet with a random mask."""
+    weight = rng.getrandbits(n)
+    states = {rng.getrandbits(n) for _ in range(size)}
+    return {R: (1 + bin(R & weight).count("1"), None) for R in states}
+
+
+def _anti_tone_message(check, won):
+    try:
+        check(won)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+def test_check_anti_tone_matches_the_loop():
+    """On random won tables, with and without a planted violation, the
+    package's check raises exactly when the reference loop does, naming
+    the same first violating pair."""
+    rng = random.Random(12)
+    planted = 0
+    for trial in range(60):
+        big = trial % 10 < 2
+        if big:
+            # over a thousand states, so the package's check runs in chunks
+            n, size = rng.choice((16, 64)), 1500
+        else:
+            n, size = rng.choice((4, 9, 16, 40, 64)), rng.choice((1, 20, 50, 200))
+        won = _random_won_table(rng, n, size)
+        # in every other table subsets of some states are won after them;
+        # in a big one, only a state among the largest, past the first chunk
+        plant = 0
+        masks = sorted(won)
+        for b in ([masks[-1]] if big else rng.sample(masks, min(len(won), 4))) if trial % 2 else ():
+            a = b & ~(1 << (b.bit_length() - 1)) if big else b & rng.getrandbits(n)
+            if a != b:
+                won[a] = (won[b][0] + rng.randint(1, 3), None)
+                plant += 1
+        planted += plant
+        expected = _anti_tone_message(oracles.check_anti_tone, won)
+        assert (expected is not None) == (plant > 0)
+        assert _anti_tone_message(games.check_anti_tone, won) == expected
+    assert planted >= 50
+    assert _anti_tone_message(games.check_anti_tone, {}) is None
+
+
 def test_complement_invariance(atlas5):
     for g in atlas5:
         for r in (1, INF):
