@@ -19,13 +19,16 @@ over several batches):
 Each batch keeps its distinct (iso, *balls) rows as arrays, with the
 stream index of each row's first (flip, mask) and where that flip came
 from; of the batch's partitions it keeps only those its rows come from.
-One merge at the end sorts every batch's rows by index, keeps the first
-of each distinct row and returns them in stream order as an Outcomes
-sequence, which builds an Outcome (and its move) only for a row that is
-read.  At r=inf the outcomes are far fewer than the flips (the half-graph
-H_6 has ~6.3e8 raw 4-flips but only a few thousand distinct component
-partitions).  Rows are uint16 up to 16 vertices and uint64 up to MAX_N =
-64, and larger graphs are refused.
+A merge sorts the rows by index and keeps the first of each distinct
+row, in stream order, and the partitions those rows come from.  It runs
+at the end, and before a batch whenever the rows kept pass FOLD and have
+more than doubled since the last merge, so they stay within a few times
+the distinct outcomes however long the stream.  The merged rows come back as
+an Outcomes sequence, which builds an Outcome (and its move) only for a
+row that is read.  At r=inf the outcomes are far fewer than the flips
+(the half-graph H_6 has ~6.3e8 raw 4-flips but only a few thousand
+distinct component partitions).  Rows are uint16 up to 16 vertices and
+uint64 up to MAX_N = 64, and larger graphs are refused.
 
 The flip-family fixpoint reads the Outcomes arrays through `state_ids`
 and `kills`, and the witnesses and hideout checks through `popcounts`.
@@ -40,6 +43,7 @@ from .flips import CutFlip, enumerate_k_flips, order_rows, subset_flip
 from .graphs import INF
 
 BATCH = 1 << 18     # raw (flip, mask) pairs per batch, give or take one partition's
+FOLD = 1 << 14      # rows kept before batches are merged ahead of the end
 MAX_N = 64
 
 
@@ -100,9 +104,6 @@ class Outcomes:
                                          int(self.iso[i]), tuple(self.balls[i].tolist()))
         return o
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def popcounts(x):
     """The number of set bits of each word of an array."""
@@ -156,8 +157,19 @@ def outcomes(g, r, parts, layer=None):
     n = g.n
     word = _word(n)
     base = np.array(g.adj, dtype=word)
-    kept = []       # per batch: (stream index, (iso, *balls) table, source, subset, mask)
+    kept = []       # (stream index, (iso, *balls) table, source, subset, mask) per batch
     sources = []    # (tag, partition, pairs) of each partition a kept row comes from
+    merged = 0      # rows of kept at the last merge
+
+    def reduce(key, batch, subs):
+        nonlocal kept, merged
+        if sum(len(rows[0]) for rows in kept) > max(2 * merged, FOLD):
+            # fold the batches since the last merge into it, so what is kept
+            # stays within a few times the distinct outcomes
+            kept = [_merge(kept, sources)]
+            merged = len(kept[0][0])
+        kept.append(_reduce(base, r, key, batch, subs, sources, layer))
+
     if n == 0:
         # the empty graph's one outcome comes from the stream's first flip, if any
         sources = list(itertools.islice(parts, 1))
@@ -172,28 +184,34 @@ def outcomes(g, r, parts, layer=None):
         if nsub >= step:
             # so many pair subsets fill batches by themselves, a slice each
             for lo in range(0, nsub, step):
-                kept.append(_reduce(base, r, key, [(tag, part, pairs, offset + lo * L)],
-                                    range(lo, min(lo + step, nsub)), sources, layer))
+                reduce(key, [(tag, part, pairs, offset + lo * L)],
+                       range(lo, min(lo + step, nsub)))
         else:
             batch = pending.setdefault(key, [])
             batch.append((tag, part, pairs, offset))
             if len(batch) * nsub >= step:
-                kept.append(_reduce(base, r, key, pending.pop(key), range(nsub), sources,
-                                    layer))
+                reduce(key, pending.pop(key), range(nsub))
         offset += nsub * L
     for key, batch in pending.items():
-        kept.append(_reduce(base, r, key, batch, range(1 << len(key[1])), sources, layer))
+        reduce(key, batch, range(1 << len(key[1])))
     if not kept:
         z = np.zeros(len(sources), np.int64)
         kept = [(z, np.zeros((len(sources), n + 1), word), z, z, z)]
-    index, table, src, sub, j = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    index, table, src, sub, j = _merge(kept, sources)
+    return Outcomes(table[:, 0], table[:, 1:], sources, src, sub, j, layer)
+
+
+def _merge(kept, sources):
+    """Batches' rows as one: the row of earliest stream index of each
+    distinct outcome, in stream order.  sources keeps only the partitions
+    those rows come from, and their source numbers follow."""
+    index, table, src, sub, j = map(np.concatenate, zip(*kept))
     order = np.argsort(index)
-    if len(kept) > 1:
-        # an outcome found by several batches keeps its earliest index
-        order = order[np.sort(_first_rows(table[order]))]
-    table = table[order]
-    return Outcomes(table[:, 0], table[:, 1:], sources, src[order], sub[order], j[order],
-                    layer)
+    order = order[np.sort(_first_rows(table[order]))]
+    used = np.zeros(len(sources), dtype=bool)
+    used[src[order]] = True
+    sources[:] = itertools.compress(sources, used)
+    return index[order], table[order], np.cumsum(used)[src[order]] - 1, sub[order], j[order]
 
 
 class CutLayer:

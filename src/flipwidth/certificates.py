@@ -230,11 +230,11 @@ def find_hideout_small(g, r, k, d):
     """Smallest U (by size, then lexicographically) that verifies as an
     (r,k,d)-hideout, or None."""
     check_bound("find_hideout_small", "n", g.n, HIDEOUT_SEARCH_MAX_N)
-    balls = _flip_balls(g, r, k).balls
+    all_balls = _flip_balls(g, r, k).balls.tolist()
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)
-            if (_thin_counts(cert, balls) <= d).all():
+            if all(_thin_members(cert, balls) <= d for balls in all_balls):
                 return cert
     return None
 

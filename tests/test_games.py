@@ -146,6 +146,25 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
     _assert_engine_matches_stream(generate("path", 64), EVERY_FAMILY_AT_K1, radii=(0, 1))
 
 
+def test_bulk_outcomes_do_not_depend_on_merges_between_batches(monkeypatch):
+    """With batches of 16 pairs merged whenever the kept rows double, the
+    rows and their partitions are pruned many times over a stream; the
+    outcomes and their moves stay the stream's."""
+    from flipwidth import bulk
+    monkeypatch.setattr(bulk, "BATCH", 16)
+    monkeypatch.setattr(bulk, "FOLD", 1)
+    merges = []
+    merge = bulk._merge
+    monkeypatch.setattr(bulk, "_merge", lambda kept, sources: merges.append(len(kept)) or
+                        merge(kept, sources))
+    for g in atlas_graphs(5, min_n=5)[::16]:
+        _assert_engine_matches_stream(
+            g, {"flip": (3,), "dfw": (2,), "ordered": (2,), "gaifman": (2,)},
+            radii=(0, 2, INF))
+    _assert_engine_matches_stream(generate("path", 17), EVERY_FAMILY_AT_K1, radii=(1, INF))
+    assert sum(1 for m in merges if m > 1) > 100
+
+
 def test_radius_inf_solves_the_engine_does_not_take():
     """Graphs outside 1 <= n <= 16, where rows need a wider word than
     uint16: on the empty graph and a 17-vertex path, at r=inf and r=2, the
