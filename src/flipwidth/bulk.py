@@ -16,16 +16,19 @@ over several batches):
   rows hold them too, and each ball is closed under the classes at the
   start and after every hop.
 
-Each batch keeps its distinct (iso, *balls) rows as arrays, with the
-stream index of each row's first (flip, mask) and where that flip came
-from; of the batch's partitions it keeps only those its rows come from.
-A merge sorts the rows by index and keeps the first of each distinct
-row, in stream order, and the partitions those rows come from.  It runs
-at the end, and before a batch whenever the rows kept pass FOLD and have
-more than doubled since the last merge, so they stay within a few times
-the distinct outcomes however long the stream.  The merged rows come back as
-an Outcomes sequence, which builds an Outcome (and its move) only for a
-row that is read.  At r=inf the outcomes are far fewer than the flips
+Each batch keeps its distinct (iso, *balls) rows with the stream index
+of each row's first (flip, mask), and notes the partitions they come from
+with the index of each one's subset 0.  The index is all a row keeps of
+its flip: the partition is the last to start at or before it, and the
+subset and mask are the quotient and remainder of the distance by the
+partition's layer size.  A merge sorts the rows by index, keeps the first
+of each distinct row, in stream order, and keeps the partitions those
+come from, once each and sorted by offset.  It runs at the end, and
+before a batch whenever the rows kept pass FOLD and have more than
+doubled since the last merge, so they stay within a few times the
+distinct outcomes however long the stream.  The merged rows come back as
+an Outcomes sequence, which builds a row's Outcome (and its move) only
+when the row is read.  At r=inf the outcomes are far fewer than the flips
 (the half-graph H_6 has ~6.3e8 raw 4-flips but only a few thousand
 distinct component partitions).  Rows are uint16 up to 16 vertices and
 uint64 up to MAX_N = 64, and larger graphs are refused.
@@ -34,7 +37,9 @@ The flip-family fixpoint reads the Outcomes arrays through `state_ids`
 and `kills`, and the witnesses and hideout checks through `popcounts`.
 """
 
+import bisect
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,49 +52,28 @@ FOLD = 1 << 14      # rows kept before batches are merged ahead of the end
 MAX_N = 64
 
 
-class Outcome:
-    """One distinct outcome, read off an Outcomes row: iso masks the
-    vertices the move isolates and balls[v] is the runner's reach from v,
-    as Python ints.  `move`, the first move that does it, is built when
-    first read from (tag, partition, pairs, subset, cut), as the family's
-    enumerator announces it or as a CutFlip; the binary ordered game's
-    flips have no move."""
-
-    __slots__ = ("iso", "balls", "_move", "_flip")
-
-    def __init__(self, flip, iso, balls):
-        self._flip = flip
-        self._move = None
-        self.iso = iso
-        self.balls = balls
-
-    @property
-    def move(self):
-        if self._flip is not None:
-            tag, part, pairs, sub, cut = self._flip
-            spec = subset_flip(part, pairs, sub)
-            if cut is not None:
-                self._move = CutFlip(spec, cut)
-            else:
-                self._move = spec if tag is None else (tag, spec)
-            self._flip = None
-        return self._move
+Outcome = namedtuple("Outcome", "move iso balls")
+Outcome.__doc__ = """One distinct outcome as Python values: its first move, as
+the family's enumerator announces it, a CutFlip, or None for the binary
+ordered game; iso masks the vertices the move isolates, and balls[v] is
+the runner's reach from v."""
 
 
 class Outcomes:
     """The distinct outcomes of a flip stream, in the order of each one's
     first (flip, mask): iso[i] and balls[i, v] in the engine's word.  Row
-    i comes from flip number sub[i] of partition sources[src[i]] under
-    layer mask j[i].  Indexing builds row i's Outcome when first read and
-    keeps it, so the rows that are never read cost no Python objects."""
+    i's first (flip, mask) is number index[i] of the stream, decoded over
+    sources, the (offset, tag, partition, pairs) of the partitions the rows
+    come from, sorted by offset.  Indexing builds row i's Outcome when first
+    read and keeps it, so the rows that are never read cost no Python
+    objects."""
 
-    def __init__(self, iso, balls, sources, src, sub, j, layer):
-        self.iso = iso
-        self.balls = balls
+    def __init__(self, index, table, sources, layer):
+        self.iso = table[:, 0]
+        self.balls = table[:, 1:]
+        self._index = index
         self._sources = sources
-        self._src = src
-        self._sub = sub
-        self._j = j
+        self._offsets = [s[0] for s in sources]
         self._layer = layer
         self._built = {}
 
@@ -99,9 +83,16 @@ class Outcomes:
     def __getitem__(self, i):
         o = self._built.get(i)
         if o is None:
-            flip = self._sources[self._src[i]] + (int(self._sub[i]),)
-            o = self._built[i] = Outcome(_record(self._layer, flip, int(self._j[i])),
-                                         int(self.iso[i]), tuple(self.balls[i].tolist()))
+            index = int(self._index[i])
+            offset, tag, part, pairs = self._sources[bisect.bisect_right(self._offsets, index) - 1]
+            layer = self._layer
+            sub, j = divmod(index - offset, 1 if layer is None else layer.size(part.size))
+            spec = subset_flip(part, pairs, sub)
+            if layer is not None:
+                move = layer.move(spec, j)
+            else:
+                move = spec if tag is None else (tag, spec)
+            o = self._built[i] = Outcome(move, int(self.iso[i]), tuple(self.balls[i].tolist()))
         return o
 
 
@@ -157,8 +148,8 @@ def outcomes(g, r, parts, layer=None):
     n = g.n
     word = _word(n)
     base = np.array(g.adj, dtype=word)
-    kept = []       # (stream index, (iso, *balls) table, source, subset, mask) per batch
-    sources = []    # (tag, partition, pairs) of each partition a kept row comes from
+    kept = []       # (stream index, (iso, *balls) table) per batch
+    sources = []    # (offset, tag, partition, pairs) of the partitions kept rows come from
     merged = 0      # rows of kept at the last merge
 
     def reduce(key, batch, subs):
@@ -172,9 +163,9 @@ def outcomes(g, r, parts, layer=None):
 
     if n == 0:
         # the empty graph's one outcome comes from the stream's first flip, if any
-        sources = list(itertools.islice(parts, 1))
+        sources = [(0,) + flip for flip in itertools.islice(parts, 1)]
         parts = ()
-    pending = {}    # (block count, pairs) -> [(tag, partition, pairs, first index)]
+    pending = {}    # (block count, pairs) -> [(offset, tag, partition, pairs)]
     offset = 0
     for tag, part, pairs in parts:
         key = (part.size, tuple(pairs))
@@ -184,34 +175,35 @@ def outcomes(g, r, parts, layer=None):
         if nsub >= step:
             # so many pair subsets fill batches by themselves, a slice each
             for lo in range(0, nsub, step):
-                reduce(key, [(tag, part, pairs, offset + lo * L)],
-                       range(lo, min(lo + step, nsub)))
+                reduce(key, [(offset, tag, part, pairs)], range(lo, min(lo + step, nsub)))
         else:
             batch = pending.setdefault(key, [])
-            batch.append((tag, part, pairs, offset))
+            batch.append((offset, tag, part, pairs))
             if len(batch) * nsub >= step:
                 reduce(key, pending.pop(key), range(nsub))
         offset += nsub * L
     for key, batch in pending.items():
         reduce(key, batch, range(1 << len(key[1])))
     if not kept:
-        z = np.zeros(len(sources), np.int64)
-        kept = [(z, np.zeros((len(sources), n + 1), word), z, z, z)]
-    index, table, src, sub, j = _merge(kept, sources)
-    return Outcomes(table[:, 0], table[:, 1:], sources, src, sub, j, layer)
+        kept = [(np.zeros(len(sources), np.int64), np.zeros((len(sources), n + 1), word))]
+    return Outcomes(*_merge(kept, sources), sources, layer)
 
 
 def _merge(kept, sources):
-    """Batches' rows as one: the row of earliest stream index of each
-    distinct outcome, in stream order.  sources keeps only the partitions
-    those rows come from, and their source numbers follow."""
-    index, table, src, sub, j = map(np.concatenate, zip(*kept))
+    """Batches' (index, table) as one: the row of earliest stream index of
+    each distinct outcome, in stream order.  sources is sorted by offset
+    and keeps the partitions those rows come from, once each, though a
+    partition sliced over several batches was noted once per slice."""
+    index, table = map(np.concatenate, zip(*kept))
     order = np.argsort(index)
     order = order[np.sort(_first_rows(table[order]))]
+    index = index[order]
+    sources.sort(key=lambda s: s[0])
+    # the last partition to start at or before each index: one of equal offsets
     used = np.zeros(len(sources), dtype=bool)
-    used[src[order]] = True
+    used[np.searchsorted([s[0] for s in sources], index, side="right") - 1] = True
     sources[:] = itertools.compress(sources, used)
-    return index[order], table[order], np.cumsum(used)[src[order]] - 1, sub[order], j[order]
+    return index, table[order]
 
 
 class CutLayer:
@@ -232,8 +224,8 @@ class CutLayer:
         """masks[v][0, j]: the ~S class of v under cut number j, v left out."""
         return [np.array([row], dtype=bm.dtype) for row in self.classes]
 
-    def record(self, flip, j):
-        return flip + (self.cuts[j],)
+    def move(self, spec, j):
+        return CutFlip(spec, self.cuts[j])
 
 
 class OrderLayer:
@@ -269,30 +261,24 @@ class OrderLayer:
         return out
 
     @staticmethod
-    def record(flip, j):
+    def move(spec, j):
         return None
-
-
-def _record(layer, flip, j):
-    """Outcome.move's source for the flip (tag, partition, pairs, subset) and mask j."""
-    return flip + (None,) if layer is None else layer.record(flip, j)
 
 
 def _reduce(base, r, key, batch, subs, sources, layer):
     """The distinct outcomes of a batch of partitions sharing (block count,
     pairs), by the pair subsets in the range subs and crossed with the
-    layer's masks; each partition comes with the index of its flip by
-    subs.start.  Returns, per outcome, its earliest stream index, its
-    (iso, *balls) row, its partition's place in `sources` (which gains the
-    partitions these rows come from, and only those), its subset number
-    and its layer mask."""
+    layer's masks; each partition comes as (offset, tag, partition, pairs),
+    offset the stream index of its subset 0.  Returns, per outcome, its
+    earliest stream index and its (iso, *balls) row; sources gains the
+    partitions these rows come from, and only those."""
     n = base.shape[0]
     word = base.dtype.type
     b, pairs = key
     nsub = len(subs)
     C = len(batch)
-    blocks = np.array([part.blocks for _, part, _, _ in batch], dtype=np.intp)   # (C, n)
-    offsets = np.array([o for _, _, _, o in batch], dtype=np.int64)
+    blocks = np.array([part.blocks for _, _, part, _ in batch], dtype=np.intp)   # (C, n)
+    offsets = np.array([o for o, _, _, _ in batch], dtype=np.int64)
 
     bm = np.zeros((C, b), dtype=word)
     for v in range(n):
@@ -329,12 +315,10 @@ def _reduce(base, r, key, batch, subs, sources, layer):
                        for v, m in enumerate(masks)]
     first, table = _kernel(rows, n, r, classes)
     c, rest = np.divmod(first, nsub * L)
-    s, j = np.divmod(rest, L)
     used = np.zeros(C, dtype=bool)
     used[c] = True
-    src = len(sources) - 1 + np.cumsum(used)[c]
-    sources.extend(batch[u][:3] for u in np.flatnonzero(used).tolist())
-    return offsets[c] + s * L + j, table, src, subs.start + s, j
+    sources.extend(itertools.compress(batch, used))
+    return offsets[c] + subs.start * L + rest, table
 
 
 def _first_rows(table):

@@ -5,8 +5,9 @@ import itertools
 import random
 from collections import namedtuple
 
+from . import games
 from .errors import CertificateInvalid, GenerationError, SchemaError, check_bound
-from .flips import enumerate_k_flips, flip_masks, random_flip
+from .flips import flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
 
@@ -152,23 +153,19 @@ def _thin_counts(cert, balls):
     return (met <= cert.d).sum(axis=1)
 
 
-def _flip_balls(g, r, k, max_n=None):
-    """The outcome engine's radius-r outcomes of the <= k-flips of g."""
-    from . import bulk
-    return bulk.outcomes(g, r, enumerate_k_flips(g, k, max_n=max_n))
-
-
 def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
                                max_n=None):
     """Whether every k-flip leaves at most d thin U-members.  Exhaustive mode
     reads the radius-r balls of every distinct outcome, and refutes with the
     first flip of the first violating one, which is the first violating flip
-    in the enumeration order; sampled mode draws `trials` random flips."""
+    in the enumeration order; sampled mode draws `trials` >= 1 random flips."""
+    if mode == "sampled" and trials < 1:
+        raise GenerationError(f"sampled mode needs trials >= 1, got {trials}")
     if len(cert.u) <= cert.d:
         raise GenerationError(
             f"hideout precondition violated: |U|={len(cert.u)} must exceed d={cert.d}")
     if mode == "exhaustive":
-        outcomes = _flip_balls(g, cert.r, cert.k, max_n=max_n)
+        outcomes = games._flip_outcomes(g, cert.r, cert.k, max_n=max_n)
         bad = _thin_counts(cert, outcomes.balls) > cert.d
         if bad.any():
             return HideoutReport(False, "exhaustive", outcomes[int(bad.argmax())].move)
@@ -230,7 +227,7 @@ def find_hideout_small(g, r, k, d):
     """Smallest U (by size, then lexicographically) that verifies as an
     (r,k,d)-hideout, or None."""
     check_bound("find_hideout_small", "n", g.n, HIDEOUT_SEARCH_MAX_N)
-    all_balls = _flip_balls(g, r, k).balls.tolist()
+    all_balls = games._flip_outcomes(g, r, k).balls.tolist()
     for size in range(d + 1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             cert = FlipHideout(frozenset(combo), r, k, d)

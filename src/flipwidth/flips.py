@@ -276,15 +276,10 @@ def compose_flips(g, first, second):
 # S-types and definable flips
 
 
-def s_types(g, s_set, split_s_singletons=False):
-    """Partition of V by the equivalence v ~ u iff N(v) ∩ S = N(u) ∩ S.
-
-    With split_s_singletons, vertices of S additionally become singleton
-    blocks (the K_{t,t} complexity-bound variant).
-    """
+def s_types(g, s_set):
+    """Partition of V by the equivalence v ~ u iff N(v) ∩ S = N(u) ∩ S."""
     smask = mask_of(s_set)
-    return Partition([("s", v) if split_s_singletons and (smask >> v) & 1
-                      else g.adj[v] & smask for v in range(g.n)])
+    return Partition([g.adj[v] & smask for v in range(g.n)])
 
 
 def enumerate_definable_flips(g, k, max_n=None):

@@ -728,27 +728,31 @@ def _subset_masks(n, k):
     return out
 
 
+def _check_cops(name, g, max_n, k=0):
+    """The checks of a cop game's solve or width search `name`: k >= 0, and
+    n within max_n, COPS_MAX_N by default."""
+    if k < 0:
+        raise GenerationError("cop width must be >= 0")
+    check_bound(name, "n", g.n, COPS_MAX_N if max_n is None else max_n)
+
+
 def solve_cops(g, r, k, max_n=None):
     """Cops and Robber with announced moves: robber runs at speed r through
     vertices free of grounded cops (the old-and-new intersection)."""
-    if k < 0:
-        raise GenerationError("cop width must be >= 0")
-    check_bound("solve_cops", "n", g.n, COPS_MAX_N if max_n is None else max_n)
+    _check_cops("solve_cops", g, max_n, k)
     return _solve_cops_family(_CopRules(g, r, k))
 
 
 def solve_isolation(g, r, k, max_n=None):
     """Isolation game: the robber's path avoids all previous cop positions."""
-    if k < 0:
-        raise GenerationError("cop width must be >= 0")
-    check_bound("solve_isolation", "n", g.n, COPS_MAX_N if max_n is None else max_n)
+    _check_cops("solve_isolation", g, max_n, k)
     return _solve_cops_family(_IsolationRules(g, r, k))
 
 
 def _cops_width(name, rules_class, g, r, max_n):
     """Least k at which the cops win the game of rules_class on g; the
     reach table, which depends on g and r alone, is built once for every k."""
-    check_bound(name, "n", g.n, COPS_MAX_N if max_n is None else max_n)
+    _check_cops(name, g, max_n)
     reach = _reach_table(g, r)
     return least_width(lambda k: _solve_cops_family(rules_class(g, r, k), reach), COPS,
                        max(g.n, 1))
@@ -841,9 +845,7 @@ def isolation_width(g, r, max_n=None):
 
 def solve_copw_prime(g, r, k, max_n=None):
     """No-announcement cop variant: memoryless states, cops pick A each round."""
-    if k < 0:
-        raise GenerationError("cop width must be >= 0")
-    check_bound("solve_copw_prime", "n", g.n, COPS_MAX_N if max_n is None else max_n)
+    _check_cops("solve_copw_prime", g, max_n, k)
     return _solve_cops_family(_CopPrimeRules(g, r, k))
 
 
@@ -910,6 +912,8 @@ def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
     Returns a Trace; raises IllegalMoveError when a policy breaks the rules,
     naming the round and move.
     """
+    if max_rounds < 0:
+        raise GenerationError(f"a match needs max_rounds >= 0, got {max_rounds}")
     rules = make_rules(game, g, r, k, left_mask=left_mask)
     pstate = pursuer.start()
     estate = evader.start()

@@ -336,8 +336,10 @@ def rank_width_small(g):
 
 def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):
     """rk(A,B) >= min(|A∩U|, |B∩U|) over bipartitions; exhaustive is exact,
-    sampled can only refute."""
+    sampled can only refute, and draws at least one bipartition."""
     import random as _random
+    if mode == "sampled" and trials < 1:
+        raise GenerationError(f"sampled mode needs trials >= 1, got {trials}")
     umask = mask_of(u_set) if not isinstance(u_set, int) else u_set
     n = g.n
     full = (1 << n) - 1
@@ -416,6 +418,8 @@ def _two_vc(g):
 
 def shatter_function(g, m):
     """Exact pi_G(m) = max over |X| <= m of the number of neighborhood traces."""
+    if m < 0:
+        raise GenerationError(f"the shatter function needs m >= 0, got {m}")
     n = g.n
     check_bound("shatter_function", "subsets",
                 sum(_choose(n, i) for i in range(min(m, n) + 1)), SHATTER_MAX_SUBSETS)

@@ -77,7 +77,7 @@ CASES = [
     ("tww_exact_small", twinwidth, "_red_degree_after_merge",
      lambda: twinwidth.tww_exact_small(Graph(11)),
      "tww_exact_small: n=11 exceeds the configured bound 10"),
-    ("find_hideout_small", certificates, "_flip_balls",
+    ("find_hideout_small", games, "_flip_outcomes",
      lambda: certificates.find_hideout_small(Graph(9), 1, 1, 1),
      "find_hideout_small: n=9 exceeds the configured bound 8"),
     ("verify_cops_hideout", certificates, "_cut_reaches",

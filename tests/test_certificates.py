@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import distinct_flips
-from flipwidth import certificates
+from flipwidth import certificates, games
 from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
                                     RichDivision, WellLinkedCert,
                                     adm_robber_strategy, certificate_from_json,
@@ -39,7 +39,7 @@ def test_thin_counts_match_the_members_loop():
     rng = random.Random(5)
     for g, r, k in ((generate("random_gnp", 7, 0.5, 1), 1, 2), (generate("cycle", 6), 2, 2),
                     (generate("path", 17), 2, 1)):
-        outcomes = certificates._flip_balls(g, r, k)
+        outcomes = games._flip_outcomes(g, r, k)
         for _ in range(20):
             u = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
             cert = FlipHideout(u, r, k, rng.randint(0, 3))

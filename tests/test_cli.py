@@ -330,6 +330,15 @@ ROLE_CASES = [
     (["game", "--family", "clique:3", "flip", "--r", "1", "--k", "abc"], None, 3),
     (["approx", "--family", "clique:3", "--r", "-1", "--k", "1"], None, 3),
     (["approx", "--family", "clique:3", "--r", "inf", "--k", "1"], None, 3),
+    (["certify", "--family", "path:5", "{hideout}", "--mode", "sampled", "--trials", "0"],
+     None, 3),
+    (["certify", "--family", "path:5", "{hideout}", "--mode", "sampled", "--trials=-1"],
+     None, 3),
+    (["certify", "--family", "path:3", "{well_linked}", "--mode", "sampled", "--trials", "0"],
+     None, 3),
+    (["duel", "--family", "path:3", "--game", "flip", "--r", "1", "--k", "1",
+      "--pursuer", "identity", "--evader", "solver-witness", "--max-rounds=-5"], None, 3),
+    (["param", "--family", "path:3", "shatter", "--m=-1"], None, 3),
 ] + [(argv, None, code) for _, argv, code in CERTIFICATE_CASES]
   + [(argv, None, 3) for _, argv in ROLE_CASES], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
@@ -337,7 +346,9 @@ ROLE_CASES = [
         "duel-hideout-no-certificate", "duel-richdivision-no-certificate",
         "duel-copprime-empty-graph", "bipartite-width-0", "duel-bipartite-width-0",
         "duel-random-width-0", "usage-error-option-value", "usage-error-int-type",
-        "approx-negative-radius", "approx-radius-inf"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
+        "approx-negative-radius", "approx-radius-inf", "hideout-sampled-trials-0",
+        "hideout-sampled-trials-negative", "well-linked-sampled-trials-0",
+        "duel-negative-max-rounds", "shatter-negative-m"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
     + [case_id for case_id, _ in ROLE_CASES])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"

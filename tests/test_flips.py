@@ -192,7 +192,9 @@ def test_s_types_singleton_split_ktt_bound():
             s = [v for v in range(g.n) if (smask >> v) & 1]
             if len(s) < 2:
                 continue     # the s^t arithmetic needs |S| >= 2
-            part = s_types(g, s, split_s_singletons=True)
+            # the S-types with each vertex of S split off as a singleton
+            smask = mask_of(s)
+            part = Partition([("s", v) if v in s else g.adj[v] & smask for v in range(g.n)])
             assert part.size <= len(s) ** t
 
 

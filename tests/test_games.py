@@ -148,19 +148,31 @@ def test_bulk_outcomes_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_bulk_outcomes_do_not_depend_on_merges_between_batches(monkeypatch):
     """With batches of 16 pairs merged whenever the kept rows double, the
-    rows and their partitions are pruned many times over a stream; the
-    outcomes and their moves stay the stream's."""
+    rows and their partitions are pruned many times over a stream, and the
+    partitions kept are sorted by where they start, once each; the outcomes
+    and their moves stay the stream's.  Bipartite partitions allow pairs
+    that differ from one partition to the next, so their batches end out
+    of stream order."""
     from flipwidth import bulk
     monkeypatch.setattr(bulk, "BATCH", 16)
     monkeypatch.setattr(bulk, "FOLD", 1)
     merges = []
     merge = bulk._merge
-    monkeypatch.setattr(bulk, "_merge", lambda kept, sources: merges.append(len(kept)) or
-                        merge(kept, sources))
+
+    def counted(kept, sources):
+        merges.append(len(kept))
+        out = merge(kept, sources)
+        offsets = [s[0] for s in sources]
+        assert offsets == sorted(set(offsets))
+        return out
+
+    monkeypatch.setattr(bulk, "_merge", counted)
     for g in atlas_graphs(5, min_n=5)[::16]:
         _assert_engine_matches_stream(
             g, {"flip": (3,), "dfw": (2,), "ordered": (2,), "gaifman": (2,)},
             radii=(0, 2, INF))
+    for g in (generate("path", 6), generate("cycle", 6)):
+        _assert_engine_matches_stream(g, {"bipartite": (2, 3)}, radii=(0, 2, INF))
     _assert_engine_matches_stream(generate("path", 17), EVERY_FAMILY_AT_K1, radii=(1, INF))
     assert sum(1 for m in merges if m > 1) > 100
 
@@ -226,9 +238,9 @@ def test_a_solve_builds_an_outcome_only_for_a_move_it_reads(monkeypatch):
     class Counted(bulk.Outcome):
         __slots__ = ()
 
-        def __init__(self, *args):
+        def __new__(cls, *args):
             built.append(1)
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
     monkeypatch.setattr(bulk, "Outcome", Counted)
     sol = solve_flipper(generate("random_gnp", 8, 0.5, 0), 1, 3)
