@@ -181,24 +181,15 @@ def verify_flip_hideout_report(g, cert, mode="exhaustive", seed=0, trials=10000,
     raise GenerationError(f"unknown verification mode {mode!r}")
 
 
-def verify_flip_hideout(g, cert, mode="exhaustive", **kw):
-    return verify_flip_hideout_report(g, cert, mode, **kw).valid
-
-
-class HideoutRunner:
+class HideoutRunner(games.Evader):
     """Runner policy from a flip hideout: always move to the smallest-index
     member of U whose radius-r ball holds more than d members of U."""
-
-    side = "evader"
 
     def __init__(self, g, cert):
         check_vertices(cert, g.n)
         self.g = g
         self.cert = cert
         self.umask = mask_of(cert.u)
-
-    def start(self):
-        return None
 
     def initial(self, state):
         masks = self.g.adj
@@ -217,10 +208,6 @@ class HideoutRunner:
                 return v, state
         raise CertificateInvalid(
             f"no qualifying hideout vertex against flip {move.to_json()}", move)
-
-
-def hideout_runner_strategy(g, cert):
-    return HideoutRunner(g, cert)
 
 
 def find_hideout_small(g, r, k, d):
@@ -294,15 +281,13 @@ def greedy_copprime_order(g, r, k):
 # order-driven cop strategy and admissibility robber
 
 
-class OrderCops:
+class OrderCops(games.Pursuer):
     """Cops on v plus the earlier vertices weakly 2r-reachable from v; the
     robber is forced upward in the order.
 
     Per round the least order-position over any path the robber could have
     taken is asserted to strictly increase, which is what forces the win.
     """
-
-    side = "pursuer"
 
     def __init__(self, g, order, r):
         self.g = g
@@ -357,21 +342,12 @@ def _distances(masks, v, r):
     return dist
 
 
-def order_cop_strategy(g, order, r):
-    return OrderCops(g, order, r)
-
-
-class AdmissibilityRobber:
+class AdmissibilityRobber(games.Evader):
     """Robber that never leaves U: valid when U witnesses adm_r >= width."""
-
-    side = "evader"
 
     def __init__(self, g, u_set, r):
         self.g = g
         self.umask = mask_of(u_set)
-
-    def start(self):
-        return None
 
     def initial(self, state):
         if self.umask == 0:
@@ -385,10 +361,6 @@ class AdmissibilityRobber:
                 return u, state
         raise CertificateInvalid(
             f"admissibility witness trapped by cops {sorted(move)}", move)
-
-
-def adm_robber_strategy(g, u_set, r):
-    return AdmissibilityRobber(g, u_set, r)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +417,9 @@ def verify_rich_division(og, cert):
     return rich(cert.left, cert.right) and rich(cert.right, cert.left)
 
 
-class RichDivisionRunner:
+class RichDivisionRunner(games.Evader):
     """Ordered-game runner from a rich division: alternate sides, always
     landing in a part that avoids the announced cut set (L first)."""
-
-    side = "evader"
 
     def __init__(self, og, cert):
         check_vertices(cert, og.n)
@@ -471,10 +441,6 @@ class RichDivisionRunner:
                 return u, state + 1
         raise CertificateInvalid(
             f"rich-division runner cornered by cut {sorted(cut)}", move)
-
-
-def rich_division_runner_strategy(og, cert):
-    return RichDivisionRunner(og, cert)
 
 
 def pattern_rich_division(og, n):

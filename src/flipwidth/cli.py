@@ -354,16 +354,16 @@ def _build_strategy(spec_text, side, game, g, r, k, ns):
         seed = _parse_int(parts[1], "a random strategy's seed") if len(parts) > 1 else ns.seed
         return games.RandomFlipper(plain.n, k, seed)
     if name == "hideout":
-        return certs.hideout_runner_strategy(plain, _certificate_of(ns, "flip_hideout"))
+        return certs.HideoutRunner(plain, _certificate_of(ns, "flip_hideout"))
     if name == "richdivision":
         og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
-        return certs.rich_division_runner_strategy(og, _certificate_of(ns, "rich_division"))
+        return certs.RichDivisionRunner(og, _certificate_of(ns, "rich_division"))
     if name == "btww":
         _, cs = twinwidth.tww_exact_small(plain)
-        return twinwidth.btww_strategy(plain, cs, r)
+        return twinwidth.TwinWidthFlipper(plain, cs, r)
     if name == "order-cops":
         _, order = params.degeneracy(plain)
-        return certs.order_cop_strategy(plain, order.permutation, r)
+        return certs.OrderCops(plain, order.permutation, r)
     if name == "halfgraph":
         return games.HalfGraphFlipper(plain.n // 2)
     raise ParseError(f"unknown strategy spec {spec_text!r}")

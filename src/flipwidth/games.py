@@ -69,14 +69,6 @@ class GameSolution:
         self.witness_evader = witness_evader
         self.initial_states = initial_states
 
-    @property
-    def witness_flipper(self):
-        return self.witness_pursuer
-
-    @property
-    def witness_runner(self):
-        return self.witness_evader
-
     def to_json(self, witness=False):
         obj = {"game": self.game,
                "r": "inf" if self.r is INF else self.r,
@@ -624,19 +616,19 @@ def least_width(solve, winner, stop, start=1):
     raise AssertionError(f"no {winner} win at any k <= {stop}")
 
 
-def _solve_table(rules, outcomes, move_json, witnesses=True):
+def _solve_table(rules, outcomes, witnesses=True):
     """Solve a flip-family game over its outcomes and package the result.
 
     The pursuer wins when every initial position set is won, in the worst
     of their rounds.  The win table gives each won state its rounds and
-    move_json of its move; with `witnesses` the solution carries the
+    the JSON of its move; with `witnesses` the solution carries the
     TableFlipper and TableEvader that replay it.
     """
     init = _initial_states(rules)
     won = _abstract_solve(outcomes, init, rules.n)
     wins = all(R in won for R in init)
     rounds = max((won[R][0] for R in init), default=0) if wins else None
-    table = {R: (rd, move_json(o.move)) for R, (rd, o) in won.items()}
+    table = {R: (rd, _move_json(o.move)) for R, (rd, o) in won.items()}
     pursuer = TableFlipper(rules, outcomes, won) if witnesses else None
     evader = TableEvader(rules, won, init) if witnesses else None
     return GameSolution(rules.game, rules.r, rules.k, FLIPPER if wins else RUNNER,
@@ -645,8 +637,7 @@ def _solve_table(rules, outcomes, move_json, witnesses=True):
 
 def solve_flipper(g, r, k, max_n=None):
     """Exact flipper-game solve on g with radius r and width k."""
-    return _solve_table(_FlipRules(g, r, k), _flip_outcomes(g, r, k, max_n=max_n),
-                        FlipSpec.to_json)
+    return _solve_table(_FlipRules(g, r, k), _flip_outcomes(g, r, k, max_n=max_n))
 
 
 def flip_width(g, r, max_n=None):
@@ -656,8 +647,7 @@ def flip_width(g, r, max_n=None):
 
 def solve_definable(g, r, k, max_n=None):
     """Definable flipper game: flips restricted to S-definable ones, |S| <= k."""
-    return _solve_table(_DefinableRules(g, r, k), _definable_outcomes(g, r, k, max_n=max_n),
-                        lambda move: {"s": list(move[0]), "flip": move[1].to_json()})
+    return _solve_table(_DefinableRules(g, r, k), _definable_outcomes(g, r, k, max_n=max_n))
 
 
 def definable_flip_width(g, r, max_n=None):
@@ -669,7 +659,7 @@ def solve_bipartite(g, left_mask, r, k, max_n=None):
     """Bipartite flipper game on a bipartite graph with the given side mask."""
     from . import bulk
     outcomes = bulk.outcomes(g, r, enumerate_bipartite_flips(g, left_mask, k, max_n))
-    return _solve_table(_BipartiteRules(g, r, k, left_mask), outcomes, FlipSpec.to_json)
+    return _solve_table(_BipartiteRules(g, r, k, left_mask), outcomes)
 
 
 def bipartite_flip_width(g, left_mask, r):
@@ -678,8 +668,7 @@ def bipartite_flip_width(g, left_mask, r):
 
 def solve_ordered(og, r, k, max_n=None):
     """Ordered flipper game with k-cut-flips; the runner picks round 1 freely."""
-    return _solve_table(_OrderedRules(og, r, k), _cut_flip_outcomes(og, r, k, max_n=max_n),
-                        CutFlip.to_json)
+    return _solve_table(_OrderedRules(og, r, k), _cut_flip_outcomes(og, r, k, max_n=max_n))
 
 
 def ordered_flip_width(og, r, max_n=None):
@@ -695,8 +684,7 @@ def solve_ordered_binary(og, r, k):
     """Flipper game on the ordered graph as a binary structure (Gaifman moves)."""
     from . import bulk
     outcomes = bulk.outcomes(og.graph, r, enumerate_binary_flips(og, k), bulk.OrderLayer())
-    return _solve_table(_OrderedBinaryRules(og, r, k), outcomes, lambda move: None,
-                        witnesses=False)
+    return _solve_table(_OrderedBinaryRules(og, r, k), outcomes, witnesses=False)
 
 
 def ordered_binary_flip_width(og, r):
@@ -799,7 +787,7 @@ def _solve_cops_family(rules, reach=None):
     rounds = max((won[state][0] for state in init), default=0) if cops_win else None
     pursuer = CopTable(rules, reach, won, moves)
     table = won if rules.keeps_cops else {
-        v: (rd, {"cops": sorted(pursuer.move(rules.start, v)[0])}) for v, (rd, _) in won.items()}
+        v: (rd, _move_json(pursuer.move(rules.start, v)[0])) for v, (rd, _) in won.items()}
     return GameSolution(rules.game, rules.r, rules.k, COPS if cops_win else ROBBER, rounds,
                         table, pursuer, TableEvader(rules, won, init), init)
 
@@ -897,7 +885,10 @@ class Trace:
 
 
 def _move_json(move):
-    """A move its rules have checked, as JSON."""
+    """A move its rules have checked, as JSON; the binary ordered game's
+    move is None, and so is its JSON."""
+    if move is None:
+        return None
     if isinstance(move, (frozenset, set)):
         return {"cops": sorted(move)}
     if isinstance(move, tuple):

@@ -5,6 +5,7 @@ bounds.  Ties everywhere break toward the smallest vertex index.
 """
 
 import itertools
+import math
 from collections import namedtuple
 
 from .errors import GenerationError, check_bound
@@ -338,6 +339,8 @@ def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):
     """rk(A,B) >= min(|A∩U|, |B∩U|) over bipartitions; exhaustive is exact,
     sampled can only refute, and draws at least one bipartition."""
     import random as _random
+    if mode not in ("exhaustive", "sampled"):
+        raise GenerationError(f"unknown mode {mode!r}")
     if mode == "sampled" and trials < 1:
         raise GenerationError(f"sampled mode needs trials >= 1, got {trials}")
     umask = mask_of(u_set) if not isinstance(u_set, int) else u_set
@@ -347,23 +350,17 @@ def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):
         return True
     if mode == "exhaustive":
         check_bound("well_linked_check", "n", n, WELL_LINKED_MAX_N)
-        for m in range(1 << (n - 1)):
-            a = m << 1 | 1   # vertex 0 pinned to side A kills mirror duplicates
-            b = full & ~a
-            need = min(popcount(a & umask), popcount(b & umask))
-            if need and cut_rank(g, a) < need:
-                return False
-        return True
-    if mode == "sampled":
+        # vertex 0 pinned to side A kills mirror duplicates
+        cuts = (m << 1 | 1 for m in range(1 << (n - 1)))
+    else:
         rng = _random.Random(seed)
-        for _ in range(trials):
-            a = rng.randrange(1, full) if full > 1 else 0
-            b = full & ~a
-            need = min(popcount(a & umask), popcount(b & umask))
-            if need and cut_rank(g, a) < need:
-                return False
-        return True
-    raise GenerationError(f"unknown mode {mode!r}")
+        cuts = (rng.randrange(1, full) for _ in range(trials))
+
+    def linked(a):
+        need = min(popcount(a & umask), popcount(full & ~a & umask))
+        return not need or cut_rank(g, a) >= need
+
+    return all(linked(a) for a in cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,45 +372,30 @@ def vc_dimension(g, two_vc=False):
     return _two_vc(g) if two_vc else _vc(g)
 
 
+def _grow(n, size, passes):
+    """Grow size from its start while some subset of range(n) one larger
+    passes."""
+    while size < n and any(passes(xs) for xs in itertools.combinations(range(n), size + 1)):
+        size += 1
+    return size
+
+
 def _vc(g):
-    n = g.n
-    d = 0
-    while d + 1 <= n:
-        found = False
-        for xs in itertools.combinations(range(n), d + 1):
-            xmask = mask_of(xs)
-            traces = {row & xmask for row in g.adj}
-            if len(traces) == 1 << (d + 1):
-                found = True
-                break
-        if not found:
-            break
-        d += 1
-    return d
+    def shattered(xs):
+        xmask = mask_of(xs)
+        return len({row & xmask for row in g.adj}) == 1 << len(xs)
+
+    return _grow(g.n, 0, shattered)
 
 
 def _two_vc(g):
-    n = g.n
-    if n == 0:
-        return 0
-    size = 1
-    while size + 1 <= n:
-        found = False
-        for xs in itertools.combinations(range(n), size + 1):
-            xmask = mask_of(xs)
-            ok = True
-            for a, b in itertools.combinations(xs, 2):
-                want = (1 << a) | (1 << b)
-                if not any((row & xmask) == want for row in g.adj):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if not found:
-            break
-        size += 1
-    return size
+    def pairs_shattered(xs):
+        xmask = mask_of(xs)
+        traces = {row & xmask for row in g.adj}
+        return all((1 << a) | (1 << b) in traces for a, b in itertools.combinations(xs, 2))
+
+    # a single vertex has no pair to realise, so the size starts at 1 (0 when n = 0)
+    return _grow(g.n, min(g.n, 1), pairs_shattered)
 
 
 def shatter_function(g, m):
@@ -422,22 +404,13 @@ def shatter_function(g, m):
         raise GenerationError(f"the shatter function needs m >= 0, got {m}")
     n = g.n
     check_bound("shatter_function", "subsets",
-                sum(_choose(n, i) for i in range(min(m, n) + 1)), SHATTER_MAX_SUBSETS)
+                sum(math.comb(n, i) for i in range(min(m, n) + 1)), SHATTER_MAX_SUBSETS)
     best = 0
     for size in range(min(m, n) + 1):
         for xs in itertools.combinations(range(n), size):
             xmask = mask_of(xs)
             best = max(best, len({row & xmask for row in g.adj}))
     return best
-
-
-def _choose(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +458,8 @@ def symmetric_difference_param(g):
 def _function_cost(g, hmask, v):
     """Least |S| inside H making v a function of S."""
     others = [w for w in bits(hmask) if w != v]
-    candidates = [w for w in others]
-    for size in range(len(candidates) + 1):
-        for s_set in itertools.combinations(candidates, size):
+    for size in range(len(others) + 1):
+        for s_set in itertools.combinations(others, size):
             smask = mask_of(s_set)
             groups = {}
             ok = True
@@ -501,7 +473,7 @@ def _function_cost(g, hmask, v):
                     break
             if ok:
                 return size
-    return len(candidates)
+    return len(others)
 
 
 def functionality_param(g):

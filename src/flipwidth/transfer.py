@@ -3,6 +3,7 @@ the transfer combinator, and modular/substitution lifting."""
 
 from .errors import GenerationError, ParseError
 from .flips import FlipSpec, Partition, flip_masks, identity_flip
+from .games import Pursuer
 from .graphs import INF, ColoredGraph, Graph, ball_mask, bits
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,9 @@ def qf_interpret(cg, formula):
 
 class FlipMap:
     """Total map from flips of a colored graph to flips of its
-    interpretation, with distance stretch s = 1: adjacent pairs of a mapped
-    flip are adjacent in the source flip."""
+    interpretation, with distance stretch s = 1: a k-flip of the source
+    maps to a (k*c)-flip of phi(G), and adjacent pairs of a mapped flip are
+    adjacent in the source flip."""
 
     def __init__(self, cg, formula):
         if isinstance(cg, Graph):
@@ -237,13 +239,7 @@ class FlipMap:
                         f"stretch invariant violated at pair ({u},{v})")
 
 
-def qf_flip_map(cg, formula):
-    """Flip map of a quantifier-free interpretation: a k-flip of the source
-    maps to a (k*c)-flip of phi(G) with stretch 1."""
-    return FlipMap(cg, formula)
-
-
-class TransferredFlipper:
+class TransferredFlipper(Pursuer):
     """Flipper on H replaying a flipper for radius r*stretch on G through a
     flip map.
 
@@ -254,8 +250,6 @@ class TransferredFlipper:
     H-move ever falls outside the shadowed ball (impossible while the
     invariant holds) the shadow degenerates to identity flips.
     """
-
-    side = "pursuer"
 
     def __init__(self, flip_map, g_strategy, r):
         self.fm = flip_map
@@ -292,10 +286,6 @@ class TransferredFlipper:
                        pos, False)
 
 
-def transfer_strategy(flip_map, g_strategy, r):
-    return TransferredFlipper(flip_map, g_strategy, r)
-
-
 # ---------------------------------------------------------------------------
 # bipartite part-splitting map (semi-induced graphs)
 
@@ -322,10 +312,6 @@ class BipartiteSplitMap:
 
     def left_mask(self):
         return (1 << self.nx) - 1
-
-
-def semi_induced_flip_map(g, xs, ys):
-    return BipartiteSplitMap(g, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +342,10 @@ def quotient_graph(g, partition):
     return Graph(b, edges)
 
 
-class ModularLiftFlipper:
+class ModularLiftFlipper(Pursuer):
     """Two-phase flipper: quotient flips lifted blockwise until the runner's
     module is isolated, then an isolating 3-part flip and the in-module
     strategy inside k+2 parts."""
-
-    side = "pursuer"
 
     def __init__(self, g, partition, quotient_strategy, block_strategies):
         if not is_modular(g, partition):
@@ -420,10 +404,6 @@ class ModularLiftFlipper:
         _, local_of = self.locals[a_idx]
         bmove, bstate2 = self.bs[a_idx].move(bstate, local_of[pos])
         return self._lift_block(a_idx, bmove), ("b", a_idx, bstate2)
-
-
-def modular_lift_strategy(g, partition, quotient_strategy, block_strategies):
-    return ModularLiftFlipper(g, partition, quotient_strategy, block_strategies)
 
 
 class SubstitutionNode:

@@ -3,6 +3,7 @@ strategy built from an uncontraction sequence."""
 
 from .errors import GenerationError, SchemaError, check_bound
 from .flips import FlipSpec, Partition, identity_flip
+from .games import Pursuer
 from .graphs import bits, lowest_bit, mask_of, popcount
 
 TWW_MAX_N = 10
@@ -186,11 +187,11 @@ def btww_flip_size_bound(g, d, r, shatter):
     return shatter(g, (d + 3) * _geom_sum(d, 2 * r - 1)) + (d + 3) * _geom_sum(d, 2 * r)
 
 
-class TwinWidthFlipper:
+class TwinWidthFlipper(Pursuer):
     """Flipper policy driven by an uncontraction sequence (round i works in
-    the i-th partition of the chain); wins within n rounds."""
-
-    side = "pursuer"
+    the i-th partition of the chain), per the red-ball residue
+    construction; wins within n rounds, and each round's flip size obeys
+    btww_flip_size_bound."""
 
     def __init__(self, g, cs, r):
         if not isinstance(r, int) or r < 1:
@@ -270,9 +271,3 @@ class TwinWidthFlipper:
 
 def _complete(g, xmask, ymask):
     return all(g.adj[u] & ymask == ymask for u in bits(xmask))
-
-
-def btww_strategy(g, cs, r):
-    """Flipper policy from an uncontraction sequence per the red-ball
-    residue construction; per-round flip size obeys btww_flip_size_bound."""
-    return TwinWidthFlipper(g, cs, r)

@@ -14,12 +14,11 @@ import itertools
 
 from conftest import atlas_graphs, random_graphs
 from oracles import solve_flipper_concrete
-from flipwidth.certificates import (CopsHideout, find_hideout_small,
-                                    greedy_copprime_order,
-                                    hideout_runner_strategy, order_cert_check,
-                                    pattern_rich_division,
-                                    rich_division_runner_strategy,
-                                    subdivision_hideout, verify_cops_hideout,
+from flipwidth.certificates import (CopsHideout, HideoutRunner,
+                                    RichDivisionRunner, find_hideout_small,
+                                    greedy_copprime_order, order_cert_check,
+                                    pattern_rich_division, subdivision_hideout,
+                                    verify_cops_hideout,
                                     verify_flip_hideout_report,
                                     verify_rich_division)
 from flipwidth.flips import flip_masks
@@ -36,8 +35,8 @@ from flipwidth.graphs import (INF, ColoredGraph, OrderedGraph, complement,
 from flipwidth.params import (degeneracy, generalized_coloring_number,
                               near_twin_min, rank_width_small,
                               shatter_function, treewidth_small, vc_dimension)
-from flipwidth.transfer import (ModularLiftFlipper, parse_formula, qf_flip_map,
-                                transfer_strategy)
+from flipwidth.transfer import (FlipMap, ModularLiftFlipper,
+                                TransferredFlipper, parse_formula)
 from flipwidth.flips import Partition
 
 
@@ -142,9 +141,9 @@ def test_criterion_07_hideout_duality():
                             f"{list(g.edges())} (r={r},k={k},d={d}): hideout "
                             f"exists but flipper wins")
                         continue
-                    runner = hideout_runner_strategy(g, cert)
+                    runner = HideoutRunner(g, cert)
                     trace = simulate_match("flip", g, r, k,
-                                           sol.witness_flipper, runner, 10 * g.n)
+                                           sol.witness_pursuer, runner, 10 * g.n)
                     if trace.outcome != "EVADER_SURVIVES":
                         violations.append(
                             f"{list(g.edges())} (r={r},k={k},d={d}): hideout "
@@ -243,12 +242,12 @@ def test_criterion_11_definable_game():
 
 
 def test_criterion_12_twin_width_bridge():
-    from flipwidth.twinwidth import (btww_flip_size_bound, btww_strategy,
+    from flipwidth.twinwidth import (TwinWidthFlipper, btww_flip_size_bound,
                                      tww_exact_small)
     violations = []
     for g in atlas_graphs(6, min_n=2):
         value, cs = tww_exact_small(g)
-        policy = btww_strategy(g, cs, 1)
+        policy = TwinWidthFlipper(g, cs, 1)
         bound = btww_flip_size_bound(g, policy.d, 1, shatter_function)
         bad = []
 
@@ -283,7 +282,7 @@ def test_criterion_13_ordered_duality():
         if sol.winner != RUNNER:
             violations.append(f"pattern {s}: flipper wins at width 1")
             continue
-        runner = rich_division_runner_strategy(og, cert)
+        runner = RichDivisionRunner(og, cert)
         trace = simulate_match("ordered", og.graph, 1, 1, sol.witness_pursuer,
                                runner, 50)
         if trace.outcome != "EVADER_SURVIVES":
@@ -342,8 +341,8 @@ def test_criterion_15_transfer_soundness():
         for r in (1, INF):
             k = flip_width(g, r)
             sol = solve_flipper(g, r, k)
-            fm = qf_flip_map(ColoredGraph(g, [1] * g.n), neg)
-            moved = transfer_strategy(fm, sol.witness_flipper, r)
+            fm = FlipMap(ColoredGraph(g, [1] * g.n), neg)
+            moved = TransferredFlipper(fm, sol.witness_pursuer, r)
             ok, _ = pursuer_beats_every_evader("flip", complement(g), r, k,
                                                moved, 4 * g.n + 4)
             if not ok:
@@ -352,9 +351,9 @@ def test_criterion_15_transfer_soundness():
     part = Partition([0, 0, 0, 1, 1, 1])
     quotient_sol = solve_flipper(generate("clique", 2), INF, 1)
     block_sol = solve_flipper(generate("clique", 3), INF, 1)
-    policy = ModularLiftFlipper(g, part, quotient_sol.witness_flipper,
-                                {0: block_sol.witness_flipper,
-                                 1: block_sol.witness_flipper})
+    policy = ModularLiftFlipper(g, part, quotient_sol.witness_pursuer,
+                                {0: block_sol.witness_pursuer,
+                                 1: block_sol.witness_pursuer})
     ok, _ = pursuer_beats_every_evader("flip", g, INF, max(1, 1 + 2), policy, 40)
     if not ok:
         violations.append("modular lift loses on lex(K_2, K_3)")

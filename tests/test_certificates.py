@@ -6,15 +6,14 @@ import pytest
 
 from oracles import distinct_flips
 from flipwidth import certificates, games
-from flipwidth.certificates import (CopsHideout, FlipHideout, OrderCert,
-                                    RichDivision, WellLinkedCert,
-                                    adm_robber_strategy, certificate_from_json,
+from flipwidth.certificates import (AdmissibilityRobber, CopsHideout,
+                                    FlipHideout, HideoutRunner, OrderCert,
+                                    OrderCops, RichDivision,
+                                    RichDivisionRunner, WellLinkedCert,
+                                    certificate_from_json,
                                     find_hideout_small, greedy_copprime_order,
-                                    hideout_runner_strategy, order_cert_check,
-                                    order_cop_strategy, pattern_rich_division,
-                                    rich_division_runner_strategy,
+                                    order_cert_check, pattern_rich_division,
                                     subdivision_hideout, verify_cops_hideout,
-                                    verify_flip_hideout,
                                     verify_flip_hideout_report,
                                     verify_rich_division,
                                     well_linked_to_hideout)
@@ -51,7 +50,7 @@ def test_hideout_precondition():
     g = generate("clique", 4)
     cert = FlipHideout(frozenset(range(4)), 1, 1, 5)
     with pytest.raises(GenerationError, match="precondition"):
-        verify_flip_hideout(g, cert)
+        verify_flip_hideout_report(g, cert)
 
 
 def test_subdivided_k5_hideout():
@@ -60,7 +59,7 @@ def test_subdivided_k5_hideout():
     g, principal = exact_subdivision(base, 1)
     assert cert.u == frozenset(principal)
     assert cert == FlipHideout(frozenset(range(5)), 2, 1, 1)
-    assert verify_flip_hideout(g, cert, max_n=15)
+    assert verify_flip_hideout_report(g, cert, max_n=15).valid
 
 
 def test_subdivision_hideout_precondition():
@@ -83,7 +82,7 @@ def test_near_twin_free_graphs_make_v_a_hideout():
     for g in candidates:
         assert near_twin_cliques(g, 1, 1) is None
         cert = FlipHideout(frozenset(range(g.n)), 1, 1, 1)
-        assert verify_flip_hideout(g, cert, max_n=10)
+        assert verify_flip_hideout_report(g, cert, max_n=10).valid
 
 
 def test_hideout_duality_with_game(atlas5):
@@ -122,8 +121,8 @@ def test_hideout_runner_survives():
     cert = subdivision_hideout(base, 2, 1)
     sol = solve_flipper(g, 2, 1, max_n=15)
     assert sol.winner == RUNNER
-    runner = hideout_runner_strategy(g, cert)
-    trace = simulate_match("flip", g, 2, 1, sol.witness_flipper, runner, 10 * g.n)
+    runner = HideoutRunner(g, cert)
+    trace = simulate_match("flip", g, 2, 1, sol.witness_pursuer, runner, 10 * g.n)
     assert trace.outcome == "EVADER_SURVIVES"
     trace = simulate_match("flip", g, 2, 1, IdentityFlipper(g.n), runner, 40)
     assert trace.outcome == "EVADER_SURVIVES"
@@ -135,10 +134,10 @@ def test_corrupted_hideout_reports_refuting_flip():
     report = verify_flip_hideout_report(g, bogus, max_n=6)
     assert not report.valid
     assert report.refutation is not None
-    runner = hideout_runner_strategy(g, bogus)
+    runner = HideoutRunner(g, bogus)
     sol = solve_flipper(g, 1, 2)
     with pytest.raises(CertificateInvalid) as err:
-        simulate_match("flip", g, 1, 2, sol.witness_flipper, runner, 40)
+        simulate_match("flip", g, 1, 2, sol.witness_pursuer, runner, 40)
     assert err.value.refutation is not None
 
 
@@ -154,7 +153,7 @@ def test_well_linked_to_hideout_c5():
     g = generate("cycle", 5)
     cert = well_linked_to_hideout(g, range(5), 1)
     assert cert.r is INF and cert.k == 1 and cert.d == 1
-    assert verify_flip_hideout(g, cert)
+    assert verify_flip_hideout_report(g, cert).valid
     with pytest.raises(GenerationError, match="3k"):
         well_linked_to_hideout(g, range(3), 1)
 
@@ -210,7 +209,7 @@ def test_order_cert_check_rejects_bad_order():
 def test_order_cops_win_on_tree():
     g = generate("path", 6)
     value, witness = generalized_coloring_number(g, "wcol", 2)
-    cops = order_cop_strategy(g, witness.permutation, 1)
+    cops = OrderCops(g, witness.permutation, 1)
     k = value + 1
     sol = solve_cops(g, 1, k)
     trace = simulate_match("cop", g, 1, k, cops, sol.witness_evader, 3 * g.n)
@@ -222,7 +221,7 @@ def test_degeneracy_order_cops_radius1():
     from flipwidth.params import degeneracy
     g = generate("cycle", 6)
     d, witness = degeneracy(g)
-    cops = order_cop_strategy(g, witness.permutation, 1)
+    cops = OrderCops(g, witness.permutation, 1)
     # wcol_2 of the degeneracy order bounds the cop count; d+1 suffices on C6
     sol = solve_cops(g, 1, d + 1 + 1)
     trace = simulate_match("cop", g, 1, 6, cops, sol.witness_evader, 20)
@@ -236,7 +235,7 @@ def test_adm_robber_survives():
     d, _ = degeneracy(g)
     adm, witness = generalized_coloring_number(g, "adm", 1)
     assert adm >= d
-    robber = adm_robber_strategy(g, range(6), 1)
+    robber = AdmissibilityRobber(g, range(6), 1)
     sol = solve_cops(g, 1, d)
     assert sol.winner == ROBBER
     trace = simulate_match("cop", g, 1, d, sol.witness_pursuer, robber, 10 * g.n)
@@ -273,7 +272,7 @@ def test_rich_division_runner_survives():
     cert = pattern_rich_division(og, 4)
     sol = solve_ordered(og, 1, 1)
     assert sol.winner == RUNNER
-    runner = rich_division_runner_strategy(og, cert)
+    runner = RichDivisionRunner(og, cert)
     trace = simulate_match("ordered", og.graph, 1, 1, sol.witness_pursuer,
                            runner, 50)
     assert trace.outcome == "EVADER_SURVIVES"

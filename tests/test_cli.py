@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -294,6 +295,10 @@ ROLE_CASES = [
      ["duel", "--family", "path:3", "--game", "flip", "--r", "1", "--k", "1",
       "--pursuer", "hideout", "--evader", "solver-witness",
       "--certificate", "{hideout_on_path3}"]),
+    ("duel-richdivision-as-pursuer",
+     ["duel", "--family", "path:3", "--game", "ordered", "--r", "1", "--k", "1",
+      "--pursuer", "richdivision", "--evader", "solver-witness",
+      "--certificate", "{division}"]),
     ("duel-hideout-in-the-cop-game", _duel("cop", "hideout", "hideout")),
     ("cutrank-set-vertex-7", ["param", "--family", "path:3", "cutrank", "--set", "7"]),
     ("cutrank-set-vertex-negative", ["param", "--family", "path:3", "cutrank", "--set=-1"]),
@@ -363,6 +368,55 @@ def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     assert "Traceback" not in err and err.strip()
     if argv[-1] in ("hideout", "richdivision"):
         assert "--certificate" in err
+
+
+# every strategy spec `duel` takes: (spec, game, side, certificate)
+DUEL_SPECS = [
+    ("solver-witness", "flip", "pursuer", None),
+    ("solver-witness", "flip", "evader", None),
+    ("identity", "flip", "pursuer", None),
+    ("random:1", "flip", "pursuer", None),
+    ("btww", "flip", "pursuer", None),
+    ("order-cops", "cop", "pursuer", None),
+    ("halfgraph", "flip", "pursuer", None),
+    ("hideout", "flip", "evader", "hideout_on_path3"),
+    ("richdivision", "ordered", "evader", "division"),
+]
+
+
+def test_every_policy_is_a_pursuer_or_an_evader(tmp_path):
+    from flipwidth import certificates, games, transfer, twinwidth
+    from flipwidth.flips import Partition
+    from flipwidth.graphs import ColoredGraph, OrderedGraph, generate
+    g = generate("path", 3)
+    identity = games.IdentityFlipper(3)
+    flip_map = transfer.FlipMap(ColoredGraph(g, [1] * 3), transfer.parse_formula("!E(x,y)"))
+    policies = [
+        (certificates.HideoutRunner(g, certificates.certificate_from_json(
+            CERTIFICATES["hideout_on_path3"])), games.Evader),
+        (certificates.AdmissibilityRobber(g, [0, 1], 1), games.Evader),
+        (certificates.RichDivisionRunner(OrderedGraph(g), certificates.certificate_from_json(
+            CERTIFICATES["division"])), games.Evader),
+        (certificates.OrderCops(g, (0, 1, 2), 1), games.Pursuer),
+        (transfer.TransferredFlipper(flip_map, identity, 1), games.Pursuer),
+        (transfer.ModularLiftFlipper(g, Partition([0, 1, 2]), identity,
+                                     {v: games.IdentityFlipper(1) for v in range(3)}),
+         games.Pursuer),
+        (twinwidth.TwinWidthFlipper(g, twinwidth.tww_exact_small(g)[1], 1), games.Pursuer),
+    ]
+    for policy, base in policies:
+        # the base class states the side; no policy restates it
+        assert isinstance(policy, base) and "side" not in vars(type(policy))
+        assert policy.side == base.side
+    for spec, game, side, cert in DUEL_SPECS:
+        path = None
+        if cert is not None:
+            path = tmp_path / f"{cert}.json"
+            path.write_text(json.dumps(CERTIFICATES[cert]))
+        ns = argparse.Namespace(seed=0, certificate=path and str(path))
+        policy = cli._build_strategy(spec, side, game, g, 1, 1, ns)
+        assert isinstance(policy, games.Pursuer if side == "pursuer" else games.Evader), spec
+        assert policy.side == side, spec
 
 
 @pytest.mark.parametrize("game", ["flip", "dfw", "bipartite", "ordered"])

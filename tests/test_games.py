@@ -367,15 +367,15 @@ def test_witness_match_reproduces_solution(atlas5):
             k = flip_width(g, r)
             sol = solve_flipper(g, r, k)
             assert sol.winner == FLIPPER
-            trace = simulate_match("flip", g, r, k, sol.witness_flipper,
-                                   sol.witness_runner, 3 * g.n + 5)
+            trace = simulate_match("flip", g, r, k, sol.witness_pursuer,
+                                   sol.witness_evader, 3 * g.n + 5)
             assert trace.outcome == "PURSUER_WINS"
             assert trace.rounds == sol.rounds
             if k > 1:
                 low = solve_flipper(g, r, k - 1)
                 assert low.winner == RUNNER
-                trace = simulate_match("flip", g, r, k - 1, low.witness_flipper,
-                                       low.witness_runner, 3 * g.n + 5)
+                trace = simulate_match("flip", g, r, k - 1, low.witness_pursuer,
+                                       low.witness_evader, 3 * g.n + 5)
                 assert trace.outcome == "EVADER_SURVIVES"
 
 
@@ -385,7 +385,7 @@ def test_witness_flipper_beats_every_runner():
             k = flip_width(g, r)
             sol = solve_flipper(g, r, k)
             ok, worst = pursuer_beats_every_evader("flip", g, r, k,
-                                                   sol.witness_flipper, 4 * g.n)
+                                                   sol.witness_pursuer, 4 * g.n)
             assert ok
             assert worst == sol.rounds
 

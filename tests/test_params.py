@@ -6,6 +6,8 @@ import pytest
 import oracles
 from conftest import atlas_graphs, random_graphs
 from oracles import decomposition_cut_ranks, order_back_degree
+from flipwidth import params
+from flipwidth.errors import GenerationError
 from flipwidth.graphs import Graph, INF, complement, generate, mask_of
 from flipwidth.params import (OrderWitness, adm_cost, cut_rank, degeneracy,
                               functionality_param, generalized_coloring_number,
@@ -152,6 +154,12 @@ def test_well_linked_trivial_cases():
     assert not well_linked_check(edgeless, {0, 1})
 
 
+def test_well_linked_unknown_mode_raises_at_any_size():
+    for n in (0, 1, 3):
+        with pytest.raises(GenerationError, match="unknown mode 'bogus'"):
+            well_linked_check(Graph(n), range(n), mode="bogus")
+
+
 def test_well_linked_c5_bruteforce():
     g = generate("cycle", 5)
     # definitional brute force over all bipartitions
@@ -180,6 +188,11 @@ def test_vc_matches_oracle(atlas5):
 def test_two_vc_subdivided_k4():
     g, principal = generate("exact_subdivision", generate("clique", 4), 1)
     assert vc_dimension(g, two_vc=True) == 4
+
+
+def test_two_vc_on_no_vertex_and_one():
+    assert params._two_vc(Graph(0)) == 0
+    assert params._two_vc(Graph(1)) == 1
 
 
 def test_two_vc_at_least_vc(atlas4):

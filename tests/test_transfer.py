@@ -12,12 +12,11 @@ from flipwidth.games import (FLIPPER, RUNNER, bipartite_flip_width,
 from flipwidth.graphs import (INF, ColoredGraph, Graph, complement,
                               disjoint_union, generate, lexicographic_product,
                               semi_induced)
-from flipwidth.transfer import (FlipMap, ModularLiftFlipper, SubstitutionNode,
-                                is_modular, modular_lift_strategy,
-                                parse_formula, qf_flip_map, qf_interpret,
-                                quotient_graph, semi_induced_flip_map,
-                                substitution_build, substitution_strategy,
-                                transfer_strategy)
+from flipwidth.transfer import (BipartiteSplitMap, FlipMap,
+                                ModularLiftFlipper, SubstitutionNode,
+                                TransferredFlipper, is_modular, parse_formula,
+                                qf_interpret, quotient_graph,
+                                substitution_build, substitution_strategy)
 
 
 def colored(g, colors=None):
@@ -75,13 +74,13 @@ def test_flip_map_complement_identity_flip():
     # on a graph with distant pairs, the identity flip maps to the
     # all-pairs-flipped flip of the complement, recovering G itself
     g = generate("path", 4)
-    fm = qf_flip_map(colored(g), parse_formula("!E(x,y)"))
+    fm = FlipMap(colored(g), parse_formula("!E(x,y)"))
     mapped = fm.map(FlipSpec(Partition([0] * 4), []))
     from flipwidth.flips import apply_flip
     assert apply_flip(fm.target, mapped).adj == g.adj
     # on a complete graph no pair is distant, so nothing is forced
     k4 = generate("clique", 4)
-    fmk = qf_flip_map(colored(k4), parse_formula("!E(x,y)"))
+    fmk = FlipMap(colored(k4), parse_formula("!E(x,y)"))
     assert fmk.map(FlipSpec(Partition([0] * 4), [])).pairs == frozenset()
 
 
@@ -89,7 +88,7 @@ def test_flip_map_width_bound():
     # a k-flip of a c-colored graph maps to a (k*c)-flip: T_0(k) = k per color
     g = generate("random_gnp", 6, 0.5, 3)
     cg = ColoredGraph(g, (1, 2, 1, 2, 1, 2))
-    fm = qf_flip_map(cg, parse_formula("E(x,y) & C1(x) & C1(y)"))
+    fm = FlipMap(cg, parse_formula("E(x,y) & C1(x) & C1(y)"))
     for spec, _ in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)
         assert mapped.partition.size <= spec.partition.size * 2
@@ -98,7 +97,7 @@ def test_flip_map_width_bound():
 def test_flip_map_stretch_invariant_all_pairs():
     g = generate("random_gnp", 6, 0.5, 11)
     cg = ColoredGraph(g, (1, 1, 2, 2, 1, 2))
-    fm = qf_flip_map(cg, parse_formula("!E(x,y) & !(C2(x) & C2(y))"))
+    fm = FlipMap(cg, parse_formula("!E(x,y) & !(C2(x) & C2(y))"))
     from flipwidth.flips import flip_masks
     for spec, g_masks in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)       # map() asserts the invariant internally
@@ -112,8 +111,8 @@ def test_transfer_complement_wins(atlas5):
         for r in (1, INF):
             k = flip_width(g, r)
             sol = solve_flipper(g, r, k)
-            fm = qf_flip_map(colored(g), parse_formula("!E(x,y)"))
-            moved = transfer_strategy(fm, sol.witness_flipper, r)
+            fm = FlipMap(colored(g), parse_formula("!E(x,y)"))
+            moved = TransferredFlipper(fm, sol.witness_pursuer, r)
             ok, _ = pursuer_beats_every_evader("flip", complement(g), r, k,
                                                moved, 4 * g.n + 4)
             assert ok
@@ -122,8 +121,8 @@ def test_transfer_complement_wins(atlas5):
 def test_transfer_k5_to_edgeless():
     g = generate("clique", 5)
     sol = solve_flipper(g, INF, 1)
-    fm = qf_flip_map(colored(g), parse_formula("!E(x,y)"))
-    moved = transfer_strategy(fm, sol.witness_flipper, INF)
+    fm = FlipMap(colored(g), parse_formula("!E(x,y)"))
+    moved = TransferredFlipper(fm, sol.witness_pursuer, INF)
     ok, rounds = pursuer_beats_every_evader("flip", complement(g), INF, 1,
                                             moved, 10)
     assert ok and rounds == 1
@@ -131,8 +130,8 @@ def test_transfer_k5_to_edgeless():
 
 def test_stretch_composition():
     g = generate("cycle", 5)
-    fm1 = qf_flip_map(colored(g), parse_formula("E(x,y)"))
-    fm2 = qf_flip_map(colored(fm1.target), parse_formula("!E(x,y)"))
+    fm1 = FlipMap(colored(g), parse_formula("E(x,y)"))
+    fm2 = FlipMap(colored(fm1.target), parse_formula("!E(x,y)"))
     assert fm1.stretch * fm2.stretch == 1
 
 
@@ -149,7 +148,7 @@ def test_semi_induced_transfer(atlas5):
             continue
         picks = rng.sample(range(g.n), 4)
         xs, ys = sorted(picks[:2]), sorted(picks[2:])
-        fm = semi_induced_flip_map(g, xs, ys)
+        fm = BipartiteSplitMap(g, xs, ys)
         for r in (1, INF):
             k = flip_width(g, r)
             bfw = bipartite_flip_width(fm.target, fm.left_mask(), r)
@@ -168,7 +167,7 @@ def test_semi_induced_overlap_counterexample():
 
 def test_split_map_paths_project():
     g = generate("cycle", 4)
-    fm = semi_induced_flip_map(g, [0, 1], [1, 2])
+    fm = BipartiteSplitMap(g, [0, 1], [1, 2])
     from flipwidth.flips import apply_flip
     for spec, src in distinct_flips(g, enumerate_k_flips(g, 2)):
         mapped = fm.map(spec)
@@ -204,8 +203,8 @@ def test_modular_lift_wins_lex_k2_k3():
     g = lexicographic_product(h, kgraph)
     part = Partition([0, 0, 0, 1, 1, 1])
     qsol = solve_flipper(h, INF, 1)
-    bsols = {i: solve_flipper(kgraph, INF, 1).witness_flipper for i in range(2)}
-    policy = modular_lift_strategy(g, part, qsol.witness_flipper, bsols)
+    bsols = {i: solve_flipper(kgraph, INF, 1).witness_pursuer for i in range(2)}
+    policy = ModularLiftFlipper(g, part, qsol.witness_pursuer, bsols)
     width = max(1, 1 + 2)
     ok, rounds = pursuer_beats_every_evader("flip", g, INF, width, policy, 30)
     assert ok
@@ -214,7 +213,7 @@ def test_modular_lift_wins_lex_k2_k3():
 def test_modular_lift_rejects_non_modular():
     g = generate("path", 4)
     with pytest.raises(GenerationError):
-        modular_lift_strategy(g, Partition([0, 0, 1, 1]), None, {})
+        ModularLiftFlipper(g, Partition([0, 0, 1, 1]), None, {})
 
 
 def test_disjoint_union_via_trivial_quotient():
@@ -226,10 +225,10 @@ def test_disjoint_union_via_trivial_quotient():
     assert q.num_edges() == 0
     k1, k2 = flip_width(g1, INF), flip_width(g2, INF)
     kq = flip_width(q, INF)
-    policy = modular_lift_strategy(
-        g, part, solve_flipper(q, INF, kq).witness_flipper,
-        {0: solve_flipper(g1, INF, k1).witness_flipper,
-         1: solve_flipper(g2, INF, k2).witness_flipper})
+    policy = ModularLiftFlipper(
+        g, part, solve_flipper(q, INF, kq).witness_pursuer,
+        {0: solve_flipper(g1, INF, k1).witness_pursuer,
+         1: solve_flipper(g2, INF, k2).witness_pursuer})
     width = max(kq, max(k1, k2) + 2)
     ok, _ = pursuer_beats_every_evader("flip", g, INF, width, policy, 40)
     assert ok
@@ -246,7 +245,7 @@ def test_substitution_triangles_into_path():
 
     def strategy_for(g):
         k = flip_width(g, 1)
-        return solve_flipper(g, 1, k).witness_flipper
+        return solve_flipper(g, 1, k).witness_pursuer
 
     built, policy = substitution_strategy(node, 1, strategy_for)
     assert built.adj == graph.adj

@@ -8,9 +8,9 @@ from oracles import FirstLegalEvader
 from flipwidth.games import FLIPPER, pursuer_beats_every_evader, simulate_match
 from flipwidth.graphs import Graph, generate
 from flipwidth.params import shatter_function
-from flipwidth.twinwidth import (ContractionSequence, btww_flip_size_bound,
-                                 btww_strategy, red_graph, sequence_width,
-                                 tww_exact_small)
+from flipwidth.twinwidth import (ContractionSequence, TwinWidthFlipper,
+                                 btww_flip_size_bound, red_graph,
+                                 sequence_width, tww_exact_small)
 
 
 def seq_all_merge_first(n):
@@ -82,7 +82,7 @@ def test_uncontraction_chain_shape():
 def test_btww_wins_on_k5():
     g = generate("clique", 5)
     _, cs = tww_exact_small(g)
-    policy = btww_strategy(g, cs, 1)
+    policy = TwinWidthFlipper(g, cs, 1)
     ok, rounds = pursuer_beats_every_evader("flip", g, 1, g.n, policy, 3 * g.n)
     assert ok
     assert rounds <= g.n
@@ -97,7 +97,7 @@ def test_btww_beats_best_response_with_invariant(atlas6):
         if checked > 25:
             break
         value, cs = tww_exact_small(g)
-        policy = btww_strategy(g, cs, 1)
+        policy = TwinWidthFlipper(g, cs, 1)
         bound = btww_flip_size_bound(g, policy.d, 1,
                                      lambda gg, m: shatter_function(gg, m))
 
@@ -117,7 +117,7 @@ def test_btww_literal_bound_when_d_ge_2():
     g = generate("cycle", 6)
     value, cs = tww_exact_small(g)
     assert value == 2
-    policy = btww_strategy(g, cs, 1)
+    policy = TwinWidthFlipper(g, cs, 1)
     d = policy.d
     literal = shatter_function(g, 2 * (d + 3) * d) + 2 * (d + 3) * d * d
 
@@ -132,7 +132,7 @@ def test_btww_literal_bound_when_d_ge_2():
 def test_btww_idempotent_after_trap():
     g = generate("clique", 3)
     _, cs = tww_exact_small(g)
-    policy = btww_strategy(g, cs, 1)
+    policy = TwinWidthFlipper(g, cs, 1)
     state = policy.start()
     pos = 0
     for _ in range(8):      # run well past n rounds; moves stay well-formed
