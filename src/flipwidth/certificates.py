@@ -10,6 +10,7 @@ from .errors import CertificateInvalid, GenerationError, SchemaError, check_boun
 from .flips import flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
 from .params import well_linked_check
+from .twinwidth import ContractionSequence
 
 RICH_DIVISION_MAX_PARTS = 12
 RICH_DIVISION_MAX_K = 3
@@ -17,120 +18,130 @@ COPS_HIDEOUT_MAX_K = 3
 HIDEOUT_SEARCH_MAX_N = 8
 
 
-def _vertices(value):
-    """A JSON list of vertex numbers, else SchemaError."""
-    if not (isinstance(value, list) and all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value)):
-        raise SchemaError(f"expected a list of vertex numbers, got {value!r}")
+def _count(value):
+    """A nonnegative JSON integer, else SchemaError: floats, text and bools
+    are not counts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"expected a nonnegative integer, got {value!r}")
     return value
 
 
-def _intervals(value):
-    """A JSON list of [lo, hi] vertex pairs as tuples, else SchemaError."""
-    if not (isinstance(value, list) and all(isinstance(iv, list) and len(iv) == 2
-                                            for iv in value)):
-        raise SchemaError(f"expected a list of [lo, hi] vertex pairs, got {value!r}")
-    return tuple(tuple(_vertices(iv)) for iv in value)
-
-
-def _finite_radius(value):
-    r = int(value)
-    if r < 0:
-        raise SchemaError(f"radius must be nonnegative, got {r}")
-    return r
-
-
 def _radius(value):
-    return INF if value == "inf" else _finite_radius(value)
+    return INF if value == "inf" else _count(value)
+
+
+def _vertices(value):
+    """A JSON list of vertex numbers as a tuple, else SchemaError."""
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a list of vertex numbers, got {value!r}")
+    return tuple(_count(v) for v in value)
 
 
 def _vertex_set(value):
     return frozenset(_vertices(value))
 
 
-# Each certificate class names its JSON kind and reads its fields, in
-# namedtuple order, as (JSON field, parser) pairs.
+def _pairs(value):
+    """A JSON list of [a, b] vertex pairs as tuples, else SchemaError."""
+    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2
+                                            for p in value)):
+        raise SchemaError(f"expected a list of [a, b] vertex pairs, got {value!r}")
+    return tuple(_vertices(p) for p in value)
 
 
-class FlipHideout(namedtuple("FlipHideout", "u r k d")):
+def _json_value(value):
+    if value is INF:
+        return "inf"
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class _Certificate:
+    """Each certificate class names its JSON kind and reads its fields, in
+    namedtuple order, as (JSON field, parser) pairs; its JSON is written
+    from the same fields."""
+
+    def to_json(self):
+        return {"kind": self.kind, **{name: _json_value(value)
+                                      for (name, _), value in zip(self.fields, self)}}
+
+
+class FlipHideout(_Certificate, namedtuple("FlipHideout", "u r k d")):
     """Vertex set letting the runner elude width-k flippers at radius r:
     every k-flip leaves at most d members with a small (<= d) trace of U
     in their radius-r ball."""
 
     kind = "flip_hideout"
-    fields = (("U", _vertex_set), ("r", _radius), ("k", int), ("d", int))
-
-    def to_json(self):
-        return {"kind": self.kind, "U": sorted(self.u),
-                "r": "inf" if self.r is INF else self.r, "k": self.k, "d": self.d}
+    fields = (("U", _vertex_set), ("r", _radius), ("k", _count), ("d", _count))
 
 
-class CopsHideout(namedtuple("CopsHideout", "u r k")):
+class CopsHideout(_Certificate, namedtuple("CopsHideout", "u r k")):
     kind = "cops_hideout"
-    fields = (("U", _vertex_set), ("r", _finite_radius), ("k", int))
-
-    def to_json(self):
-        return {"kind": self.kind, "U": sorted(self.u), "r": self.r, "k": self.k}
+    fields = (("U", _vertex_set), ("r", _count), ("k", _count))
 
 
-class RichDivision(namedtuple("RichDivision", "left right k")):
+class RichDivision(_Certificate, namedtuple("RichDivision", "left right k")):
     """Interval partitions (lists of (lo, hi) inclusive ranges) of an
     ordered graph plus the richness parameter."""
 
     kind = "rich_division"
-    fields = (("L", _intervals), ("R", _intervals), ("k", int))
-
-    def to_json(self):
-        return {"kind": self.kind, "L": [list(iv) for iv in self.left],
-                "R": [list(iv) for iv in self.right], "k": self.k}
+    fields = (("L", _pairs), ("R", _pairs), ("k", _count))
 
 
-class WellLinkedCert(namedtuple("WellLinkedCert", "u k")):
+class WellLinkedCert(_Certificate, namedtuple("WellLinkedCert", "u k")):
     kind = "well_linked"
-    fields = (("U", _vertex_set), ("k", int))
-
-    def to_json(self):
-        return {"kind": self.kind, "U": sorted(self.u), "k": self.k}
+    fields = (("U", _vertex_set), ("k", _count))
 
 
-class OrderCert(namedtuple("OrderCert", "order r k")):
+class OrderCert(_Certificate, namedtuple("OrderCert", "order r k")):
     """Total order witnessing the no-announcement cop bound (condition 3)."""
 
     kind = "order"
-    fields = (("order", lambda value: tuple(_vertices(value))), ("r", _finite_radius),
-              ("k", int))
-
-    def to_json(self):
-        return {"kind": self.kind, "order": list(self.order), "r": self.r, "k": self.k}
+    fields = (("order", _vertices), ("r", _count), ("k", _count))
 
 
 CERTIFICATE_KINDS = {cls.kind: cls for cls in (FlipHideout, CopsHideout, RichDivision,
-                                               WellLinkedCert, OrderCert)}
+                                               WellLinkedCert, OrderCert, ContractionSequence)}
 
 
-def certificate_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
+def certificate_from_json(obj, n):
+    """The certificate a JSON object describes, checked against a graph on n
+    vertices: every count is a nonnegative integer, every vertex is below n,
+    an order lists each vertex once and a contraction sequence ends in one
+    block.  Any failure is a SchemaError."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str):
         raise SchemaError("certificate JSON needs a 'kind' tag")
-    kind = obj["kind"]
-    if kind == "contraction_sequence":
-        raise SchemaError("contraction sequences are loaded with the graph size")
     if kind not in CERTIFICATE_KINDS:
         raise SchemaError(f"unknown certificate kind {kind!r}")
-    cls = CERTIFICATE_KINDS[kind]
     try:
-        return cls(*(parse(obj[name]) for name, parse in cls.fields))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"{kind} certificate JSON: {e}") from None
+        if kind == ContractionSequence.kind:
+            return ContractionSequence(n, _pairs(obj["merges"]))
+        cls = CERTIFICATE_KINDS[kind]
+        cert = cls(*(parse(obj[name]) for name, parse in cls.fields))
+    except KeyError as e:
+        raise SchemaError(f"{kind} certificate JSON lacks the field {e}") from None
+    except GenerationError as e:
+        raise SchemaError(f"{kind} certificate: {e}") from None
+    check_vertices(cert, n)
+    return cert
 
 
 def check_vertices(cert, n):
     """Raise SchemaError unless every vertex the certificate names is one of
-    the n vertices of the graph it is checked on."""
+    the n vertices of the graph it is checked on, and an order names each
+    of them once."""
     named = ([v for iv in cert.left + cert.right for v in iv] if isinstance(cert, RichDivision)
              else cert.order if isinstance(cert, OrderCert) else cert.u)
     if any(v >= n for v in named):
         raise SchemaError(f"{cert.kind} certificate names vertex {max(named)}, "
                           f"but the graph has {n} vertices")
+    if isinstance(cert, OrderCert) and sorted(cert.order) != list(range(n)):
+        raise SchemaError(f"an order certificate lists each of the {n} vertices once, "
+                          f"not {list(cert.order)}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +238,17 @@ def find_hideout_small(g, r, k, d):
 # cops hideouts and orders
 
 
-def _cut_reaches(g, v, r, k):
-    """(A, reach) for every set A of fewer than k vertices other than v, by
-    size and then lexicographically: A's mask and v's radius-r reach in G - A."""
+def _cut_off(g, v, r, k, targets):
+    """Whether fewer than k deletions of vertices other than v leave no
+    member of the mask targets, v aside, within distance r of v."""
     candidates = [w for w in range(g.n) if w != v]
+    targets &= ~(1 << v)
     for size in range(k):
         for a_set in itertools.combinations(candidates, size):
             amask = mask_of(a_set)
-            yield amask, ball_mask([row & ~amask for row in g.adj], v, r)
+            if ball_mask([row & ~amask for row in g.adj], v, r) & targets == 0:
+                return True
+    return False
 
 
 def verify_cops_hideout(g, cert):
@@ -244,17 +258,19 @@ def verify_cops_hideout(g, cert):
     umask = mask_of(cert.u)
     if popcount(umask) < 2:
         return False
-    return not any(reach & umask & ~(1 << v) == 0
-                   for v in cert.u for _, reach in _cut_reaches(g, v, cert.r, cert.k))
+    return not any(_cut_off(g, v, cert.r, cert.k, umask) for v in cert.u)
 
 
 def order_cert_check(g, order, r, k):
-    """Condition-3 order check: each v admits < k deletions (avoiding v)
-    cutting all <= r paths to earlier vertices."""
+    """Condition-3 order check: the order lists each vertex once, and each v
+    admits < k deletions (avoiding v) cutting all <= r paths to earlier
+    vertices."""
     check_bound("order_cert_check", "k", k, COPS_HIDEOUT_MAX_K)
+    if sorted(order) != list(range(g.n)):
+        return False
     placed = 0
     for v in order:
-        if not any(reach & placed & ~amask == 0 for amask, reach in _cut_reaches(g, v, r, k)):
+        if not _cut_off(g, v, r, k, placed):
             return False
         placed |= 1 << v
     return True
@@ -267,9 +283,7 @@ def greedy_copprime_order(g, r, k):
     suffix = []
     while remaining:
         rest = mask_of(remaining)
-        found = next((v for v in sorted(remaining)
-                      if any(reach & rest & ~(1 << v) & ~amask == 0
-                             for amask, reach in _cut_reaches(g, v, r, k))), None)
+        found = next((v for v in sorted(remaining) if _cut_off(g, v, r, k, rest)), None)
         if found is None:
             return None
         suffix.append(found)
@@ -345,8 +359,7 @@ def _distances(masks, v, r):
 class AdmissibilityRobber(games.Evader):
     """Robber that never leaves U: valid when U witnesses adm_r >= width."""
 
-    def __init__(self, g, u_set, r):
-        self.g = g
+    def __init__(self, u_set):
         self.umask = mask_of(u_set)
 
     def initial(self, state):

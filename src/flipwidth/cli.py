@@ -148,7 +148,7 @@ def _plain(g):
 
 def _emit(ns, obj):
     if ns.format == "tsv":
-        flat = _flatten(obj)
+        flat = sorted(obj.items())
         sys.stdout.write("\t".join(str(k) for k, _ in flat) + "\n")
         sys.stdout.write("\t".join(_scalar(v) for _, v in flat) + "\n")
     else:
@@ -159,12 +159,6 @@ def _scalar(v):
     if isinstance(v, (dict, list)):
         return json.dumps(v, sort_keys=True, separators=(",", ":"))
     return str(v)
-
-
-def _flatten(obj):
-    if not isinstance(obj, dict):
-        return [("value", obj)]
-    return sorted(obj.items())
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +276,12 @@ def cmd_game(ns):
 
 def cmd_certify(ns):
     g = _load_graph(ns)
-    obj = _read_certificate(ns.certificate)
-    if not isinstance(obj, dict):
-        raise SchemaError("certificate JSON must be an object")
-    kind = obj.get("kind")
-    if kind == "contraction_sequence":
-        cs = twinwidth.ContractionSequence.from_json(_plain(g).n, obj)
-        width = twinwidth.sequence_width(_plain(g), cs)
-        _emit(ns, {"valid": True, "mode": "exhaustive", "kind": kind,
-                   "width": width})
-        return 0
-    cert = certs.certificate_from_json(obj)
     plain = _plain(g)
-    certs.check_vertices(cert, plain.n)
+    cert = certs.certificate_from_json(_read_certificate(ns.certificate), plain.n)
     out = {"kind": cert.kind, "mode": "exhaustive"}
-    if isinstance(cert, certs.FlipHideout):
+    if isinstance(cert, twinwidth.ContractionSequence):
+        out.update(valid=True, width=twinwidth.sequence_width(plain, cert))
+    elif isinstance(cert, certs.FlipHideout):
         rep = certs.verify_flip_hideout_report(
             plain, cert, mode=ns.mode, seed=ns.seed, trials=ns.trials)
         out.update(valid=rep.valid, mode=rep.mode)
@@ -320,9 +305,9 @@ def cmd_certify(ns):
 _CERTIFICATE_GAMES = {"hideout": ("flip", "bipartite"), "richdivision": ("ordered",)}
 
 
-def _certificate_of(ns, kind):
-    """The --certificate file as a certificate of the given kind."""
-    cert = certs.certificate_from_json(_read_certificate(ns.certificate))
+def _certificate_of(ns, kind, n):
+    """The --certificate file as a certificate of the given kind on n vertices."""
+    cert = certs.certificate_from_json(_read_certificate(ns.certificate), n)
     if cert.kind != kind:
         raise SchemaError(f"this strategy reads a {kind} certificate, not {cert.kind}")
     return cert
@@ -354,10 +339,10 @@ def _build_strategy(spec_text, side, game, g, r, k, ns):
         seed = _parse_int(parts[1], "a random strategy's seed") if len(parts) > 1 else ns.seed
         return games.RandomFlipper(plain.n, k, seed)
     if name == "hideout":
-        return certs.HideoutRunner(plain, _certificate_of(ns, "flip_hideout"))
+        return certs.HideoutRunner(plain, _certificate_of(ns, "flip_hideout", plain.n))
     if name == "richdivision":
         og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
-        return certs.RichDivisionRunner(og, _certificate_of(ns, "rich_division"))
+        return certs.RichDivisionRunner(og, _certificate_of(ns, "rich_division", plain.n))
     if name == "btww":
         _, cs = twinwidth.tww_exact_small(plain)
         return twinwidth.TwinWidthFlipper(plain, cs, r)

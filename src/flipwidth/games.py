@@ -58,7 +58,7 @@ class GameSolution:
     """
 
     def __init__(self, game, r, k, winner, rounds, win_table, witness_pursuer,
-                 witness_evader, initial_states):
+                 witness_evader):
         self.game = game
         self.r = r
         self.k = k
@@ -67,7 +67,6 @@ class GameSolution:
         self.win_table = win_table
         self.witness_pursuer = witness_pursuer
         self.witness_evader = witness_evader
-        self.initial_states = initial_states
 
     def to_json(self, witness=False):
         obj = {"game": self.game,
@@ -632,7 +631,7 @@ def _solve_table(rules, outcomes, witnesses=True):
     pursuer = TableFlipper(rules, outcomes, won) if witnesses else None
     evader = TableEvader(rules, won, init) if witnesses else None
     return GameSolution(rules.game, rules.r, rules.k, FLIPPER if wins else RUNNER,
-                        rounds, table, pursuer, evader, init)
+                        rounds, table, pursuer, evader)
 
 
 def solve_flipper(g, r, k, max_n=None):
@@ -789,7 +788,7 @@ def _solve_cops_family(rules, reach=None):
     table = won if rules.keeps_cops else {
         v: (rd, _move_json(pursuer.move(rules.start, v)[0])) for v, (rd, _) in won.items()}
     return GameSolution(rules.game, rules.r, rules.k, COPS if cops_win else ROBBER, rounds,
-                        table, pursuer, TableEvader(rules, won, init), init)
+                        table, pursuer, TableEvader(rules, won, init))
 
 
 class CopTable(Pursuer):

@@ -99,7 +99,6 @@ class Graph:
     def subgraph(self, vertices):
         """Induced subgraph; vertices are relabelled in the given order."""
         vs = list(vertices)
-        g = Graph(len(vs))
         adj = [0] * len(vs)
         for i, u in enumerate(vs):
             for j, v in enumerate(vs):

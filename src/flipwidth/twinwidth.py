@@ -1,7 +1,7 @@
 """Contraction sequences, exact small-instance twin-width, and the flipper
 strategy built from an uncontraction sequence."""
 
-from .errors import GenerationError, SchemaError, check_bound
+from .errors import GenerationError, check_bound
 from .flips import FlipSpec, Partition, identity_flip
 from .games import Pursuer
 from .graphs import bits, lowest_bit, mask_of, popcount
@@ -12,6 +12,8 @@ TWW_MAX_N = 10
 class ContractionSequence:
     """Merges (i, j) of block representatives (smallest vertex ids), taking
     the singleton partition down to one block."""
+
+    kind = "contraction_sequence"
 
     def __init__(self, n, merges):
         self.n = n
@@ -25,8 +27,8 @@ class ContractionSequence:
                 raise GenerationError(f"invalid merge ({i},{j}): not current blocks")
             reps[i] = reps[i] | reps[j]
             del reps[j]
-        if self.n > 0 and len(reps) != max(1, self.n - len(self.merges)):
-            raise GenerationError("merge count does not match vertex count")
+        if len(reps) > 1:
+            raise GenerationError(f"the merges leave {len(reps)} blocks, not one")
 
     def partitions(self):
         """Contraction-order chain: singletons first, one block last."""
@@ -40,19 +42,11 @@ class ContractionSequence:
 
     def uncontraction_chain(self):
         """P_1..P_n: starts with one part, ends with singletons, one split
-        per step (requires a full sequence)."""
-        chain = list(reversed(self.partitions()))
-        return chain
+        per step."""
+        return list(reversed(self.partitions()))
 
     def to_json(self):
         return {"merges": [list(m) for m in self.merges]}
-
-    @classmethod
-    def from_json(cls, n, obj):
-        try:
-            return cls(n, [tuple(m) for m in obj["merges"]])
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"contraction sequence JSON: {e}") from None
 
 
 def homogeneous(g, xmask, ymask):
@@ -198,9 +192,9 @@ class TwinWidthFlipper(Pursuer):
             raise GenerationError("the twin-width strategy needs a finite radius >= 1")
         self.g = g
         self.r = r
+        if cs.n != g.n:
+            raise GenerationError(f"the sequence contracts {cs.n} vertices, not {g.n}")
         self.chain = cs.uncontraction_chain()   # P_1 .. P_n
-        if len(self.chain) != g.n or len(self.chain[0]) != 1:
-            raise GenerationError("strategy needs a full uncontraction sequence")
         self.d = sequence_width(g, cs)
         self._reds = [red_graph(g, parts) for parts in self.chain]
 

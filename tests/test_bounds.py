@@ -80,10 +80,10 @@ CASES = [
     ("find_hideout_small", games, "_flip_outcomes",
      lambda: certificates.find_hideout_small(Graph(9), 1, 1, 1),
      "find_hideout_small: n=9 exceeds the configured bound 8"),
-    ("verify_cops_hideout", certificates, "_cut_reaches",
+    ("verify_cops_hideout", certificates, "_cut_off",
      lambda: certificates.verify_cops_hideout(Graph(4), CopsHideout(frozenset({0, 1}), 1, 4)),
      "verify_cops_hideout: k=4 exceeds the configured bound 3"),
-    ("order_cert_check", certificates, "_cut_reaches",
+    ("order_cert_check", certificates, "_cut_off",
      lambda: certificates.order_cert_check(Graph(4), (0, 1, 2, 3), 1, 4),
      "order_cert_check: k=4 exceeds the configured bound 3"),
     ("verify_rich_division-parts", certificates, "_intervals_cover",

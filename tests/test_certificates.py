@@ -202,6 +202,17 @@ def test_order_cert_check_rejects_bad_order():
     assert not order_cert_check(g, tuple(range(4)), 1, 1)
 
 
+def test_order_cert_check_needs_each_vertex_once():
+    # no vertex of the empty order or of (0,) has an earlier vertex to cut off
+    g = generate("petersen")
+    for order in ((), (0,)):
+        assert not order_cert_check(g, order, 2, 1)
+        assert not order_cert_check(g, order, 1, 1)
+    assert order_cert_check(Graph(3), (2, 0, 1), 1, 1)
+    assert not order_cert_check(Graph(3), (2, 0), 1, 1)
+    assert not order_cert_check(Graph(3), (2, 0, 0, 1), 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # order-driven strategies
 
@@ -235,7 +246,7 @@ def test_adm_robber_survives():
     d, _ = degeneracy(g)
     adm, witness = generalized_coloring_number(g, "adm", 1)
     assert adm >= d
-    robber = AdmissibilityRobber(g, range(6), 1)
+    robber = AdmissibilityRobber(range(6))
     sol = solve_cops(g, 1, d)
     assert sol.winner == ROBBER
     trace = simulate_match("cop", g, 1, d, sol.witness_pursuer, robber, 10 * g.n)
@@ -293,20 +304,20 @@ def test_certificate_json_round_trips():
              CopsHideout(frozenset({1, 2}), 2, 2),
              RichDivision(((0, 1), (2, 3)), ((0, 2), (3, 3)), 1),
              WellLinkedCert(frozenset({0, 1, 2, 3}), 1),
-             OrderCert((2, 0, 1), 1, 2)]
+             OrderCert((2, 0, 3, 1), 1, 2)]
     for cert in certs:
         blob = json.dumps(cert.to_json())
-        again = certificate_from_json(json.loads(blob))
+        again = certificate_from_json(json.loads(blob), 4)
         assert again == cert
 
 
 def test_certificate_json_rejects_unknown():
     with pytest.raises(SchemaError):
-        certificate_from_json({"kind": "mystery"})
+        certificate_from_json({"kind": "mystery"}, 3)
     with pytest.raises(SchemaError):
-        certificate_from_json({"no": "kind"})
+        certificate_from_json({"no": "kind"}, 3)
     with pytest.raises(SchemaError):
-        certificate_from_json({"kind": "flip_hideout", "U": [1]})
+        certificate_from_json({"kind": "flip_hideout", "U": [1]}, 3)
 
 
 # ---------------------------------------------------------------------------

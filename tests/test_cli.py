@@ -256,6 +256,18 @@ CERTIFICATES = {
     "order_vertex_5": {"kind": "order", "order": [0, 5], "r": 1, "k": 1},
     "division_short_interval": {"kind": "rich_division", "L": [[0]], "R": [[0, 2]], "k": 1},
     "sequence_short_merge": {"kind": "contraction_sequence", "merges": [[0]]},
+    "sequence_empty": {"kind": "contraction_sequence", "merges": []},
+    "sequence_partial": {"kind": "contraction_sequence", "merges": [[0, 1]]},
+    "sequence_vertex_9": {"kind": "contraction_sequence", "merges": [[0, 9], [0, 1]]},
+    "sequence_float_vertex": {"kind": "contraction_sequence", "merges": [[0, 1.0], [0, 2]]},
+    "order_empty": {"kind": "order", "order": [], "r": 1, "k": 1},
+    "order_one_vertex": {"kind": "order", "order": [0], "r": 1, "k": 1},
+    "order_repeated_vertex": {"kind": "order", "order": [0, 1, 1, 2], "r": 1, "k": 1},
+    "cops_hideout_float_r": {"kind": "cops_hideout", "U": [0, 1, 2], "r": 1.5, "k": 1},
+    "cops_hideout_text_k": {"kind": "cops_hideout", "U": [0, 1, 2], "r": 1, "k": "2"},
+    "cops_hideout_negative_k": {"kind": "cops_hideout", "U": [0, 1, 2], "r": 1, "k": -1},
+    "hideout_bool_d": {"kind": "flip_hideout", "U": [0, 1, 2], "r": 1, "k": 1, "d": True},
+    "kind_list": {"kind": ["order"]},
     "order": {"kind": "order", "order": [0, 1, 2], "r": 1, "k": 1},
     "cops_hideout": {"kind": "cops_hideout", "U": [0, 1], "r": 1, "k": 1},
     "well_linked": {"kind": "well_linked", "U": [0, 1], "k": 1},
@@ -272,7 +284,11 @@ def _duel(game, evader, cert):
 CERTIFICATE_CASES = [
     (f"certify-{cert}", ["certify", "--family", "path:3", "{" + cert + "}"], 4)
     for cert in ("hideout_vertex_9", "hideout_u_text", "order_vertex_5",
-                 "division_short_interval", "sequence_short_merge")
+                 "division_short_interval", "sequence_short_merge", "sequence_empty",
+                 "sequence_partial", "sequence_vertex_9", "sequence_float_vertex",
+                 "order_empty", "order_one_vertex", "order_repeated_vertex",
+                 "cops_hideout_float_r", "cops_hideout_text_k", "cops_hideout_negative_k",
+                 "hideout_bool_d", "kind_list")
 ] + [
     (f"duel-hideout-{cert}", _duel("flip", "hideout", cert), 4)
     for cert in ("hideout_vertex_9", "hideout_u_text", "order", "cops_hideout",
@@ -393,10 +409,10 @@ def test_every_policy_is_a_pursuer_or_an_evader(tmp_path):
     flip_map = transfer.FlipMap(ColoredGraph(g, [1] * 3), transfer.parse_formula("!E(x,y)"))
     policies = [
         (certificates.HideoutRunner(g, certificates.certificate_from_json(
-            CERTIFICATES["hideout_on_path3"])), games.Evader),
-        (certificates.AdmissibilityRobber(g, [0, 1], 1), games.Evader),
+            CERTIFICATES["hideout_on_path3"], 3)), games.Evader),
+        (certificates.AdmissibilityRobber([0, 1]), games.Evader),
         (certificates.RichDivisionRunner(OrderedGraph(g), certificates.certificate_from_json(
-            CERTIFICATES["division"])), games.Evader),
+            CERTIFICATES["division"], 3)), games.Evader),
         (certificates.OrderCops(g, (0, 1, 2), 1), games.Pursuer),
         (transfer.TransferredFlipper(flip_map, identity, 1), games.Pursuer),
         (transfer.ModularLiftFlipper(g, Partition([0, 1, 2]), identity,

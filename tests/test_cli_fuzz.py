@@ -60,14 +60,15 @@ GRAPHS = st.one_of(edge_lists().map(lambda text: (["-"], text)),
                    FAMILIES.map(lambda family: (["--family", family], "")))
 
 VERTEX_LISTS = st.one_of(st.lists(st.integers(-1, 5), max_size=5, unique=True),
-                         st.sampled_from(["ab", [[0]], None, [True]]))
+                         st.sampled_from(["ab", [[0]], None, [True], [0, 1.0]]))
 INTERVALS = st.one_of(st.lists(st.lists(st.integers(-1, 5), min_size=0, max_size=3),
                                max_size=4),
                       st.sampled_from(["x", [[0, "a"]]]))
 FIELDS = {
     "U": VERTEX_LISTS, "order": VERTEX_LISTS, "L": INTERVALS, "R": INTERVALS,
-    "r": st.sampled_from([0, 1, 2, "inf", -1, "x"]),
-    "k": st.sampled_from([-1, 0, 1, 2, 3, 9]), "d": st.sampled_from([-1, 0, 1, 2]),
+    "r": st.sampled_from([0, 1, 2, "inf", -1, "x", 1.5, True, "2"]),
+    "k": st.sampled_from([-1, 0, 1, 2, 3, 9, 1.5, True, "2"]),
+    "d": st.sampled_from([-1, 0, 1, 2, 1.5, True, "2"]),
     "merges": st.lists(st.lists(st.integers(-1, 5), max_size=3), max_size=4),
 }
 KIND_FIELDS = {"flip_hideout": "U r k d", "cops_hideout": "U r k", "rich_division": "L R k",

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from conftest import atlas_graphs
+from flipwidth.certificates import certificate_from_json
 from flipwidth.errors import GenerationError
 from flipwidth.flips import Partition, flip_masks
 from oracles import FirstLegalEvader
@@ -64,9 +65,15 @@ def test_sequence_validation():
         ContractionSequence(3, [(0, 1), (1, 2)])    # 1 no longer a block
 
 
+@pytest.mark.parametrize("merges", [[], [(0, 1)], [(1, 2)]])
+def test_sequence_must_end_in_one_block(merges):
+    with pytest.raises(GenerationError, match="not one"):
+        ContractionSequence(3, merges)
+
+
 def test_sequence_json_round_trip():
     cs = seq_all_merge_first(4)
-    again = ContractionSequence.from_json(4, cs.to_json())
+    again = certificate_from_json({"kind": "contraction_sequence", **cs.to_json()}, 4)
     assert again.merges == cs.merges
 
 
