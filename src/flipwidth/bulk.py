@@ -1,14 +1,18 @@
 """The outcome engine: every flip family's flips reduced to their outcomes.
 
-`outcomes` reduces each flip of every family's partition stream from
+`outcomes` reduces each kept flip of every family's partition stream from
 `flips` to its outcome at any radius: the set of vertices it isolates and
-each vertex's ball.  The two ordered families cross each flip with a layer
-of per-vertex masks ORed into its rows, flip-major and mask-minor: every
-cut's ~S classes (CutLayer), or every flip of the order relation
-(OrderLayer).  Flips are built in numpy batches of about BATCH (flip,
-mask) pairs, one row array per vertex, partitions sharing a block count
-and allowed pairs together (a partition with more pair subsets is sliced
-over several batches):
+each vertex's ball.  A stream item names a partition, its allowed block
+pairs and the pair subsets to build, kept by `flips.kept_subsets`; the
+flips it leaves out give the graph of an earlier flip, so they cost
+neither rows nor outcomes.  The two ordered families cross each flip with
+a layer of per-vertex masks ORed into its rows, flip-major and
+mask-minor: every cut's ~S classes (CutLayer), or every flip of the order
+relation (OrderLayer).  Flips are built in numpy batches, one row array
+per vertex, partitions sharing a block count, allowed pairs and kept
+subsets together; the batches pending go to one kernel call of at most
+BATCH (flip, mask) pairs, and a partition keeping more subsets than that
+is sliced over calls of its own:
 
 - at r=inf a ball is a component, found by min-label propagation;
 - at finite r a ball takes r hops of masked OR over the rows;
@@ -21,10 +25,11 @@ of each row's first (flip, mask), and notes the partitions they come from
 with the index of each one's subset 0.  The index is all a row keeps of
 its flip: the partition is the last to start at or before it, and the
 subset and mask are the quotient and remainder of the distance by the
-partition's layer size.  A merge sorts the rows by index, keeps the first
-of each distinct row, in stream order, and keeps the partitions those
-come from, once each and sorted by offset.  It runs at the end, and
-before a batch whenever the rows kept pass FOLD and have more than
+partition's layer size.  Indices count every pair subset, kept or not, so
+they are those of the raw stream.  A merge sorts the rows by index, keeps
+the first of each distinct row, in stream order, and keeps the partitions
+those come from, once each and sorted by offset.  It runs at the end, and
+before a kernel call whenever the rows kept pass FOLD and have more than
 doubled since the last merge, so they stay within a few times the
 distinct outcomes however long the stream.  The merged rows come back as
 an Outcomes sequence, which builds a row's Outcome (and its move) only
@@ -47,7 +52,7 @@ from .errors import LimitExceeded
 from .flips import CutFlip, enumerate_k_flips, order_rows, subset_flip
 from .graphs import INF
 
-BATCH = 1 << 18     # raw (flip, mask) pairs per batch, give or take one partition's
+BATCH = 1 << 18     # kept (flip, mask) pairs per kernel call at most, or per slice
 FOLD = 1 << 14      # rows kept before batches are merged ahead of the end
 MAX_N = 64
 
@@ -137,56 +142,86 @@ def component_outcomes(g, k, max_n=None):
 def outcomes(g, r, parts, layer=None):
     """Distinct outcomes of the flips of g in a partition stream.
 
-    parts yields (tag, Partition, pairs), standing for the flips over the
-    partition by every subset of pairs in binary counting order.  With a
-    layer, the pair (flip number i, mask j) of a partition whose layer has
-    L masks comes i * L + j-th in its share of the stream.  Returns the
-    Outcomes, one per distinct (iso, balls), in the order of each one's
-    first flip in the stream: iso is the mask of vertices the flip
+    parts yields (tag, Partition, pairs, kept), standing for the flips over
+    the partition by every subset of pairs in binary counting order, of
+    which only those numbered in kept are built.  With a layer, the pair
+    (flip number i, mask j) of a partition whose layer has L masks comes
+    i * L + j-th in its share of the stream.  Returns the Outcomes, one
+    per distinct (iso, balls) of the kept flips, in the order of each
+    one's first flip in the stream: iso is the mask of vertices the flip
     isolates and balls[v] the radius-r ball of v in the flipped graph.
     """
     n = g.n
     word = _word(n)
     base = np.array(g.adj, dtype=word)
-    kept = []       # (stream index, (iso, *balls) table) per batch
+    kept = []       # (stream index, (iso, *balls) table) per kernel call
     sources = []    # (offset, tag, partition, pairs) of the partitions kept rows come from
     merged = 0      # rows of kept at the last merge
 
-    def reduce(key, batch, subs):
+    def reduce(batches):
         nonlocal kept, merged
         if sum(len(rows[0]) for rows in kept) > max(2 * merged, FOLD):
             # fold the batches since the last merge into it, so what is kept
             # stays within a few times the distinct outcomes
             kept = [_merge(kept, sources)]
             merged = len(kept[0][0])
-        kept.append(_reduce(base, r, key, batch, subs, sources, layer))
+        kept.append(_reduce(base, r, batches, sources, layer))
 
     if n == 0:
         # the empty graph's one outcome comes from the stream's first flip, if any
-        sources = [(0,) + flip for flip in itertools.islice(parts, 1)]
+        sources = [(0,) + flip[:3] for flip in itertools.islice(parts, 1)]
         parts = ()
-    pending = {}    # (block count, pairs) -> [(offset, tag, partition, pairs)]
+    pending = {}    # (block count, pairs, id of kept) -> ([(offset, tag, partition, pairs)], kept)
+    pooled = 0      # rows of the pending batches
+
+    def flush():
+        nonlocal pending, pooled
+        if pending:
+            reduce(_pooled(pending, layer))
+        pending, pooled = {}, 0
+
     offset = 0
-    for tag, part, pairs in parts:
-        key = (part.size, tuple(pairs))
-        nsub = 1 << len(pairs)
-        L = 1 if layer is None else layer.size(part.size)
+    for tag, part, pairs, subs in parts:
+        L = _layer_size(layer, part.size)
         step = BATCH // L or 1
-        if nsub >= step:
-            # so many pair subsets fill batches by themselves, a slice each
-            for lo in range(0, nsub, step):
-                reduce(key, [(offset, tag, part, pairs)], range(lo, min(lo + step, nsub)))
-        else:
-            batch = pending.setdefault(key, [])
-            batch.append((offset, tag, part, pairs))
-            if len(batch) * nsub >= step:
-                reduce(key, pending.pop(key), range(nsub))
-        offset += nsub * L
-    for key, batch in pending.items():
-        reduce(key, batch, range(1 << len(key[1])))
+        source = (offset, tag, part, pairs)
+        if len(subs) >= step:
+            # so many kept subsets fill batches by themselves, a slice each
+            for lo in range(0, len(subs), step):
+                reduce([([source], subs[lo:lo + step])])
+        elif len(subs):
+            if pooled + len(subs) * L > BATCH:
+                flush()
+            pending.setdefault((part.size, tuple(pairs), id(subs)), ([], subs))[0].append(source)
+            pooled += len(subs) * L
+        offset += (1 << len(pairs)) * L
+    flush()
     if not kept:
         kept = [(np.zeros(len(sources), np.int64), np.zeros((len(sources), n + 1), word))]
     return Outcomes(*_merge(kept, sources), sources, layer)
+
+
+def _pooled(pending, layer):
+    """The pending batches, by (block count, pairs, kept), for one kernel
+    call.  The batches of one (block count, pairs) become one batch over
+    the union of their kept subsets, its partitions in stream order, when
+    that batch has under FOLD rows: a flip outside its partition's kept
+    ones repeats the outcome of an earlier flip that is built too, so the
+    union costs a few rows but changes no outcome, and a short stream
+    builds rows once per block count rather than once per kept array."""
+    groups = {}
+    for key, batch in pending.items():
+        groups.setdefault(key[:2], []).append(batch)
+    out = []
+    for (b, _), group in groups.items():
+        if len(group) > 1:
+            sources = sorted((s for batch, _ in group for s in batch), key=lambda s: s[0])
+            subs = np.unique(np.concatenate([subs for _, subs in group]))
+            if len(sources) * len(subs) * _layer_size(layer, b) < FOLD:
+                out.append((sources, subs))
+                continue
+        out.extend(group)
+    return out
 
 
 def _merge(kept, sources):
@@ -265,30 +300,70 @@ class OrderLayer:
         return None
 
 
-def _reduce(base, r, key, batch, subs, sources, layer):
-    """The distinct outcomes of a batch of partitions sharing (block count,
-    pairs), by the pair subsets in the range subs and crossed with the
-    layer's masks; each partition comes as (offset, tag, partition, pairs),
-    offset the stream index of its subset 0.  Returns, per outcome, its
-    earliest stream index and its (iso, *balls) row; sources gains the
-    partitions these rows come from, and only those."""
+def _layer_size(layer, b):
+    return 1 if layer is None else layer.size(b)
+
+
+def _reduce(base, r, batches, sources, layer):
+    """The distinct outcomes of batches of partitions in one kernel call.
+    Each batch is ([(offset, tag, partition, pairs)], subs): partitions
+    sharing (block count, pairs), offset the stream index of a
+    partition's subset 0, by the pair subsets numbered in subs and crossed
+    with the layer's masks.  Returns, per outcome, its earliest stream
+    index and its (iso, *balls) row; sources gains the partitions these
+    rows come from, and only those."""
+    n = base.shape[0]
+    built = [_rows(base, batch, subs, layer) for batch, subs in batches]
+    if len(built) == 1:
+        rows, classes = built[0]
+    else:
+        rows = [np.concatenate(vs) for vs in zip(*(rv for rv, _ in built))]
+        classes = None if built[0][1] is None else [
+            np.concatenate(vs) for vs in zip(*(cv for _, cv in built))]
+    del built
+    sizes = [len(batch) * len(subs) * _layer_size(layer, batch[0][2].size)
+             for batch, subs in batches]
+    starts = np.cumsum([0] + sizes)
+    # rows are in stream order within a batch only, so each batch keeps
+    # its own first row of each outcome, and _merge the earliest of those
+    first, table = _kernel(rows, n, r, classes, starts)
+    at = np.searchsorted(starts, first, side="right") - 1
+    index = np.empty(len(first), dtype=np.int64)
+    for t in np.unique(at).tolist():
+        batch, subs = batches[t]
+        L = _layer_size(layer, batch[0][2].size)
+        sel = at == t
+        c, rest = np.divmod(first[sel] - starts[t], len(subs) * L)
+        s, j = np.divmod(rest, L)
+        offsets = np.array([o for o, _, _, _ in batch], dtype=np.int64)
+        index[sel] = offsets[c] + subs[s] * L + j
+        used = np.zeros(len(batch), dtype=bool)
+        used[c] = True
+        sources.extend(itertools.compress(batch, used))
+    return index, table
+
+
+def _rows(base, batch, subs, layer):
+    """Per vertex, the adjacency rows of a batch's flips crossed with the
+    layer's masks, partition-major, then subset, then mask; and the ~S
+    class of each vertex under those masks when the layer closes balls
+    under them, else None."""
     n = base.shape[0]
     word = base.dtype.type
-    b, pairs = key
-    nsub = len(subs)
+    pairs = batch[0][3]
+    b = batch[0][2].size
+    m = len(subs)
     C = len(batch)
     blocks = np.array([part.blocks for _, _, part, _ in batch], dtype=np.intp)   # (C, n)
-    offsets = np.array([o for o, _, _, _ in batch], dtype=np.int64)
 
     bm = np.zeros((C, b), dtype=word)
     for v in range(n):
         bm[np.arange(C), blocks[:, v]] |= word(1 << v)
 
-    subsets = np.arange(subs.start, subs.stop)
     # toggle[c, s, a]: xor mask applied to rows of block a under subset s
-    toggle = np.zeros((C, nsub, b), dtype=word)
+    toggle = np.zeros((C, m, b), dtype=word)
     for pi, (i, j) in enumerate(pairs):
-        sel = ((subsets >> pi) & 1).astype(bool)
+        sel = ((subs >> pi) & 1).astype(bool)
         toggle[:, sel, i] |= bm[:, None, j]
         toggle[:, sel, j] |= bm[:, None, i]
 
@@ -298,43 +373,47 @@ def _reduce(base, r, key, batch, subs, sources, layer):
     for v in range(n):
         rv = base[v] ^ toggle[ar, :, blocks[:, v][:, None]]
         rv &= word(~(1 << v) & full)
-        rows.append(rv.reshape(C, nsub, 1))
+        rows.append(rv.reshape(C, m, 1))
     del toggle
 
-    classes = None
     if layer is None:
-        L = 1
-        rows = [rv.reshape(-1) for rv in rows]
-    else:
-        # flip-major, layer-minor: the rows of flip s under mask j
-        masks = layer.masks(bm, blocks)
-        L = masks[0].shape[1]
-        rows = [(rv | m[:, None, :]).reshape(-1) for rv, m in zip(rows, masks)]
-        if layer.closed:
-            classes = [np.broadcast_to(m[:, None, :] | word(1 << v), (C, nsub, L)).reshape(-1)
-                       for v, m in enumerate(masks)]
-    first, table = _kernel(rows, n, r, classes)
-    c, rest = np.divmod(first, nsub * L)
-    used = np.zeros(C, dtype=bool)
-    used[c] = True
-    sources.extend(itertools.compress(batch, used))
-    return offsets[c] + subs.start * L + rest, table
+        return [rv.reshape(-1) for rv in rows], None
+    # flip-major, layer-minor: the rows of flip s under mask j
+    masks = layer.masks(bm, blocks)
+    L = masks[0].shape[1]
+    rows = [(rv | mv[:, None, :]).reshape(-1) for rv, mv in zip(rows, masks)]
+    if not layer.closed:
+        return rows, None
+    return rows, [np.broadcast_to(mv[:, None, :] | word(1 << v), (C, m, L)).reshape(-1)
+                  for v, mv in enumerate(masks)]
 
 
-def _first_rows(table):
-    """Position of the first occurrence of each distinct row of table."""
-    _, first = np.unique(table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel(),
-                         return_index=True)
-    return first
+def _first_rows(table, bounds=None):
+    """Position of the first occurrence of each distinct row of table, as
+    _first_keys gives it."""
+    return _first_keys(table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel(),
+                       bounds)
 
 
-def _kernel(rows, n, r, classes=None):
-    """First position and (iso, *balls) row of each distinct outcome of the
-    rows, balls closed under classes when given; the 4-bit component labels
-    hold 16 vertices, so above that r=inf takes n - 1 hops."""
+def _first_keys(keys, bounds=None):
+    """Position of the first occurrence of each distinct key, within each
+    span bounds[t]:bounds[t + 1] when bounds are given."""
+    if bounds is None:
+        return np.unique(keys, return_index=True)[1]
+    return np.concatenate([lo + np.unique(keys[lo:hi], return_index=True)[1]
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _kernel(rows, n, r, classes, bounds):
+    """First position, within each span bounds[t]:bounds[t + 1], and
+    (iso, *balls) row of each distinct outcome of the rows, balls closed
+    under classes when given; the 4-bit component labels hold 16
+    vertices, so above that r=inf takes n - 1 hops."""
     if r is not INF:
-        return _balls(rows, n, r, classes)
-    return _components(rows, n) if n <= 16 else _balls(rows, n, n - 1, classes)
+        return _balls(rows, n, r, classes, bounds)
+    if n <= 16:
+        return _components(rows, n, bounds)
+    return _balls(rows, n, n - 1, classes, bounds)
 
 
 def _hop(balls, rows, bit):
@@ -354,7 +433,7 @@ def _hop(balls, rows, bit):
     return grown
 
 
-def _balls(rows, n, r, classes=None):
+def _balls(rows, n, r, classes, bounds):
     """First position and (iso, *balls) row of each distinct outcome at
     finite r: the iso column comes from rows == 0, since at r=0 a ball does
     not show isolation.  Without classes the first hop is one OR; with
@@ -378,11 +457,11 @@ def _balls(rows, n, r, classes=None):
         for _ in range(min(r, n - 1) - 1):
             balls = _hop(balls, rows, bit)
     table = np.stack([iso] + balls, axis=1)
-    first = _first_rows(table)
+    first = _first_rows(table, bounds)
     return first, table[first]
 
 
-def _components(rows, n):
+def _components(rows, n, bounds):
     """First position and (iso, *balls) row of each distinct outcome at
     r=inf, where balls are components and iso the singleton ones."""
     B = rows[0].shape[0]
@@ -419,7 +498,7 @@ def _components(rows, n):
     sig = np.zeros(B, dtype=np.uint64)
     for v in range(n):
         sig |= labels[v].astype(np.uint64) << np.uint64(4 * v)
-    _, first = np.unique(sig, return_index=True)
+    first = _first_keys(sig, bounds)
     # only the distinct labellings become (iso, *balls) rows
     lab = np.stack([labels[v][first] for v in range(n)], axis=1)      # (U, n)
     pow2 = np.uint32(1) << np.arange(n, dtype=np.uint32)

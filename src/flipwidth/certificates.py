@@ -119,15 +119,24 @@ def certificate_from_json(obj, n):
         raise SchemaError(f"unknown certificate kind {kind!r}")
     try:
         if kind == ContractionSequence.kind:
-            return ContractionSequence(n, _pairs(obj["merges"]))
+            return ContractionSequence(n, _field(obj, "merges", _pairs))
         cls = CERTIFICATE_KINDS[kind]
-        cert = cls(*(parse(obj[name]) for name, parse in cls.fields))
+        cert = cls(*(_field(obj, name, parse) for name, parse in cls.fields))
     except KeyError as e:
         raise SchemaError(f"{kind} certificate JSON lacks the field {e}") from None
-    except GenerationError as e:
+    except (GenerationError, SchemaError) as e:
         raise SchemaError(f"{kind} certificate: {e}") from None
     check_vertices(cert, n)
     return cert
+
+
+def _field(obj, name, parse):
+    """Field `name` of a certificate's JSON object, parsed; a parse error
+    names the field."""
+    try:
+        return parse(obj[name])
+    except SchemaError as e:
+        raise SchemaError(f"{name}: {e}") from None
 
 
 def check_vertices(cert, n):

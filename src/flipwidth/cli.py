@@ -293,8 +293,10 @@ def cmd_certify(ns):
         og = g if isinstance(g, OrderedGraph) else OrderedGraph(plain)
         out["valid"] = certs.verify_rich_division(og, cert)
     elif isinstance(cert, certs.WellLinkedCert):
-        out.update(valid=params.well_linked_check(plain, cert.u, mode=ns.mode, seed=ns.seed,
-                                                  trials=ns.trials), mode=ns.mode)
+        # valid as well_linked_to_hideout reads it: well-linked and larger than 3k
+        linked = params.well_linked_check(plain, cert.u, mode=ns.mode, seed=ns.seed,
+                                          trials=ns.trials)
+        out.update(valid=linked and len(cert.u) > 3 * cert.k, mode=ns.mode)
     else:
         out["valid"] = certs.order_cert_check(plain, cert.order, cert.r, cert.k)
     _emit(ns, out)

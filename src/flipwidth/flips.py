@@ -9,18 +9,31 @@ partition and the block of each label, and
 `FlipSpec.from_labels(labels, label_pairs)` the flip, dropping a pair that
 names a label no vertex carries.
 
-Each flip family has one enumerator, which streams (tag, Partition, pairs):
-the flips over the partition by every subset of `pairs`, subsets in binary
-counting order, announced as the FlipSpec when tag is None and as
-(tag, FlipSpec) otherwise: the <= k-flips, the definable and the
-bipartite flips.  The ordered cut-flips stream the <= k-flips, which the
-outcome engine in `bulk` crosses with every cut of `order_cuts`; the
+Each flip family has one enumerator, which streams (tag, Partition, pairs,
+kept): the flips over the partition by every subset of `pairs`, subsets
+numbered in binary counting order, announced as the FlipSpec when tag is
+None and as (tag, FlipSpec) otherwise: the <= k-flips, the definable and
+the bipartite flips.  The ordered cut-flips stream the <= k-flips, which
+the outcome engine in `bulk` crosses with every cut of `order_cuts`; the
 binary ordered game streams the edge flips over cross block pairs, which
-`bulk` crosses with every flip of the order relation.  Nothing here
-deduplicates flips: `bulk` reads the streams as they are and keeps the
-first flip of each distinct outcome.
-"""
+`bulk` crosses with every flip of the order relation.
 
+kept holds the subset numbers, ascending, of the flips worth building:
+`kept_subsets` leaves out a flip when an earlier flip of the same stream
+gives the same flipped graph, by one of two rules.  A singleton block
+flipping its diagonal pair changes nothing; and two blocks i, j that flip
+alike against every other block, and whose diagonals agree with the pair
+(i, j) (a singleton's diagonal matching either value), flip as their union
+does, over a partition that comes earlier in restricted-growth order.  So
+the first flip of each distinct flipped graph is always kept, and on the
+<= k-flips exactly one flip per flipped graph.  Each family applies the
+rules its streams allow: both for the <= k-flips, the merge rule within a
+side for the bipartite flips, the singleton rule for the definable flips
+(whose coarsenings are not S-type partitions), and neither for the binary
+ordered game, whose order-relation masks depend on the blocks.  `bulk`
+builds only the kept flips and keeps the first flip of each distinct
+outcome.
+"""
 import itertools
 import math
 
@@ -38,6 +51,10 @@ DEFINABLE_MAX_K = 3
 # raw flips (times cuts) a family may enumerate on any n when max_n is unset;
 # the binary ordered game's stream has this bound alone
 CUT_FLIP_WORK_LIMIT = 500_000
+# free pairs whose 2**pairs subsets a kept table may sieve: the 25 cross
+# pairs of five blocks a side in the bipartite game, 2**25 flips of one
+# partition
+KEPT_MAX_PAIRS = 25
 
 
 def flip_enum_limit(k):
@@ -85,6 +102,14 @@ class Partition:
         for v, b in enumerate(self.blocks):
             masks[b] |= 1 << v
         return masks
+
+    def singletons(self):
+        """Mask of the blocks with one vertex."""
+        seen = twice = 0
+        for b in self.blocks:
+            twice |= seen & (1 << b)
+            seen |= 1 << b
+        return seen & ~twice
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.blocks == other.blocks
@@ -234,6 +259,59 @@ def _stirling_row(n, k):
     return row
 
 
+# (block count, singleton mask, pairs, mergeable block pairs) -> kept subset
+# numbers, each table built the first time its key occurs
+_KEPT = {}
+
+
+def kept_subsets(b, singles, pairs, merge):
+    """The subset numbers, ascending, of the flips over a partition into b
+    blocks by subsets of pairs that are canonical: no singleton block
+    (bit i of singles) flips a listed diagonal pair (i, i), and no block
+    pair (i, j) of merge is mergeable, that is flips alike against every
+    other block, with T[i][i] = T[j][j] = T[i][j] where T holds the
+    flipped pairs, a pair not listed is never flipped, and a singleton's
+    diagonal matches either value.  One shared array per key."""
+    key = (b, singles, pairs, merge)
+    kept = _KEPT.get(key)
+    if kept is None:
+        kept = _KEPT[key] = _canonical(b, singles, pairs, merge)
+    return kept
+
+
+def _canonical(b, singles, pairs, merge):
+    """kept_subsets' array: the subsets with no singleton diagonal, by
+    depositing the bits of every number below 2**(free pairs), sieved by
+    the merge rule in chunks of 2**20."""
+    import numpy as np
+    pos = {(min(i, j), max(i, j)): t for t, (i, j) in enumerate(pairs)}
+    free = [t for t, (i, j) in enumerate(pairs) if not (i == j and (singles >> i) & 1)]
+    check_bound(f"kept flips over {b} blocks", "pairs", len(free), KEPT_MAX_PAIRS)
+    chunk = 1 << min(len(free), 20)
+    out = []
+    for lo in range(0, 1 << len(free), chunk):
+        ar = np.arange(lo, lo + chunk, dtype=np.int64)
+        subs = np.zeros(chunk, dtype=np.int64)
+        for s, t in enumerate(free):
+            subs |= ((ar >> s) & 1) << t
+
+        def flipped(i, j):
+            t = pos.get((min(i, j), max(i, j)))
+            return 0 if t is None else (subs >> t) & 1
+
+        keep = np.ones(chunk, dtype=bool)
+        for i, j in merge:
+            alike = np.ones(chunk, dtype=bool)
+            for x in range(b):
+                if x != i and x != j:
+                    alike &= flipped(i, x) == flipped(j, x)
+                elif not (singles >> x) & 1:
+                    alike &= flipped(x, x) == flipped(i, j)
+            keep &= ~alike
+        out.append(subs[keep])
+    return np.concatenate(out)
+
+
 def subset_flip(part, pairs, sub):
     """The FlipSpec over part flipping the pairs whose bit is set in sub."""
     return FlipSpec(part, [pairs[t] for t in range(len(pairs)) if (sub >> t) & 1])
@@ -251,11 +329,17 @@ def random_flip(n, k, rng):
 def enumerate_k_flips(g, k, max_n=None):
     """Partition stream of the <= k-flips of g: partitions in restricted-growth
     lexicographic order, every block pair allowed, so the identity comes
-    first."""
+    first; both rules of kept_subsets apply."""
     check_flip_enum("enumerate_k_flips", g.n, k, max_n)
-    pairs = [block_pairs(b) for b in range(min(k, g.n) + 1)]
+    sizes = range(min(k, g.n) + 1)
+    pairs = [tuple(block_pairs(b)) for b in sizes]
+    merge = [tuple(itertools.combinations(range(b), 2)) for b in sizes]
+    kept = {}       # (block count, singleton mask) -> kept_subsets, read once per stream
     for part in rgs_partitions(g.n, k):
-        yield None, part, pairs[part.size]
+        key = b, singles = part.size, part.singletons()
+        if key not in kept:
+            kept[key] = kept_subsets(b, singles, pairs[b], merge[b])
+        yield None, part, pairs[b], kept[key]
 
 
 def compose_flips(g, first, second):
@@ -285,25 +369,27 @@ def s_types(g, s_set):
 def enumerate_definable_flips(g, k, max_n=None):
     """Partition stream of the definable flips: for every S with |S| <= k, by
     size and then numerically, the S-types of g tagged with S, every block
-    pair allowed.  k is bounded by DEFINABLE_MAX_K, and n by max_n when it
-    is given."""
+    pair allowed, only the singleton rule of kept_subsets applying.  k is
+    bounded by DEFINABLE_MAX_K, and n by max_n when it is given."""
     if k < 0:
         raise GenerationError("definable flip width must be >= 0")
     check_bound("enumerate_definable_flips", "k", k, DEFINABLE_MAX_K)
     if max_n is not None:
         check_bound("enumerate_definable_flips", "n", g.n, max_n)
-    pairs = [block_pairs(b) for b in range(g.n + 1)]
+    pairs = [tuple(block_pairs(b)) for b in range(g.n + 1)]
     for smask in _subsets_up_to(g.n, k):
         s_set = tuple(bits(smask))
         part = s_types(g, s_set)
-        yield s_set, part, pairs[part.size]
+        b = part.size
+        yield s_set, part, pairs[b], kept_subsets(b, part.singletons(), pairs[b], ())
 
 
 def enumerate_bipartite_flips(g, left_mask, k, max_n=None):
     """Partition stream of the bipartite flips: partitions refine the sides,
     <= k blocks per side, and only cross-side block pairs are allowed: the
     parts are labelled by their left block, or by the left block count plus
-    their right block.  Bounded as check_flip_enum says, by the raw count
+    their right block.  The merge rule of kept_subsets applies to two
+    blocks of one side.  Bounded as check_flip_enum says, by the raw count
     of count_bipartite_flips."""
     left = [v for v in range(g.n) if (left_mask >> v) & 1]
     right = [v for v in range(g.n) if not (left_mask >> v) & 1]
@@ -318,8 +404,11 @@ def enumerate_bipartite_flips(g, left_mask, k, max_n=None):
             for v, b in zip(right, rp.blocks):
                 labels[v] = lp.size + b
             part, block = Partition.labelled(labels)
-            yield None, part, [(block[i], block[lp.size + j])
-                               for i in range(lp.size) for j in range(rp.size)]
+            sides = ([block[i] for i in range(lp.size)],
+                     [block[lp.size + j] for j in range(rp.size)])
+            pairs = tuple((i, j) for i in sides[0] for j in sides[1])
+            merge = tuple(p for side in sides for p in itertools.combinations(side, 2))
+            yield None, part, pairs, kept_subsets(part.size, 0, pairs, merge)
 
 
 def _subsets_up_to(n, k):
@@ -402,9 +491,12 @@ def enumerate_binary_flips(og, k):
     """Partition stream of the edge flips of the binary ordered game on
     (V, E, <): the <= k-flip partitions, only block pairs i < j allowed,
     since each block is a clique of the order's Gaifman graph and a pair
-    (i, i) changes nothing there.  Bounded by count_binary_flips alone."""
+    (i, i) changes nothing there.  Every pair subset is kept, since the
+    order-relation masks differ between partitions.  Bounded by
+    count_binary_flips alone."""
     n = og.graph.n
     check_bound(f"enumerate_binary_flips at k={k}", "raw", count_binary_flips(n, k),
                 CUT_FLIP_WORK_LIMIT)
     for part in rgs_partitions(n, k):
-        yield None, part, list(itertools.combinations(range(part.size), 2))
+        pairs = tuple(itertools.combinations(range(part.size), 2))
+        yield None, part, pairs, kept_subsets(part.size, 0, pairs, ())

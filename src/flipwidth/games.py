@@ -620,14 +620,20 @@ def _solve_table(rules, outcomes, witnesses=True):
 
     The pursuer wins when every initial position set is won, in the worst
     of their rounds.  The win table gives each won state its rounds and
-    the JSON of its move; with `witnesses` the solution carries the
-    TableFlipper and TableEvader that replay it.
+    the JSON of its move, one object for all the states a move wins; with
+    `witnesses` the solution carries the TableFlipper and TableEvader that
+    replay it.
     """
     init = _initial_states(rules)
     won = _abstract_solve(outcomes, init, rules.n)
     wins = all(R in won for R in init)
     rounds = max((won[R][0] for R in init), default=0) if wins else None
-    table = {R: (rd, _move_json(o.move)) for R, (rd, o) in won.items()}
+    moves = {}      # id of an outcome -> its move's JSON, one for every state it wins
+    table = {}
+    for R, (rd, o) in won.items():
+        if id(o) not in moves:
+            moves[id(o)] = _move_json(o.move)
+        table[R] = (rd, moves[id(o)])
     pursuer = TableFlipper(rules, outcomes, won) if witnesses else None
     evader = TableEvader(rules, won, init) if witnesses else None
     return GameSolution(rules.game, rules.r, rules.k, FLIPPER if wins else RUNNER,

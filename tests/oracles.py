@@ -28,7 +28,7 @@ import functools
 import itertools
 from collections import deque, namedtuple
 
-from flipwidth.flips import (CutFlip, block_pairs, enumerate_definable_flips,
+from flipwidth.flips import (CutFlip, Partition, block_pairs, enumerate_definable_flips,
                              enumerate_k_flips, flip_masks, order_cuts, order_rows,
                              rgs_partitions, subset_flip)
 from flipwidth.games import FLIPPER, RUNNER, Evader
@@ -523,6 +523,92 @@ def solve_flipper_concrete(g, r, k, definable=False, max_n=None):
 
 
 # ---------------------------------------------------------------------------
+# raw flip streams: partition streams in the package's format that keep
+# every pair subset, from partitions built here
+
+
+def restricted_growth(n, k):
+    """Every labelling of 0..n-1 by blocks below k in which each label is at
+    most one above every label before it, in lexicographic order: the
+    labellings of itertools.product that pass that test."""
+    for labels in itertools.product(range(k), repeat=n):
+        top = -1
+        for b in labels:
+            if b > top + 1:
+                break
+            top = max(top, b)
+        else:
+            yield labels
+
+
+@functools.lru_cache(maxsize=None)
+def _every_subset(count):
+    """Every subset number of count pairs, one shared array per count, so
+    that the engine batches the partitions that share it."""
+    import numpy as np
+    return np.arange(1 << count)
+
+
+def raw_k_flips(n, k):
+    """The <= k-flips with no skip: every restricted-growth partition into
+    at most k blocks times every subset of its block pairs (i, j), i <= j,
+    listed i-major."""
+    for labels in restricted_growth(n, k):
+        part = Partition(labels)
+        pairs = tuple((i, j) for i in range(part.size) for j in range(i, part.size))
+        yield None, part, pairs, _every_subset(len(pairs))
+
+
+def raw_definable_flips(g, k):
+    """The definable flips with no skip: for every S of at most k vertices,
+    by size and then by mask, the partition into classes of equal
+    neighbourhood in S, tagged with S, times every subset of its block
+    pairs."""
+    for size in range(min(k, g.n) + 1):
+        for s_set in sorted(itertools.combinations(range(g.n), size),
+                            key=lambda s: sum(1 << v for v in s)):
+            part = Partition([frozenset(u for u in s_set if (g.adj[v] >> u) & 1)
+                              for v in range(g.n)])
+            pairs = tuple((i, j) for i in range(part.size) for j in range(i, part.size))
+            yield s_set, part, pairs, _every_subset(len(pairs))
+
+
+def raw_bipartite_flips(g, left_mask, k):
+    """The bipartite flips with no skip: every restricted-growth partition of
+    each side into at most k blocks, blocks numbered by first vertex over
+    both sides, times every subset of the pairs (left block, right block),
+    left-major."""
+    sides = ([v for v in range(g.n) if (left_mask >> v) & 1],
+             [v for v in range(g.n) if not (left_mask >> v) & 1])
+    for left in restricted_growth(len(sides[0]), k):
+        for right in restricted_growth(len(sides[1]), k):
+            labels = [None] * g.n
+            for side, blocks in zip(sides, (("L", left), ("R", right))):
+                for v, b in zip(side, blocks[1]):
+                    labels[v] = (blocks[0], b)
+            part, block = Partition.labelled(labels)
+            pairs = tuple((block[("L", i)], block[("R", j)])
+                          for i in range(len(set(left))) for j in range(len(set(right))))
+            yield None, part, pairs, _every_subset(len(pairs))
+
+
+def distinct_toggles(parts):
+    """The number of distinct flipped graphs of a raw partition stream: each
+    flip as the set of vertex pairs it toggles, one bit per pair u < v."""
+    import numpy as np
+    found = [np.zeros(0, dtype=np.int64)]
+    for _, part, pairs, subs in parts:
+        vertex_pairs = list(itertools.combinations(range(len(part.blocks)), 2))
+        toggles = np.zeros(len(subs), dtype=np.int64)
+        for t, (i, j) in enumerate(pairs):
+            bit = sum(1 << e for e, (u, v) in enumerate(vertex_pairs)
+                      if sorted((part.blocks[u], part.blocks[v])) == sorted((i, j)))
+            toggles |= ((subs >> t) & 1) * bit
+        found.append(toggles)
+    return len(np.unique(np.concatenate(found)))
+
+
+# ---------------------------------------------------------------------------
 # the flip-outcome stream
 
 
@@ -541,9 +627,10 @@ def partition_flips(g, part, pairs, seen):
 def distinct_flips(g, parts):
     """Stream (move, rows) over a partition stream from flipwidth.flips, one
     per distinct edge set, the first flip of each kept; the move is the
-    FlipSpec when the stream's tag is None and (tag, FlipSpec) otherwise."""
+    FlipSpec when the stream's tag is None and (tag, FlipSpec) otherwise.
+    Every pair subset is read: the stream's kept numbers are not."""
     seen = set()
-    for tag, part, pairs in parts:
+    for tag, part, pairs, _ in parts:
         for spec, masks in partition_flips(g, part, pairs, seen):
             yield (spec if tag is None else (tag, spec)), masks
 

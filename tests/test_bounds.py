@@ -116,7 +116,7 @@ def test_bipartite_work_limit_admits_what_the_stream_counts(n, k):
     raw count the limit reads is the stream's."""
     g = generate("path", n)
     left = sum(1 << v for v in range(0, n, 2))
-    raw = sum(1 << len(pairs) for _, _, pairs in flips.enumerate_bipartite_flips(g, left, k))
+    raw = sum(1 << len(pairs) for _, _, pairs, _ in flips.enumerate_bipartite_flips(g, left, k))
     assert raw == flips.count_bipartite_flips((n + 1) // 2, n // 2, k)
     assert raw <= flips.CUT_FLIP_WORK_LIMIT
 
@@ -131,5 +131,17 @@ def test_binary_raw_count_is_the_streams(monkeypatch):
         og = OrderedGraph(Graph(n))
         for k in range(1, 5):
             raw = sum(2 ** len(pairs) * 3 ** len(pairs)
-                      for _, _, pairs in flips.enumerate_binary_flips(og, k))
+                      for _, _, pairs, _ in flips.enumerate_binary_flips(og, k))
             assert raw == flips.count_binary_flips(n, k), (n, k)
+
+
+def test_kept_table_bound_raises_before_sieving():
+    """A kept table sieves 2**pairs subsets of the pairs a singleton's
+    diagonal leaves free: 25 are allowed (five blocks a side in the
+    bipartite game), and a partition into 7 blocks with two singletons
+    has 26, so its table is refused and not built."""
+    pairs = tuple(flips.block_pairs(7))
+    with pytest.raises(LimitExceeded, match=re.escape(
+            "kept flips over 7 blocks: pairs=26 exceeds the configured bound 25")):
+        flips.kept_subsets(7, 0b11, pairs, ())
+    assert (7, 0b11, pairs, ()) not in flips._KEPT

@@ -126,6 +126,33 @@ def test_certify_schema_error_exit4(tmp_path):
     assert rc == 4
 
 
+def test_certify_well_linked_reads_k(tmp_path):
+    """A well-linked U certifies at width k only when |U| > 3k, the rule by
+    which well_linked_to_hideout turns it into a hideout."""
+    for k, valid in ((9, False), (1, True)):
+        cert_file = tmp_path / f"well_linked_{k}.json"
+        cert_file.write_text(json.dumps({"kind": "well_linked", "U": [0, 1, 2, 3], "k": k}))
+        rc, out, _ = run_cli("certify", "--family", "cycle:5", str(cert_file))
+        assert rc == 0
+        assert out == f'{{"kind":"well_linked","mode":"exhaustive","valid":{str(valid).lower()}}}\n'
+
+
+def test_certify_schema_error_names_the_field(tmp_path):
+    """A malformed count or vertex exits 4 with the name of its field."""
+    for cert, message in (
+            ({"kind": "order", "order": [0, 1, 2], "r": 2.7, "k": 1},
+             "r: expected a nonnegative integer, got 2.7"),
+            ({"kind": "cops_hideout", "U": [0, -1], "r": 1, "k": 1},
+             "U: expected a nonnegative integer, got -1"),
+            ({"kind": "contraction_sequence", "merges": [[0, 1], [0, "2"]]},
+             "merges: expected a nonnegative integer, got '2'")):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        rc, out, err = run_cli("certify", "--family", "path:3", str(cert_file))
+        assert (rc, out) == (4, "")
+        assert message in err
+
+
 def test_certify_rich_division(tmp_path):
     rc, out, _ = run_cli("gen", "--family", "pattern:4:eq")
     from flipwidth.certificates import pattern_rich_division

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +128,38 @@ def test_enumerators_yield_each_edge_set_once_with_its_rows():
     assert len(cut_flips) == len(edge_sets) * (1 + 5 + 10)
     # the ordered family's own stream is that of the <= 2-flips
     assert list(enumerate_cut_flips(og, 2)) == list(enumerate_k_flips(g, 2))
+
+
+def test_kept_flips_are_one_per_flipped_graph():
+    """The <= k-flips keep exactly one flip per distinct flipped graph for
+    n <= 7 and k <= 4, and the bipartite flips of paths one per distinct
+    flipped graph for n <= 8 and k <= 3, counted over the oracle's raw
+    streams."""
+    for n in range(8):
+        for k in range(1, 5):
+            kept = sum(len(subs) for _, _, _, subs in enumerate_k_flips(Graph(n), k, max_n=n))
+            assert kept == oracles.distinct_toggles(oracles.raw_k_flips(n, k)), (n, k)
+    for n in range(1, 9):
+        g = generate("path", n)
+        left = sum(1 << v for v in range(0, n, 2))
+        for k in range(1, 4):
+            kept = sum(len(subs) for _, _, _, subs in enumerate_bipartite_flips(g, left, k, max_n=n))
+            raw = oracles.raw_bipartite_flips(g, left, k)
+            assert kept == oracles.distinct_toggles(raw), (n, k)
+
+
+def test_kept_tables_are_built_when_first_read():
+    """Importing flipwidth builds no kept table; a stream builds each of its
+    tables once, shared by every partition with the same key."""
+    code = ("import flipwidth, flipwidth.cli, flipwidth.flips as f; "
+            "assert not f._KEPT, len(f._KEPT); "
+            "g = flipwidth.Graph(5); a = list(f.enumerate_k_flips(g, 3)); "
+            "b = list(f.enumerate_k_flips(g, 3)); "
+            "assert all(x[3] is y[3] for x, y in zip(a, b)); print(len(f._KEPT))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 0
 
 
 def test_sequential_flip_equivalence():

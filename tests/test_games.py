@@ -198,6 +198,84 @@ def test_radius_inf_solves_the_engine_does_not_take():
         solve_flipper(generate("cycle", 4), INF, 0)
 
 
+def _engine_key(outcomes):
+    """Each outcome's first stream index, iso, balls and move, in order."""
+    return (outcomes._index.tolist(), outcomes.iso.tolist(), outcomes.balls.tolist(),
+            [_move_key(outcomes[i].move) for i in range(len(outcomes))])
+
+
+def _kept_and_raw_streams(g, k):
+    """(label, stream, raw stream, layer) per flip family of g at width k:
+    the package's stream, which skips non-canonical flips, and the
+    oracle's, which keeps every pair subset.  The definable family runs to
+    its bound k=3 on at most four vertices and the ordered one, which
+    crosses each flip with up to 31 cuts, to k=4; on five vertices both
+    stop at k=2, so that their raw streams stay short."""
+    from flipwidth import bulk
+    from flipwidth.flips import (enumerate_bipartite_flips, enumerate_cut_flips,
+                                 enumerate_definable_flips, enumerate_k_flips, order_cuts)
+    og = OrderedGraph(g)
+    left = _bipartition(g)
+    cases = [("flip", lambda: enumerate_k_flips(g, k, max_n=g.n),
+              lambda: oracles.raw_k_flips(g.n, k), None)]
+    if k < 3 or g.n <= 4:
+        cases.append(("ordered", lambda: enumerate_cut_flips(og, k, max_n=g.n),
+                      lambda: oracles.raw_k_flips(g.n, k), bulk.CutLayer(g.n, order_cuts(g.n, k))))
+    if k < 3 or k == 3 and g.n <= 4:
+        cases.append(("dfw", lambda: enumerate_definable_flips(g, k),
+                      lambda: oracles.raw_definable_flips(g, k), None))
+    if left is not None:
+        cases.append(("bipartite", lambda: enumerate_bipartite_flips(g, left, k, max_n=g.n),
+                      lambda: oracles.raw_bipartite_flips(g, left, k), None))
+    return cases
+
+
+def test_kept_flips_give_the_raw_streams_outcomes():
+    """Skipping non-canonical flips changes no outcome: on every atlas graph
+    with n <= 5, at k <= 4 (fewer as _kept_and_raw_streams says) and r in
+    {0, 1, 2, inf}, the engine gives each family's outcomes with the same
+    first stream index, rows and move over the package's stream as over
+    the oracle's raw stream, whose partitions are built without
+    flipwidth's enumerators."""
+    from flipwidth import bulk
+    for g in atlas_graphs(5, min_n=0):
+        for k in range(1, 5):
+            for label, stream, raw, layer in _kept_and_raw_streams(g, k):
+                for r in (0, 1, 2, INF):
+                    assert _engine_key(bulk.outcomes(g, r, stream(), layer)) == _engine_key(
+                        bulk.outcomes(g, r, raw(), layer)), (g.adj, label, k, r)
+
+
+def test_the_engine_slices_a_kept_array_over_several_batches(monkeypatch):
+    """With batches of 16 flips, a partition keeping more than 16 pair
+    subsets is reduced a slice at a time, and the outcomes stay those of
+    the default batch size."""
+    from flipwidth import bulk
+    from flipwidth.flips import enumerate_k_flips
+    g = generate("path", 5)
+    whole = {r: _engine_key(bulk.outcomes(g, r, enumerate_k_flips(g, 4))) for r in (1, INF)}
+    slices = []
+    reduce = bulk._reduce
+
+    def noted(base, r, batches, sources, layer):
+        slices.extend((batch[0][0], len(subs)) for batch, subs in batches if len(batch) == 1)
+        return reduce(base, r, batches, sources, layer)
+
+    monkeypatch.setattr(bulk, "BATCH", 16)
+    monkeypatch.setattr(bulk, "_reduce", noted)
+    stream = list(enumerate_k_flips(g, 4))
+    offsets = itertools.accumulate((1 << len(pairs) for _, _, pairs, _ in stream), initial=0)
+    long = [(offset, len(kept)) for offset, (_, _, _, kept) in zip(offsets, stream)
+            if len(kept) > 16]
+    assert long
+    for r in (1, INF):
+        slices.clear()
+        assert _engine_key(bulk.outcomes(g, r, enumerate_k_flips(g, 4))) == whole[r]
+        for offset, size in long:
+            parts = [m for o, m in slices if o == offset]
+            assert len(parts) > 1 and sum(parts) == size and max(parts) <= 16
+
+
 def test_the_engine_refuses_more_than_64_vertices():
     from flipwidth import bulk
     from flipwidth.flips import enumerate_k_flips
