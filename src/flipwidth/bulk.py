@@ -14,7 +14,7 @@ subsets together; the batches pending go to one kernel call of at most
 BATCH (flip, mask) pairs, and a partition keeping more subsets than that
 is sliced over calls of its own:
 
-- at r=inf a ball is a component, found by min-label propagation;
+- at r=inf a ball is a component, found in one pass over the vertices;
 - at finite r a ball takes r hops of masked OR over the rows;
 - under a cut the weight-0 edges join each ~S class into a clique: the
   rows hold them too, and each ball is closed under the classes at the
@@ -407,28 +407,28 @@ def _first_keys(keys, bounds=None):
 def _kernel(rows, n, r, classes, bounds):
     """First position, within each span bounds[t]:bounds[t + 1], and
     (iso, *balls) row of each distinct outcome of the rows, balls closed
-    under classes when given; the 4-bit component labels hold 16
-    vertices, so above that r=inf takes n - 1 hops."""
-    if r is not INF:
-        return _balls(rows, n, r, classes, bounds)
-    if n <= 16:
+    under classes when given.  At r=inf the rows already hold the classes'
+    weight-0 edges, so a ball is the component of its vertex."""
+    if r is INF:
         return _components(rows, n, bounds)
-    return _balls(rows, n, n - 1, classes, bounds)
+    return _balls(rows, n, r, classes, bounds)
+
+
+def _masked_or(acc, x, s, y, bit):
+    """acc |= y wherever bit s of x is set, bit as scratch."""
+    np.right_shift(x, s, out=bit)
+    bit &= 1
+    bit *= y
+    acc |= bit
 
 
 def _hop(balls, rows, bit):
     """Each ball grown by rows[w] for every w it holds: one masked-OR pass."""
-    word = bit.dtype.type
     grown = []
     for ball in balls:
         cur = ball.copy()
         for w, row in enumerate(rows):
-            # cur |= rows[w] wherever w lies in the ball
-            np.right_shift(ball, word(w), out=bit)
-            bit &= word(1)
-            np.negative(bit, out=bit)
-            bit &= row
-            cur |= bit
+            _masked_or(cur, ball, w, row, bit)
         grown.append(cur)
     return grown
 
@@ -461,47 +461,56 @@ def _balls(rows, n, r, classes, bounds):
     return first, table[first]
 
 
+def _lowest_vertices():
+    """The lowest vertex of each 16-bit mask, as uint8 (0 for no vertex)."""
+    low = np.zeros(1, dtype=np.uint8)
+    for v in range(16):
+        # the masks with top bit v: the lowest vertex below v, or v alone
+        high = low.copy()
+        high[0] = v
+        low = np.concatenate([low, high])
+    return low
+
+
+_LOW = _lowest_vertices()      # 64 KiB
+
+
 def _components(rows, n, bounds):
     """First position and (iso, *balls) row of each distinct outcome at
-    r=inf, where balls are components and iso the singleton ones."""
-    B = rows[0].shape[0]
-    # adjacency rows are static during the closure: precompute the bit tests
-    # once, then min-label propagation on uint8 labels gives the canonical
-    # component signature (smallest vertex per component) directly
-    # blockers[(v,w)]: 0 where v~w, 255 otherwise, so non-neighbors never win
-    # the running minimum
-    blockers = {}
-    for v in range(n):
-        for w in range(v + 1, n):
-            adj = ((rows[v] >> np.uint16(w)) & np.uint16(1)).astype(np.uint8)
-            blockers[(v, w)] = (adj - np.uint8(1))    # 0 -> 255, 1 -> 0
-    labels = [np.full(B, v, dtype=np.uint8) for v in range(n)]
-    cand = np.empty(B, dtype=np.uint8)
-    order_fwd = list(range(n))
-    order_bwd = list(reversed(order_fwd))
-    prev_total = None
-    while True:
-        for sweep in (order_fwd, order_bwd):
-            for v in sweep:
-                lv = labels[v]
-                for w in range(n):
-                    if w == v:
-                        continue
-                    blk = blockers[(v, w)] if v < w else blockers[(w, v)]
-                    np.bitwise_or(labels[w], blk, out=cand)
-                    np.minimum(lv, cand, out=lv)
-        cur = sum(int(np.add.reduce(lab, dtype=np.int64)) for lab in labels)
-        if cur == prev_total:
-            break
-        prev_total = cur
+    r=inf, where balls are components and iso the singleton ones.
 
-    sig = np.zeros(B, dtype=np.uint64)
+    One pass over the vertices: v's ball starts as v and joins the ball of
+    every earlier neighbour w, read as bit v of rows[w]; then each earlier
+    vertex in the joined ball takes it.  After step v, balls[w] is w's
+    component among vertices 0..v, so no step repeats.  Up to 16 vertices
+    the outcomes are told apart by each vertex's lowest ball vertex, two
+    4-bit labels a byte in one uint64 key; above that by the balls."""
+    B = rows[0].shape[0]
+    word = rows[0].dtype.type
+    bit = np.empty(B, dtype=word)
+    balls = []
     for v in range(n):
-        sig |= labels[v].astype(np.uint64) << np.uint64(4 * v)
-    first = _first_keys(sig, bounds)
-    # only the distinct labellings become (iso, *balls) rows
-    lab = np.stack([labels[v][first] for v in range(n)], axis=1)      # (U, n)
-    pow2 = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    balls = ((lab[:, :, None] == lab[:, None, :]) * pow2).sum(axis=2, dtype=np.uint32)
-    iso = ((balls == pow2) * pow2).sum(axis=1, dtype=np.uint32)
-    return first, np.column_stack([iso, balls]).astype(np.uint16)
+        ball = np.full(B, 1 << v, dtype=word)
+        for w in range(v):
+            _masked_or(ball, rows[w], v, balls[w], bit)
+        for w in range(v):
+            # balls[w] lies within ball wherever it holds w
+            _masked_or(balls[w], ball, w, ball, bit)
+        balls.append(ball)
+    if n <= 16:
+        key = np.zeros((B, 8), dtype=np.uint8)
+        for v in range(0, n, 2):
+            byte = np.take(_LOW, balls[v])
+            if v + 1 < n:
+                high = np.take(_LOW, balls[v + 1])
+                high <<= 4
+                byte |= high
+            key[:, v // 2] = byte
+        first = _first_keys(key.view(np.uint64).ravel(), bounds)
+    else:
+        first = _first_rows(np.stack(balls, axis=1), bounds)
+    # only the distinct outcomes get an iso column
+    table = np.stack([ball[first] for ball in balls], axis=1)
+    single = word(1) << np.arange(n, dtype=word)
+    iso = ((table == single) * single).sum(axis=1, dtype=word)
+    return first, np.column_stack([iso, table])

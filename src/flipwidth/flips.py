@@ -30,9 +30,10 @@ the first flip of each distinct flipped graph is always kept, and on the
 rules its streams allow: both for the <= k-flips, the merge rule within a
 side for the bipartite flips, the singleton rule for the definable flips
 (whose coarsenings are not S-type partitions), and neither for the binary
-ordered game, whose order-relation masks depend on the blocks.  `bulk`
-builds only the kept flips and keeps the first flip of each distinct
-outcome.
+ordered game, whose order-relation masks depend on the blocks.  The
+definable stream also keeps nothing for an S-type partition an earlier S
+gave.  `bulk` builds only the kept flips and keeps the first flip of each
+distinct outcome.
 """
 import itertools
 import math
@@ -208,22 +209,30 @@ def apply_flip(g, spec):
 
 def rgs_partitions(n, kmax):
     """Set partitions of 0..n-1 into <= kmax blocks, in restricted-growth
-    lexicographic order."""
+    lexicographic order.  Vertex 0 always takes block 0, so one vertex has
+    its partition even at kmax = 0, where more vertices have none."""
     if n == 0:
         yield Partition([])
         return
+    if kmax < 1 and n > 1:
+        return
+    top = kmax - 1
     blocks = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            yield Partition(blocks)
+    used = [0] + [1] * n    # used[i]: the blocks among vertices 0..i-1
+    while True:
+        part = object.__new__(Partition)
+        part.blocks = tuple(blocks)
+        part.size = used[n]
+        yield part
+        # the last vertex that can take a higher block does; the ones after it restart at 0
+        i = n - 1
+        while i and blocks[i] >= min(used[i], top):
+            i -= 1
+        if not i:
             return
-        top = min(used, kmax - 1)
-        for b in range(top + 1):
-            blocks[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(1, 1)
+        blocks[i] += 1
+        blocks[i + 1:] = [0] * (n - 1 - i)
+        used[i + 1:] = [max(used[i], blocks[i] + 1)] * (n - i)
 
 
 def block_pairs(b):
@@ -369,19 +378,26 @@ def s_types(g, s_set):
 def enumerate_definable_flips(g, k, max_n=None):
     """Partition stream of the definable flips: for every S with |S| <= k, by
     size and then numerically, the S-types of g tagged with S, every block
-    pair allowed, only the singleton rule of kept_subsets applying.  k is
-    bounded by DEFINABLE_MAX_K, and n by max_n when it is given."""
+    pair allowed, only the singleton rule of kept_subsets applying.  An S
+    whose S-types an earlier S gave keeps no flip, since each of its flips
+    repeats one of the earlier S.  k is bounded by DEFINABLE_MAX_K, and n
+    by max_n when it is given."""
     if k < 0:
         raise GenerationError("definable flip width must be >= 0")
     check_bound("enumerate_definable_flips", "k", k, DEFINABLE_MAX_K)
     if max_n is not None:
         check_bound("enumerate_definable_flips", "n", g.n, max_n)
     pairs = [tuple(block_pairs(b)) for b in range(g.n + 1)]
+    seen = set()
     for smask in _subsets_up_to(g.n, k):
         s_set = tuple(bits(smask))
         part = s_types(g, s_set)
         b = part.size
-        yield s_set, part, pairs[b], kept_subsets(b, part.singletons(), pairs[b], ())
+        kept = kept_subsets(b, part.singletons(), pairs[b], ())
+        if part in seen:
+            kept = kept[:0]
+        seen.add(part)
+        yield s_set, part, pairs[b], kept
 
 
 def enumerate_bipartite_flips(g, left_mask, k, max_n=None):

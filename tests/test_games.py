@@ -198,6 +198,64 @@ def test_radius_inf_solves_the_engine_does_not_take():
         solve_flipper(generate("cycle", 4), INF, 0)
 
 
+def _random_rows(n, count, rng):
+    """count symmetric adjacency masks of n vertices, drawn from a pool of
+    count // 4 graphs at densities from sparse to dense, so rows repeat."""
+    pool = []
+    for _ in range(max(count // 4, 1)):
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        pool.append(adj)
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def test_the_component_kernel_finds_the_components():
+    """bulk._components on random symmetric rows, uint16 up to 16 vertices
+    and uint64 above: within each span of bounds, the first position of
+    each distinct component partition and its (iso, *balls) row, against
+    components found by BFS."""
+    import numpy as np
+    from flipwidth import bulk
+    rng = random.Random(17)
+    for n, word in ((1, np.uint16), (2, np.uint16), (7, np.uint16), (16, np.uint16),
+                    (17, np.uint64), (20, np.uint64)):
+        graphs = _random_rows(n, 200, rng)
+        rows = [np.array([adj[v] for adj in graphs], dtype=word) for v in range(n)]
+        for bounds in ([0, 200], [0, 1, 60, 61, 130, 200], list(range(0, 201, 25))):
+            want = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                seen = set()
+                for i in range(lo, hi):
+                    balls = tuple(oracles._ball_of(graphs[i], v, INF) for v in range(n))
+                    if balls not in seen:
+                        seen.add(balls)
+                        iso = sum(1 << v for v in range(n) if balls[v] == 1 << v)
+                        want.append((i, [iso, *balls]))
+            first, table = bulk._components(rows, n, np.array(bounds))
+            assert table.dtype == word, (n, bounds)
+            assert sorted(zip(first.tolist(), table.tolist())) == want, (n, bounds)
+
+
+def test_radius_inf_above_16_vertices_matches_n_minus_1_hops(monkeypatch):
+    """n - 1 hops of the finite-r kernel reach every component, so _balls
+    at r = n - 1 is a reference for r=inf: on 17 and 20 vertices at k=1,
+    and on 17 at k=2, an r=inf solve gives the same outcomes, stream
+    indices and moves with the component kernel as with that reference."""
+    from flipwidth import bulk
+    cases = [(generate("random_gnp", 17, 0.3, 1), 1), (generate("random_gnp", 20, 0.2, 2), 1),
+             (generate("path", 20), 1), (generate("random_gnp", 17, 0.3, 1), 2)]
+    for g, k in cases:
+        want = _engine_key(bulk.component_outcomes(g, k, g.n))
+        with monkeypatch.context() as m:
+            m.setattr(bulk, "_kernel", lambda rows, n, r, classes, bounds:
+                      bulk._balls(rows, n, n - 1, classes, bounds))
+            assert _engine_key(bulk.component_outcomes(g, k, g.n)) == want, (g.adj, k)
+
+
 def _engine_key(outcomes):
     """Each outcome's first stream index, iso, balls and move, in order."""
     return (outcomes._index.tolist(), outcomes.iso.tolist(), outcomes.balls.tolist(),
