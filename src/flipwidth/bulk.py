@@ -313,7 +313,7 @@ def _reduce(base, r, batches, sources, layer):
     index and its (iso, *balls) row; sources gains the partitions these
     rows come from, and only those."""
     n = base.shape[0]
-    built = [_rows(base, batch, subs, layer) for batch, subs in batches]
+    built = [_rows(base, batch, subs, layer, r) for batch, subs in batches]
     if len(built) == 1:
         rows, classes = built[0]
     else:
@@ -343,11 +343,12 @@ def _reduce(base, r, batches, sources, layer):
     return index, table
 
 
-def _rows(base, batch, subs, layer):
+def _rows(base, batch, subs, layer, r):
     """Per vertex, the adjacency rows of a batch's flips crossed with the
     layer's masks, partition-major, then subset, then mask; and the ~S
     class of each vertex under those masks when the layer closes balls
-    under them, else None."""
+    under them at a finite radius r, else None: at r=inf the rows hold the
+    classes' edges, and the components need nothing more."""
     n = base.shape[0]
     word = base.dtype.type
     pairs = batch[0][3]
@@ -382,7 +383,7 @@ def _rows(base, batch, subs, layer):
     masks = layer.masks(bm, blocks)
     L = masks[0].shape[1]
     rows = [(rv | mv[:, None, :]).reshape(-1) for rv, mv in zip(rows, masks)]
-    if not layer.closed:
+    if not layer.closed or r is INF:
         return rows, None
     return rows, [np.broadcast_to(mv[:, None, :] | word(1 << v), (C, m, L)).reshape(-1)
                   for v, mv in enumerate(masks)]

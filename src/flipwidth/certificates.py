@@ -9,7 +9,7 @@ from . import games
 from .errors import CertificateInvalid, GenerationError, SchemaError, check_bound
 from .flips import flip_masks, random_flip
 from .graphs import INF, ball_mask, bits, exact_subdivision, mask_of, popcount
-from .params import well_linked_check
+from .params import weak_reach, well_linked_check
 from .twinwidth import ContractionSequence
 
 RICH_DIVISION_MAX_PARTS = 12
@@ -254,8 +254,7 @@ def _cut_off(g, v, r, k, targets):
     targets &= ~(1 << v)
     for size in range(k):
         for a_set in itertools.combinations(candidates, size):
-            amask = mask_of(a_set)
-            if ball_mask([row & ~amask for row in g.adj], v, r) & targets == 0:
+            if ball_mask(g.adj, v, r, mask_of(a_set)) & targets == 0:
                 return True
     return False
 
@@ -305,43 +304,38 @@ def greedy_copprime_order(g, r, k):
 
 
 class OrderCops(games.Pursuer):
-    """Cops on v plus the earlier vertices weakly 2r-reachable from v; the
-    robber is forced upward in the order.
+    """Cops on v plus WReach_2r[v], the earlier vertices weakly
+    2r-reachable from v, computed once by params.weak_reach; the robber is
+    forced upward in the order.  It plays the cop, copprime and isolation
+    games at a finite radius.
 
     Per round the least order-position over any path the robber could have
     taken is asserted to strictly increase, which is what forces the win.
     """
 
     def __init__(self, g, order, r):
+        if r is INF:
+            raise GenerationError("the order-cop strategy needs a finite radius")
         self.g = g
         self.order = tuple(order)
         self.r = r
         self.pos_of = {v: i for i, v in enumerate(self.order)}
+        self.reach = weak_reach(g, self.order, 2 * r)
 
     def start(self):
         # (prev cop mask, prev robber position, grounded mask during the
         #  robber's last move, last path-minimum order position)
         return (0, None, 0, -1)
 
-    def _weakly_reachable_before(self, v):
-        placed = 0
-        out = 0
-        for w in self.order:
-            if w == v:
-                break
-            reach = ball_mask(tuple(row & ~placed for row in self.g.adj), w, 2 * self.r)
-            if (reach >> v) & 1:
-                out |= 1 << w
-            placed |= 1 << w
-        return out
-
     def _path_min(self, a, b, blocked):
         """Least order position over vertices on some a-b path of length
-        <= r avoiding blocked."""
-        masks = [row & ~blocked for row in self.g.adj]
-        fwd, bwd = _distances(masks, a, self.r), _distances(masks, b, self.r)
-        return min((self.pos_of[w] for w in fwd if w in bwd and fwd[w] + bwd[w] <= self.r),
-                   default=None)
+        <= r avoiding blocked: w is on one when, for some i <= r, it is
+        within i of a and within r - i of b."""
+        on_path = 0
+        for i in range(self.r + 1):
+            on_path |= (ball_mask(self.g.adj, a, i, blocked)
+                        & ball_mask(self.g.adj, b, self.r - i, blocked))
+        return min((self.pos_of[w] for w in bits(on_path)), default=None)
 
     def move(self, state, position):
         prev_mask, prev_pos, grounded, last_min = state
@@ -351,18 +345,8 @@ class OrderCops(games.Pursuer):
                 raise AssertionError(
                     "order-cop invariant broken: path minimum did not increase")
             last_min = m
-        s2 = self._weakly_reachable_before(position) | (1 << position)
+        s2 = self.reach[position] | (1 << position)
         return frozenset(bits(s2)), (s2, position, prev_mask & s2, last_min)
-
-
-def _distances(masks, v, r):
-    """Distance from v of each vertex at most r steps away over the rows masks."""
-    dist = {v: 0}
-    frontier = {v}
-    for d in range(1, r + 1):
-        frontier = {w for u in frontier for w in bits(masks[u]) if w not in dist}
-        dist.update(dict.fromkeys(frontier, d))
-    return dist
 
 
 class AdmissibilityRobber(games.Evader):

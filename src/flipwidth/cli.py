@@ -303,8 +303,11 @@ def cmd_certify(ns):
     return 0
 
 
-# the certificate-backed evaders and the games whose moves they read
-_CERTIFICATE_GAMES = {"hideout": ("flip", "bipartite"), "richdivision": ("ordered",)}
+# the strategies that play only some games, and those games: the
+# certificate-backed evaders read their moves, and the order cops play
+# the cop games
+_STRATEGY_GAMES = {"hideout": ("flip", "bipartite"), "richdivision": ("ordered",),
+                   "order-cops": ("cop", "copprime", "isolation")}
 
 
 def _certificate_of(ns, kind, n):
@@ -318,7 +321,7 @@ def _certificate_of(ns, kind, n):
 def _strategy(spec_text, side, game, g, r, k, ns):
     """The strategy spec_text names, which must play `side` in `game`."""
     name = spec_text.split(":")[0]
-    games_played = _CERTIFICATE_GAMES.get(name, (game,))
+    games_played = _STRATEGY_GAMES.get(name, (game,))
     if game not in games_played:
         raise ParseError(f"strategy {name!r} plays the {' and '.join(games_played)} "
                          f"game, not {game}")

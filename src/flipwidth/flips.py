@@ -36,7 +36,6 @@ gave.  `bulk` builds only the kept flips and keeps the first flip of each
 distinct outcome.
 """
 import itertools
-import math
 
 from .errors import GenerationError, check_bound
 from .graphs import Graph, INF, bits, mask_of
@@ -49,8 +48,9 @@ from .graphs import Graph, INF, bits, mask_of
 FLIP_ENUM_MAX_N = {1: 62, 2: 12, 3: 8}
 FLIP_ENUM_MAX_N_DEFAULT = 7
 DEFINABLE_MAX_K = 3
-# raw flips (times cuts) a family may enumerate on any n when max_n is unset;
-# the binary ordered game's stream has this bound alone
+# raw flips a family may enumerate on any n when max_n is unset, the
+# bipartite flips above the vertex bound; the binary ordered game's stream
+# has this bound alone
 CUT_FLIP_WORK_LIMIT = 500_000
 # free pairs whose 2**pairs subsets a kept table may sieve: the 25 cross
 # pairs of five blocks a side in the bipartite game, 2**25 flips of one
@@ -495,12 +495,10 @@ def order_cuts(n, k):
 def enumerate_cut_flips(og, k, max_n=None):
     """Partition stream of the edge flips of the ordered cut-flips: the
     <= k-flips of og's graph, each of which stands crossed with every cut
-    of order_cuts(n, k).  Bounded as check_flip_enum says, by the raw
-    (flip, cut) count."""
-    n = og.graph.n
-    cuts = sum(math.comb(n, i) for i in range(min(k, n) + 1))
-    check_flip_enum("enumerate_cut_flips", n, k, max_n, count_raw_flips(n, k) * cuts)
-    yield from enumerate_k_flips(og.graph, k, max_n=n)
+    of order_cuts(n, k).  Bounded as the k-flips are, by the vertex bound
+    or max_n."""
+    check_flip_enum("enumerate_cut_flips", og.graph.n, k, max_n)
+    yield from enumerate_k_flips(og.graph, k, max_n=og.graph.n)
 
 
 def enumerate_binary_flips(og, k):

@@ -345,7 +345,9 @@ class _CopRules:
         return S & S2
 
     def ball(self, blocked, v):
-        return ball_mask([row & ~blocked for row in self.g.adj], v, self.r)
+        """graphs.ball_mask's blocked walk: the robber's radius-r reach from
+        v, never entering a cop of blocked other than one on v."""
+        return ball_mask(self.g.adj, v, self.r, blocked)
 
     def trapped(self, s2, v):
         return bool((s2 >> v) & 1)
@@ -704,15 +706,10 @@ COPS_MAX_N = 10
 
 
 def _reach_table(g, r):
-    """reach[v][B]: vertices reachable from v by a path of length <= r in
-    G - B, where a cop on v does not block v itself (v always included)."""
-    n = g.n
-    table = [[0] * (1 << n) for _ in range(n)]
-    for B in range(1 << n):
-        masks = [row & ~B for row in g.adj]
-        for v in range(n):
-            table[v][B] = ball_mask(masks, v, r)
-    return table
+    """reach[v][B]: ball_mask(g.adj, v, r, B), the vertices reachable from v
+    by a path of length <= r in G - B, where a cop on v does not block v
+    itself (v always included)."""
+    return [[ball_mask(g.adj, v, r, B) for B in range(1 << g.n)] for v in range(g.n)]
 
 
 def _subset_masks(n, k):

@@ -562,24 +562,23 @@ def lexicographic_product(h, k):
     return Graph(n, edges)
 
 
-def ball_mask(adj, v, r):
-    """Radius-r ball around v as a bitmask; r=INF gives the component."""
-    cur = 1 << v
+def ball_mask(adj, v, r, blocked=0):
+    """Radius-r ball around v as a bitmask, r=INF giving the component: the
+    ends of the walks of length <= r from v that never enter the mask
+    blocked.  A walk may start on a blocked vertex, as a robber on a cop's
+    vertex v is not blocked by that cop."""
+    reached = frontier = 1 << v
     steps = 0
-    while True:
-        if r is not INF and steps >= r:
-            break
-        nxt = cur
-        m = cur
-        while m:
-            low = m & -m
+    while frontier and (r is INF or steps < r):
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        if nxt == cur:
-            break
-        cur = nxt
+            frontier ^= low
+        frontier = nxt & ~(reached | blocked)
+        reached |= frontier
         steps += 1
-    return cur
+    return reached
 
 
 def ball(g, v, r):

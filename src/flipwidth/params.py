@@ -55,18 +55,24 @@ def degeneracy(g):
 # generalized coloring numbers
 
 
-def wcol_cost(g, order, r):
-    """Max over v of #{w before v weakly r-reachable from v} (v excluded)."""
-    n = g.n
-    pos = {v: i for i, v in enumerate(order)}
-    counts = [0] * n
+def weak_reach(g, order, r):
+    """WReach_r under order, one mask per vertex: w is in v's mask when w
+    comes before v and some path of length <= r joins v to w through
+    vertices no earlier than w, which is w's ball avoiding the vertices
+    placed before it."""
+    reach = [0] * g.n
     placed = 0
     for w in order:
-        reach = ball_mask(tuple(row & ~placed for row in g.adj), w, r)
-        for u in bits(reach & ~placed & ~(1 << w)):
-            counts[u] += 1
+        for u in bits(ball_mask(g.adj, w, r, placed) & ~(1 << w)):
+            reach[u] |= 1 << w
         placed |= 1 << w
-    return max(counts, default=0)
+    return reach
+
+
+def wcol_cost(g, order, r):
+    """Max over v of |WReach_r[v]|, the earlier vertices weakly r-reachable
+    from v (v excluded)."""
+    return max(map(popcount, weak_reach(g, order, r)), default=0)
 
 
 def scol_cost(g, order, r):
@@ -186,13 +192,11 @@ def _wcol_exact(g, r):
             if old[0] <= snapshot[0] and all(a <= b for a, b in zip(old[1], snapshot[1])):
                 return
         bucket.append(snapshot)
-        adj_cut = tuple(row & ~placed_mask for row in g.adj)
         for v in unplaced:
             nf = max(fmax, counts[v])
             if nf >= best_val:
                 continue
-            reach = ball_mask(adj_cut, v, r)
-            touched = [u for u in bits(reach & ~placed_mask & ~(1 << v))]
+            touched = list(bits(ball_mask(g.adj, v, r, placed_mask) & ~(1 << v)))
             for u in touched:
                 counts[u] += 1
             order.append(v)

@@ -4,7 +4,7 @@ strategy built from an uncontraction sequence."""
 from .errors import GenerationError, check_bound
 from .flips import FlipSpec, Partition, identity_flip
 from .games import Pursuer
-from .graphs import bits, lowest_bit, mask_of, popcount
+from .graphs import ball_mask, bits, lowest_bit, mask_of, popcount
 
 TWW_MAX_N = 10
 
@@ -161,14 +161,7 @@ def _red_ball_parts(red, start_parts, radius):
     """Part indices within red-graph distance radius of start_parts."""
     cur = 0
     for i in start_parts:
-        cur |= 1 << i
-    for _ in range(radius):
-        nxt = cur
-        for i in bits(cur):
-            nxt |= red.red[i]
-        if nxt == cur:
-            break
-        cur = nxt
+        cur |= ball_mask(red.red, i, radius)
     return cur
 
 
@@ -252,7 +245,6 @@ class TwinWidthFlipper(Pursuer):
 
     def invariant_holds(self, i, flip_masks_now, c_i):
         """A_i subset of the union of red balls of radius r around c_i's part."""
-        from .graphs import ball_mask
         red = self._reds[min(i, len(self.chain)) - 1]
         part_idx = next(idx for idx, p in enumerate(red.parts) if (p >> c_i) & 1)
         allowed_parts = _red_ball_parts(red, [part_idx], self.r)

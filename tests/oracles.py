@@ -97,6 +97,34 @@ def ball_by_paths(g, v, r):
     return out
 
 
+def nx_distances(g, v, keep):
+    """networkx shortest-path distances from v in the subgraph of g induced
+    on the vertex set keep, which holds v."""
+    import networkx as nx
+    keep = set(keep)
+    h = nx.Graph()
+    h.add_nodes_from(keep)
+    h.add_edges_from((u, w) for u in keep for w in g.neighbors(u) if w in keep)
+    return nx.single_source_shortest_path_length(h, v)
+
+
+def nx_blocked_ball(g, v, r, blocked):
+    """Mask of the distance-r ball of v in G - (blocked - {v}), by networkx."""
+    keep = [u for u in range(g.n) if u == v or not (blocked >> u) & 1]
+    return sum(1 << w for w, d in nx_distances(g, v, keep).items() if r is INF or d <= r)
+
+
+def nx_weak_reach(g, order, r):
+    """Per vertex v, the mask of the w before v with dist(v, w) <= r in the
+    subgraph induced on w and the vertices after it, by networkx."""
+    reach = [0] * g.n
+    for i, w in enumerate(order):
+        for v, d in nx_distances(g, w, order[i:]).items():
+            if v != w and (r is INF or d <= r):
+                reach[v] |= 1 << w
+    return reach
+
+
 def stirling2(n, k):
     if n == 0:
         return 1 if k == 0 else 0

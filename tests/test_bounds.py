@@ -31,11 +31,14 @@ CASES = [
     ("enumerate_bipartite_flips", flips, "rgs_partitions",
      lambda: list(flips.enumerate_bipartite_flips(generate("path", 11), EVENS, 3)),
      "enumerate_bipartite_flips at k=3: n=11 exceeds the configured bound 8"),
-    # 12 vertices at k=2 are admitted by the k-flip bound, 13 are not, and
-    # neither by the (flip, cut) work limit
+    # the cut-flips are bounded as the k-flips are: 12 vertices at k=2 are
+    # admitted, 13 are not; at k=1, 62 are and 63 are not
     ("enumerate_cut_flips", flips, "rgs_partitions",
      lambda: list(flips.enumerate_cut_flips(OrderedGraph(Graph(13)), 2)),
      "enumerate_cut_flips at k=2: n=13 exceeds the configured bound 12"),
+    ("enumerate_cut_flips-k1", flips, "rgs_partitions",
+     lambda: list(flips.enumerate_cut_flips(OrderedGraph(Graph(63)), 1)),
+     "enumerate_cut_flips at k=1: n=63 exceeds the configured bound 62"),
     # the binary ordered game is bounded by its raw count alone: P8 gives
     # 209,419 raw flips at k=3, P9 654,931
     ("solve_ordered_binary", flips, "rgs_partitions",
@@ -119,6 +122,13 @@ def test_bipartite_work_limit_admits_what_the_stream_counts(n, k):
     raw = sum(1 << len(pairs) for _, _, pairs, _ in flips.enumerate_bipartite_flips(g, left, k))
     assert raw == flips.count_bipartite_flips((n + 1) // 2, n // 2, k)
     assert raw <= flips.CUT_FLIP_WORK_LIMIT
+
+
+def test_max_n_admits_the_cut_flips_above_the_vertex_bound():
+    """--max-n lifts the cut-flips' vertex bound as it lifts the k-flips'."""
+    og = OrderedGraph(Graph(63))
+    assert list(flips.enumerate_cut_flips(og, 1, max_n=63)) == list(
+        flips.enumerate_k_flips(og.graph, 1, max_n=63))
 
 
 def test_binary_raw_count_is_the_streams(monkeypatch):

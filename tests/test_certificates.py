@@ -22,9 +22,9 @@ from flipwidth.flips import enumerate_k_flips
 from flipwidth.games import (COPS, ROBBER, RUNNER, IdentityFlipper,
                              simulate_match, solve_cops, solve_copw_prime,
                              solve_flipper, solve_ordered)
-from flipwidth.graphs import (INF, Graph, OrderedGraph, exact_subdivision,
+from flipwidth.graphs import (INF, Graph, OrderedGraph, bits, exact_subdivision,
                               generate)
-from flipwidth.params import generalized_coloring_number, near_twin_cliques
+from flipwidth.params import generalized_coloring_number, near_twin_cliques, weak_reach
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,21 @@ def test_order_cops_win_on_tree():
     trace = simulate_match("cop", g, 1, k, cops, sol.witness_evader, 3 * g.n)
     assert trace.outcome == "PURSUER_WINS"
     assert trace.rounds <= g.n
+
+
+def test_order_cops_stand_on_v_and_its_weak_2r_reach(atlas5):
+    """The order cops' set at v is WReach_2r[v] plus v, whatever came
+    before; they need a finite radius."""
+    rng = random.Random(5)
+    for g in atlas5:
+        order = rng.sample(range(g.n), g.n)
+        for r in (0, 1, 2):
+            cops = OrderCops(g, order, r)
+            reach = weak_reach(g, order, 2 * r)
+            for v in range(g.n):
+                assert cops.move(cops.start(), v)[0] == frozenset(bits(reach[v] | 1 << v))
+    with pytest.raises(GenerationError, match="finite radius"):
+        OrderCops(generate("path", 3), (0, 1, 2), INF)
 
 
 def test_degeneracy_order_cops_radius1():

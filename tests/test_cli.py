@@ -387,6 +387,10 @@ ROLE_CASES = [
     (["duel", "--family", "path:3", "--game", "flip", "--r", "1", "--k", "1",
       "--pursuer", "identity", "--evader", "solver-witness", "--max-rounds=-5"], None, 3),
     (["param", "--family", "path:3", "shatter", "--m=-1"], None, 3),
+    (["duel", "--family", "path:4", "--game", "cop", "--r", "inf", "--k", "2",
+      "--pursuer", "order-cops", "--evader", "solver-witness"], None, 3),
+    (["duel", "--family", "path:4", "--game", "ordered", "--r", "1", "--k", "2",
+      "--pursuer", "order-cops", "--evader", "solver-witness"], None, 3),
 ] + [(argv, None, code) for _, argv, code in CERTIFICATE_CASES]
   + [(argv, None, 3) for _, argv in ROLE_CASES], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
@@ -396,7 +400,8 @@ ROLE_CASES = [
         "duel-random-width-0", "usage-error-option-value", "usage-error-int-type",
         "approx-negative-radius", "approx-radius-inf", "hideout-sampled-trials-0",
         "hideout-sampled-trials-negative", "well-linked-sampled-trials-0",
-        "duel-negative-max-rounds", "shatter-negative-m"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
+        "duel-negative-max-rounds", "shatter-negative-m", "duel-order-cops-radius-inf",
+        "duel-order-cops-ordered-game"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
     + [case_id for case_id, _ in ROLE_CASES])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"

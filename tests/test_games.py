@@ -90,7 +90,7 @@ def _outcome_cases(g, ks):
             partial(games._BipartiteRules, g, k=k, left_mask=left),
             oracles.distinct_flips(g, enumerate_bipartite_flips(g, left, k)))
     for k in ks.get("ordered", ()):
-        add(f"ordered k={k}", partial(games._cut_flip_outcomes, og, k=k),
+        add(f"ordered k={k}", partial(games._cut_flip_outcomes, og, k=k, max_n=g.n),
             partial(games._OrderedRules, og, k=k), oracles.cut_flip_stream(og, k))
     for k in ks.get("gaifman", ()):
         add(f"gaifman k={k}",
@@ -254,6 +254,25 @@ def test_radius_inf_above_16_vertices_matches_n_minus_1_hops(monkeypatch):
             m.setattr(bulk, "_kernel", lambda rows, n, r, classes, bounds:
                       bulk._balls(rows, n, n - 1, classes, bounds))
             assert _engine_key(bulk.component_outcomes(g, k, g.n)) == want, (g.adj, k)
+
+
+def test_the_cut_layer_builds_its_classes_at_finite_radius_only(monkeypatch):
+    """At r=inf a cut-flip's rows already hold the weight-0 edges of its ~S
+    classes and a ball is a component, so the kernel gets no class arrays;
+    at finite r it gets them, to close each ball under the classes."""
+    from flipwidth import bulk
+    seen = set()
+    kernel = bulk._kernel
+
+    def recorded(rows, n, r, classes, bounds):
+        seen.add((r, classes is None))
+        return kernel(rows, n, r, classes, bounds)
+
+    monkeypatch.setattr(bulk, "_kernel", recorded)
+    og = OrderedGraph(generate("random_gnp", 7, 0.4, 3))
+    for r in (INF, 1):
+        solve_ordered(og, r, 2)
+    assert seen == {(INF, True), (1, False)}
 
 
 def _engine_key(outcomes):

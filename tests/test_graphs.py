@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from flipwidth.errors import GenerationError, ParseError
-from flipwidth.graphs import (INF, ColoredGraph, Graph, OrderedGraph, ball,
+from flipwidth.graphs import (INF, ColoredGraph, Graph, OrderedGraph, ball, ball_mask,
                               complement, components, disjoint_union,
                               exact_subdivision, generate,
                               lexicographic_product, parse_graph, popcount,
@@ -218,6 +219,18 @@ def test_components_partition(atlas4):
     for g in atlas4:
         comps = components(g)
         assert sum(popcount(c) for c in comps) == g.n
+
+
+def test_ball_mask_is_the_ball_outside_the_blocked_set(atlas6):
+    """A blocked walk from v is a walk in G - (blocked - {v}): it never
+    enters a blocked vertex, but may start on one."""
+    rng = random.Random(6)
+    for g in atlas6:
+        for v in range(g.n):
+            for blocked in (0, 1 << v, rng.getrandbits(g.n), rng.getrandbits(g.n) | 1 << v):
+                for r in (0, 1, 2, 3, INF):
+                    assert ball_mask(g.adj, v, r, blocked) == oracles.nx_blocked_ball(
+                        g, v, r, blocked), (g.adj, v, r, blocked)
 
 
 def test_invariant_checks_survive_python_O():

@@ -8,14 +8,14 @@ from conftest import atlas_graphs, random_graphs
 from oracles import decomposition_cut_ranks, order_back_degree
 from flipwidth import params
 from flipwidth.errors import GenerationError
-from flipwidth.graphs import Graph, INF, complement, generate, mask_of
+from flipwidth.graphs import Graph, INF, complement, generate, mask_of, popcount
 from flipwidth.params import (OrderWitness, adm_cost, cut_rank, degeneracy,
                               functionality_param, generalized_coloring_number,
                               least_excluded_biclique, near_twin_cliques,
                               near_twin_min, rank_width_small, scol_cost,
                               shatter_function, symmetric_difference_param,
                               treewidth_small, vc_dimension, wcol_cost,
-                              well_linked_check)
+                              weak_reach, well_linked_check)
 
 
 def test_degeneracy_examples():
@@ -58,6 +58,21 @@ def test_wcol_matches_order_enumeration():
             value, witness = generalized_coloring_number(g, "wcol", r)
             assert value == oracles.wcol_by_orders(g, r)
             assert wcol_cost(g, witness.permutation, r) == value
+
+
+def test_weak_reach_is_the_earlier_vertices_within_r_above_them(atlas6):
+    """w is in WReach_r[v] when w comes before v and dist(v, w) <= r in the
+    graph induced on w and the vertices after it; wcol_cost is the largest
+    such set."""
+    rng = random.Random(19)
+    for g in atlas6:
+        for _ in range(2):
+            order = rng.sample(range(g.n), g.n)
+            for r in (0, 1, 2, 3, INF):
+                reach = weak_reach(g, order, r)
+                assert reach == oracles.nx_weak_reach(g, order, r), (g.adj, order, r)
+                if r is not INF:
+                    assert wcol_cost(g, order, r) == max(map(popcount, reach))
 
 
 def test_wcol1_equals_degeneracy(atlas5):

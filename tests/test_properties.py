@@ -10,8 +10,8 @@ from flipwidth.flips import (FlipSpec, Partition, apply_flip, block_pairs, compo
 from flipwidth.games import (FLIPPER, flip_width, simulate_match, solve_bipartite,
                              solve_cops, solve_copw_prime, solve_definable,
                              solve_flipper, solve_isolation, solve_ordered)
-from flipwidth.graphs import (INF, Graph, OrderedGraph, complement, parse_graph,
-                              write_graph6)
+from flipwidth.graphs import (INF, Graph, OrderedGraph, ball_mask, complement,
+                              parse_graph, write_graph6)
 
 RADII = st.sampled_from([1, 2, INF])
 
@@ -66,6 +66,14 @@ def test_graph6_round_trips(g):
     text = write_graph6(g)
     assert parse_graph(text, fmt="graph6").adj == g.adj
     assert oracles.decode_graph6(text) == (g.n, oracles.edges_of(g))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), graphs(max_n=9, min_n=1), st.sampled_from([0, 1, 2, 3, INF]))
+def test_ball_mask_is_the_ball_outside_the_blocked_set(data, g, r):
+    v = data.draw(st.integers(0, g.n - 1))
+    blocked = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert ball_mask(g.adj, v, r, blocked) == oracles.nx_blocked_ball(g, v, r, blocked)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
