@@ -429,7 +429,6 @@ class RichDivisionRunner(games.Evader):
 
     def __init__(self, og, cert):
         check_vertices(cert, og.n)
-        self.og = og
         self.cert = cert
 
     def start(self):

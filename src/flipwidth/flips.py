@@ -48,10 +48,10 @@ from .graphs import Graph, INF, bits, mask_of
 FLIP_ENUM_MAX_N = {1: 62, 2: 12, 3: 8}
 FLIP_ENUM_MAX_N_DEFAULT = 7
 DEFINABLE_MAX_K = 3
-# raw flips a family may enumerate on any n when max_n is unset, the
-# bipartite flips above the vertex bound; the binary ordered game's stream
-# has this bound alone
-CUT_FLIP_WORK_LIMIT = 500_000
+# a bound on raw flip counts, not on vertices: with max_n unset it admits the
+# bipartite flips on any n whose raw count is within it, and it is the binary
+# ordered game's only bound
+RAW_FLIP_LIMIT = 500_000
 # free pairs whose 2**pairs subsets a kept table may sieve: the 25 cross
 # pairs of five blocks a side in the bipartite game, 2**25 flips of one
 # partition
@@ -64,12 +64,13 @@ def flip_enum_limit(k):
 
 def check_flip_enum(what, n, k, max_n=None, raw=None):
     """Raise unless `what` may enumerate the width-k flips of an n-vertex
-    graph.  With max_n unset, a family that gives its raw flip count is
-    admitted on any n whose count is within CUT_FLIP_WORK_LIMIT; otherwise
-    n must be at most max_n, or flip_enum_limit(k) when max_n is unset."""
+    graph.  With max_n unset, a family that gives its raw flip count (the
+    bipartite flips) is admitted on any n whose count is within
+    RAW_FLIP_LIMIT; otherwise n must be at most max_n, or flip_enum_limit(k)
+    when max_n is unset."""
     if k < 1:
         raise GenerationError("flip width must be >= 1")
-    if max_n is None and raw is not None and raw <= CUT_FLIP_WORK_LIMIT:
+    if max_n is None and raw is not None and raw <= RAW_FLIP_LIMIT:
         return
     check_bound(f"{what} at k={k}", "n", n, flip_enum_limit(k) if max_n is None else max_n)
 
@@ -510,7 +511,7 @@ def enumerate_binary_flips(og, k):
     count_binary_flips alone."""
     n = og.graph.n
     check_bound(f"enumerate_binary_flips at k={k}", "raw", count_binary_flips(n, k),
-                CUT_FLIP_WORK_LIMIT)
+                RAW_FLIP_LIMIT)
     for part in rgs_partitions(n, k):
         pairs = tuple(itertools.combinations(range(part.size), 2))
         yield None, part, pairs, kept_subsets(part.size, 0, pairs, ())

@@ -874,12 +874,11 @@ def approx_flip_width(g, r, k):
 class Trace:
     """Round-by-round record of one match."""
 
-    def __init__(self, game, outcome, rounds, events, winner_side):
+    def __init__(self, game, outcome, rounds, events):
         self.game = game
         self.outcome = outcome          # "PURSUER_WINS" | "EVADER_SURVIVES"
         self.rounds = rounds
         self.events = events
-        self.winner_side = winner_side
 
     def to_json(self):
         return {"game": self.game, "outcome": self.outcome,
@@ -898,8 +897,7 @@ def _move_json(move):
     return move.to_json()
 
 
-def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
-                   on_round=None):
+def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None):
     """Deterministic round-by-round match between two policies.
 
     Returns a Trace; raises IllegalMoveError when a policy breaks the rules,
@@ -924,7 +922,7 @@ def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
         if not legal:
             events.append({"round": rnd, "move": _move_json(move),
                            "response": None, "trapped": True})
-            return Trace(rules.game, "PURSUER_WINS", rnd, events, "pursuer")
+            return Trace(rules.game, "PURSUER_WINS", rnd, events)
         newpos, estate = evader.respond(estate, move, legal)
         if newpos not in legal:
             raise IllegalMoveError(
@@ -932,13 +930,11 @@ def simulate_match(game, g, r, k, pursuer, evader, max_rounds, left_mask=None,
         trapped = rules.trapped(masks, newpos)
         events.append({"round": rnd, "move": _move_json(move),
                        "response": newpos, "trapped": trapped})
-        if on_round is not None:
-            on_round(rnd, move, newpos, legal)
         if trapped:
-            return Trace(rules.game, "PURSUER_WINS", rnd, events, "pursuer")
+            return Trace(rules.game, "PURSUER_WINS", rnd, events)
         prev = masks
         pos = newpos
-    return Trace(rules.game, "EVADER_SURVIVES", max_rounds, events, "evader")
+    return Trace(rules.game, "EVADER_SURVIVES", max_rounds, events)
 
 
 def pursuer_beats_every_evader(game, g, r, k, pursuer, horizon, left_mask=None,

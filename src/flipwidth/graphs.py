@@ -5,9 +5,14 @@ vertex.  Bitmasks keep every algorithm in the package branch-light and
 make graph equality a plain tuple comparison.
 """
 
+import math
 import random
 
-from .errors import GenerationError, ParseError
+from .errors import GenerationError, ParseError, check_bound
+
+# the most vertices any graph may have: the solvers stop at 64 vertices, and
+# half_graph(2048), the densest family at this size, has about 2.1M edges
+GRAPH_MAX_N = 4096
 
 
 class Infinity:
@@ -42,6 +47,7 @@ class Graph:
     def __init__(self, n, edges=()):
         if n < 0:
             raise GenerationError(f"vertex count must be nonnegative, got {n}")
+        check_bound("Graph", "n", n, GRAPH_MAX_N)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -343,6 +349,7 @@ def write_graph6(g):
 
 
 def clique(n):
+    check_bound("clique", "n", n, GRAPH_MAX_N)
     full = (1 << n) - 1
     return Graph.from_masks([full & ~(1 << v) for v in range(n)])
 
@@ -352,16 +359,20 @@ def edgeless(n):
 
 
 def path(n):
+    check_bound("path", "n", n, GRAPH_MAX_N)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
     if n < 3:
         raise GenerationError("cycle needs at least 3 vertices")
+    check_bound("cycle", "n", n, GRAPH_MAX_N)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def grid(rows, cols):
+    check_bound("grid", "n", rows * cols, GRAPH_MAX_N)
+
     def vid(i, j):
         return i * cols + j
     edges = []
@@ -380,6 +391,7 @@ def half_graph(n, strict=False):
     The figure's variant (diagonal included) is the default; strict=True
     uses i < j.  Vertices: a_i = i-1, b_j = n+j-1.
     """
+    check_bound("half_graph", "n", 2 * n, GRAPH_MAX_N)
     edges = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -395,6 +407,7 @@ def tree_comparability(parents):
     Two vertices are adjacent iff one is an ancestor of the other.
     """
     n = len(parents) + 1
+    check_bound("tree_comparability", "n", n, GRAPH_MAX_N)
     for i, p in enumerate(parents):
         if not 0 <= p <= i:
             raise GenerationError(f"parent of vertex {i+1} must be an earlier vertex")
@@ -416,6 +429,7 @@ def exact_subdivision(base, r):
         raise GenerationError("subdivision depth must be >= 0")
     if r == 0:
         return base, tuple(range(base.n))
+    check_bound("exact_subdivision", "n", base.n + r * base.num_edges(), GRAPH_MAX_N)
     edges = []
     nxt = base.n
     for u, v in base.edges():
@@ -427,6 +441,8 @@ def exact_subdivision(base, r):
 
 def gf2_dot_product(m):
     """Two copies of GF(2)^m; edge v w* iff the dot product is nonzero."""
+    # 2 << m is formed only for m < 64, so an absurd m costs no big integer
+    check_bound("gf2_dot_product", "n", 2 << m if m < 64 else math.inf, GRAPH_MAX_N)
     size = 1 << m
     edges = []
     for v in range(size):
@@ -456,6 +472,7 @@ def s_pattern(n, symbol):
     """
     if symbol not in PATTERN_SYMBOLS:
         raise GenerationError(f"unknown pattern symbol {symbol!r}")
+    check_bound("s_pattern", "n", 2 * n * n, GRAPH_MAX_N)
     idx = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     edges = []
     for a, (i, j) in enumerate(idx):
@@ -478,6 +495,9 @@ def s_pattern(n, symbol):
 
 
 def random_gnp(n, p, seed):
+    if not 0 <= p <= 1:
+        raise GenerationError(f"edge probability must be in [0, 1], got {p}")
+    check_bound("random_gnp", "n", n, GRAPH_MAX_N)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
@@ -487,6 +507,7 @@ def random_regular(n, d, seed):
     """Random d-regular graph via the pairing model with retries."""
     if n * d % 2 == 1 or d >= n or d < 0:
         raise GenerationError(f"no {d}-regular graph on {n} vertices")
+    check_bound("random_regular", "n", n, GRAPH_MAX_N)
     rng = random.Random(seed)
     for _ in range(1000):
         stubs = [v for v in range(n) for _ in range(d)]
@@ -539,27 +560,35 @@ def complement(g):
     return Graph.from_masks([(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
+def substitute(quotient, parts):
+    """Substitute parts[a] for each vertex a of quotient.  The parts go in
+    order, each keeping its own edges, and two vertices of different parts
+    are adjacent when their quotient vertices are.  Returns (graph, offsets),
+    where part a occupies offsets[a] .. offsets[a] + parts[a].n - 1."""
+    if len(parts) != quotient.n:
+        raise GenerationError(f"{len(parts)} parts for a quotient on {quotient.n} vertices")
+    offsets = []
+    n = 0
+    for part in parts:
+        offsets.append(n)
+        n += part.n
+    check_bound("substitute", "n", n, GRAPH_MAX_N)
+    edges = [(offsets[a] + u, offsets[a] + w)
+             for a, part in enumerate(parts) for u, w in part.edges()]
+    edges.extend((offsets[a] + u, offsets[b] + w) for a, b in quotient.edges()
+                 for u in range(parts[a].n) for w in range(parts[b].n))
+    return Graph(n, edges), offsets
+
+
 def disjoint_union(graphs):
-    offset = 0
-    edges = []
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
+    """The graphs side by side, in order, with no edge between two of them."""
+    graphs = list(graphs)
+    return substitute(Graph(len(graphs)), graphs)[0]
 
 
 def lexicographic_product(h, k):
-    """Blow up each vertex of h into a copy of k."""
-    n = h.n * k.n
-    edges = []
-    for a in range(h.n):
-        base = a * k.n
-        edges.extend((base + u, base + v) for u, v in k.edges())
-        for b in range(a + 1, h.n):
-            if h.has_edge(a, b):
-                edges.extend((base + u, b * k.n + v)
-                             for u in range(k.n) for v in range(k.n))
-    return Graph(n, edges)
+    """Blow up each vertex of h into a copy of k: vertex (a, u) is a*k.n + u."""
+    return substitute(h, [k] * h.n)[0]
 
 
 def ball_mask(adj, v, r, blocked=0):

@@ -1,41 +1,36 @@
 """Strategy transfer: quantifier-free interpretations with their flip maps,
 the transfer combinator, and modular/substitution lifting."""
 
+import re
+
 from .errors import GenerationError, ParseError
 from .flips import FlipSpec, Partition, flip_masks, identity_flip
 from .games import Pursuer
-from .graphs import INF, ColoredGraph, Graph, ball_mask, bits
+from .graphs import INF, ColoredGraph, Graph, ball_mask, bits, substitute
 
 # ---------------------------------------------------------------------------
 # quantifier-free formulas over colored graphs
 
 
 class QFFormula:
-    """Boolean combination over atoms E(x,y), E(y,x), x=y, Ci(x), Ci(y)."""
+    """Boolean combination over atoms E(x,y), E(y,x), x=y, Ci(x), Ci(y), as
+    parse_formula leaves it: its evaluator, its fully parenthesized text and
+    the largest colour index it names (0 for none)."""
 
-    def __init__(self, node):
-        self.node = node
+    def __init__(self, truth, text, max_color):
+        self._truth = truth
+        self._text = text
+        self._max_color = max_color
 
     def evaluate(self, edge_xy, edge_yx, eq, color_x, color_y):
-        return _eval(self.node, edge_xy, edge_yx, eq, color_x, color_y)
+        return self._truth(edge_xy, edge_yx, eq, color_x, color_y)
 
     def holds(self, cg, u, v):
         e = cg.graph.has_edge(u, v) if u != v else False
-        return self.evaluate(e, e, u == v, cg.colors[u], cg.colors[v])
+        return self._truth(e, e, u == v, cg.colors[u], cg.colors[v])
 
     def max_color(self):
-        out = [0]
-
-        def walk(node):
-            if node[0] == "color":
-                out[0] = max(out[0], node[1])
-            elif node[0] in ("and", "or"):
-                walk(node[1])
-                walk(node[2])
-            elif node[0] == "not":
-                walk(node[1])
-        walk(self.node)
-        return out[0]
+        return self._max_color
 
     def is_symmetric(self, colors):
         """Truth-table symmetry check over edge/eq bits and color pairs."""
@@ -50,46 +45,32 @@ class QFFormula:
         return True
 
     def __repr__(self):
-        return f"QFFormula({_unparse(self.node)})"
+        return f"QFFormula({self._text})"
 
 
-def _eval(node, e_xy, e_yx, eq, cx, cy):
-    op = node[0]
-    if op == "edge_xy":
-        return e_xy
-    if op == "edge_yx":
-        return e_yx
-    if op == "eq":
-        return eq
-    if op == "color":
-        _, i, var = node
-        return (cx if var == "x" else cy) == i
-    if op == "not":
-        return not _eval(node[1], e_xy, e_yx, eq, cx, cy)
-    if op == "and":
-        return _eval(node[1], e_xy, e_yx, eq, cx, cy) and _eval(node[2], e_xy, e_yx, eq, cx, cy)
-    if op == "or":
-        return _eval(node[1], e_xy, e_yx, eq, cx, cy) or _eval(node[2], e_xy, e_yx, eq, cx, cy)
-    raise AssertionError(f"bad formula node {node!r}")
+# the evaluators of the atoms that name no colour
+_ATOMS = {"E(x,y)": lambda exy, eyx, eq, cx, cy: exy,
+          "E(y,x)": lambda exy, eyx, eq, cx, cy: eyx,
+          "x=y": lambda exy, eyx, eq, cx, cy: eq}
 
 
-def _unparse(node):
-    op = node[0]
-    if op == "edge_xy":
-        return "E(x,y)"
-    if op == "edge_yx":
-        return "E(y,x)"
-    if op == "eq":
-        return "x=y"
-    if op == "color":
-        return f"C{node[1]}({node[2]})"
-    if op == "not":
-        return f"!{_unparse(node[1])}"
-    return f"({_unparse(node[1])} {'&' if op == 'and' else '|'} {_unparse(node[2])})"
+def _binary(op, left, right):
+    """(evaluator, text, largest colour) of left op right, op in & and |."""
+    f, g = left[0], right[0]
+    if op == "&":
+        def fn(exy, eyx, eq, cx, cy):
+            return f(exy, eyx, eq, cx, cy) and g(exy, eyx, eq, cx, cy)
+    else:
+        def fn(exy, eyx, eq, cx, cy):
+            return f(exy, eyx, eq, cx, cy) or g(exy, eyx, eq, cx, cy)
+    return fn, f"({left[1]} {op} {right[1]})", max(left[2], right[2])
 
 
 def parse_formula(text):
-    """Grammar: E(x,y), E(y,x), x=y, C<i>(x|y), combinators & | !, parens."""
+    """Grammar: E(x,y), E(y,x), x=y (or y=x), C<i>(x|y), combinators & | !,
+    parens; ! binds tighter than &, which binds tighter than |.  Each
+    sub-formula parses once into its evaluator, its text and its largest
+    colour index, which the QFFormula keeps."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -107,70 +88,60 @@ def parse_formula(text):
         left = parse_and()
         while peek() == "|":
             eat("|")
-            left = ("or", left, parse_and())
+            left = _binary("|", left, parse_and())
         return left
 
     def parse_and():
         left = parse_unary()
         while peek() == "&":
             eat("&")
-            left = ("and", left, parse_unary())
+            left = _binary("&", left, parse_unary())
         return left
 
     def parse_unary():
         cur = peek()
         if cur == "!":
             eat("!")
-            return ("not", parse_unary())
+            f, inner, color = parse_unary()
+            return (lambda exy, eyx, eq, cx, cy: not f(exy, eyx, eq, cx, cy)), \
+                f"!{inner}", color
         if cur == "(":
             eat("(")
             inner = parse_or()
             eat(")")
             return inner
-        if cur == "x=y":
-            eat()
-            return ("eq",)
-        if cur in ("E(x,y)", "E(y,x)"):
-            eat()
-            return ("edge_xy",) if cur == "E(x,y)" else ("edge_yx",)
-        if isinstance(cur, tuple) and cur[0] == "C":
-            eat()
-            return ("color", cur[1], cur[2])
+        if cur in _ATOMS:
+            return _ATOMS[eat()], cur, 0
+        if isinstance(cur, tuple):
+            _, i, var = eat()
+            if var == "x":
+                return (lambda exy, eyx, eq, cx, cy: cx == i), f"C{i}(x)", i
+            return (lambda exy, eyx, eq, cx, cy: cy == i), f"C{i}(y)", i
         raise ParseError(f"formula syntax error near {cur!r}")
 
-    node = parse_or()
+    parsed = parse_or()
     if pos[0] != len(tokens):
         raise ParseError(f"trailing tokens in formula: {tokens[pos[0]:]}")
-    return QFFormula(node)
+    return QFFormula(*parsed)
+
+
+# one token at each position: an operator or parenthesis, E(x,y) or E(y,x),
+# C<i>(x|y), x=y or y=x, or else any one character, which is an error
+_TOKEN = r"[&|!()]|E\((?:x,y|y,x)\)|C(\d+)\(([xy])\)|x=y|y=x|(.)"
 
 
 def _tokenize(text):
-    import re
-    out = []
-    i = 0
+    """Operators and atoms as strings, y=x read as x=y, and each colour atom
+    as ("C", i, var)."""
     text = text.replace(" ", "")
-    while i < len(text):
-        ch = text[i]
-        if ch in "&|!()":
-            out.append(ch)
-            i += 1
-            continue
-        m = re.match(r"E\((x,y|y,x)\)", text[i:])
-        if m:
-            out.append(f"E({m.group(1)})")
-            i += m.end()
-            continue
-        m = re.match(r"C(\d+)\((x|y)\)", text[i:])
-        if m:
+    out = []
+    for m in re.finditer(_TOKEN, text, re.DOTALL):
+        if m.group(3) is not None:
+            raise ParseError(f"cannot tokenize formula at ...{text[m.start():]!r}")
+        if m.group(1) is not None:
             out.append(("C", int(m.group(1)), m.group(2)))
-            i += m.end()
-            continue
-        m = re.match(r"x=y|y=x", text[i:])
-        if m:
-            out.append("x=y")
-            i += m.end()
-            continue
-        raise ParseError(f"cannot tokenize formula at ...{text[i:]!r}")
+        else:
+            out.append("x=y" if m.group() == "y=x" else m.group())
     return out
 
 
@@ -416,31 +387,8 @@ class SubstitutionNode:
 
 def substitution_build(node):
     """Materialize the substituted graph; returns (graph, top partition,
-    child graphs in block order)."""
-    child_graphs = []
-    for v in range(node.graph.n):
-        child = node.children.get(v)
-        if child is None:
-            child_graphs.append(Graph(1))
-        elif isinstance(child, SubstitutionNode):
-            child_graphs.append(substitution_build(child)[0])
-        else:
-            child_graphs.append(child)
-    blocks = []
-    edges = []
-    offsets = []
-    nxt = 0
-    for v, cg in enumerate(child_graphs):
-        offsets.append(nxt)
-        for u in range(cg.n):
-            blocks.append(v)
-        edges.extend((nxt + a, nxt + b) for a, b in cg.edges())
-        nxt += cg.n
-    for a, b in node.graph.edges():
-        for u in range(child_graphs[a].n):
-            for w in range(child_graphs[b].n):
-                edges.append((offsets[a] + u, offsets[b] + w))
-    return Graph(nxt, edges), Partition(blocks), child_graphs
+    child graphs in block order).  An absent child is a single vertex."""
+    return _substitution(node, None)[:3]
 
 
 def substitution_strategy(node, r, strategy_for):
@@ -448,18 +396,30 @@ def substitution_strategy(node, r, strategy_for):
 
     strategy_for(graph) must return a winning flipper policy for the graph
     at radius r; the result is (graph, policy) for the substituted graph.
+    strategy_for is called on the children in vertex order, then on the
+    quotient.
     """
-    graph, partition, child_graphs = substitution_build(node)
+    graph, _, _, policy = _substitution(node, strategy_for)
+    return graph, policy
+
+
+def _substitution(node, strategy_for):
+    """(graph, top partition, child graphs, policy) of a substitution tree,
+    each subtree substituted once; the policy is None when strategy_for is."""
+    child_graphs = []
     block_strategies = {}
     for v in range(node.graph.n):
         child = node.children.get(v)
         if child is None:
-            block_strategies[v] = strategy_for(Graph(1))
-        elif isinstance(child, SubstitutionNode):
-            _, sub_policy = substitution_strategy(child, r, strategy_for)
-            block_strategies[v] = sub_policy
+            child = Graph(1)
+        if isinstance(child, SubstitutionNode):
+            child, _, _, policy = _substitution(child, strategy_for)
         else:
-            block_strategies[v] = strategy_for(child)
-    policy = ModularLiftFlipper(graph, partition, strategy_for(node.graph),
-                                block_strategies)
-    return graph, policy
+            policy = None if strategy_for is None else strategy_for(child)
+        child_graphs.append(child)
+        block_strategies[v] = policy
+    graph, _ = substitute(node.graph, child_graphs)
+    partition = Partition([v for v, child in enumerate(child_graphs) for _ in range(child.n)])
+    policy = None if strategy_for is None else ModularLiftFlipper(
+        graph, partition, strategy_for(node.graph), block_strategies)
+    return graph, partition, child_graphs, policy

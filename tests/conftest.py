@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).parent
+sys.path.insert(0, str(HERE))
 
 from flipwidth.graphs import Graph
 
@@ -31,6 +32,18 @@ def random_graphs(count, max_n, seed, min_n=2):
                  if rng.random() < p]
         out.append(Graph(n, edges))
     return out
+
+
+def pytest_collection_modifyitems(config, items):
+    """A leaked file, pipe or process fails the tests in this directory: its
+    ResourceWarning is an error, also when it is raised while the leaked
+    object is collected, where pytest reports it as an unraisable
+    exception."""
+    for item in items:
+        if HERE in Path(item.fspath).parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error:(?s).*ResourceWarning:pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,7 @@ def test_bipartite_work_limit_admits_what_the_stream_counts(n, k):
     left = sum(1 << v for v in range(0, n, 2))
     raw = sum(1 << len(pairs) for _, _, pairs, _ in flips.enumerate_bipartite_flips(g, left, k))
     assert raw == flips.count_bipartite_flips((n + 1) // 2, n // 2, k)
-    assert raw <= flips.CUT_FLIP_WORK_LIMIT
+    assert raw <= flips.RAW_FLIP_LIMIT
 
 
 def test_max_n_admits_the_cut_flips_above_the_vertex_bound():
@@ -136,7 +136,7 @@ def test_binary_raw_count_is_the_streams(monkeypatch):
     the stream's raw count: 2 edge choices times 3 order choices for each
     cross block pair a partition allows.  The bound is lifted so that the
     stream runs on every n <= 7 at k <= 4."""
-    monkeypatch.setattr(flips, "CUT_FLIP_WORK_LIMIT", 1 << 40)
+    monkeypatch.setattr(flips, "RAW_FLIP_LIMIT", 1 << 40)
     for n in range(8):
         og = OrderedGraph(Graph(n))
         for k in range(1, 5):

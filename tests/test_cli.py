@@ -391,6 +391,8 @@ ROLE_CASES = [
       "--pursuer", "order-cops", "--evader", "solver-witness"], None, 3),
     (["duel", "--family", "path:4", "--game", "ordered", "--r", "1", "--k", "2",
       "--pursuer", "order-cops", "--evader", "solver-witness"], None, 3),
+    (["gen", "--family", "gnp:5:1.5"], None, 3),
+    (["gen", "--family", "gnp:5:nan"], None, 3),
 ] + [(argv, None, code) for _, argv, code in CERTIFICATE_CASES]
   + [(argv, None, 3) for _, argv in ROLE_CASES], ids=["family-arg-type", "family-arg-missing", "family-arg-extra", "graph-file-missing",
         "colour-line", "certificate-not-json", "certificate-missing",
@@ -401,7 +403,8 @@ ROLE_CASES = [
         "approx-negative-radius", "approx-radius-inf", "hideout-sampled-trials-0",
         "hideout-sampled-trials-negative", "well-linked-sampled-trials-0",
         "duel-negative-max-rounds", "shatter-negative-m", "duel-order-cops-radius-inf",
-        "duel-order-cops-ordered-game"] + [case_id for case_id, _, _ in CERTIFICATE_CASES]
+        "duel-order-cops-ordered-game", "gnp-probability-above-1", "gnp-probability-nan"]
+    + [case_id for case_id, _, _ in CERTIFICATE_CASES]
     + [case_id for case_id, _ in ROLE_CASES])
 def test_malformed_input_exit_code(tmp_path, argv, stdin, code):
     bad_json = tmp_path / "bad.json"
@@ -486,6 +489,20 @@ def test_bipartite_p20_sides_exit_2_at_once(k, bound):
                            "--k", str(k), stdin=P20_SIDES)
     assert (rc, out) == (2, "")
     assert f"enumerate_bipartite_flips at k={k}: n=20 exceeds the configured bound {bound}" in err
+
+
+@pytest.mark.parametrize("argv, stdin, what, n", [
+    (["gen", "--family", "path:4097"], None, "path", 4097),
+    (["gen", "--family", "half:2049"], None, "half_graph", 4098),
+    (["gen", "--family", "grid:65:64"], None, "grid", 4160),
+    (["gen", "--family", "pattern:46:eq"], None, "s_pattern", 4232),
+    (["gen", "--family", "gf2:12"], None, "gf2_dot_product", 8192),
+    (["param", "-", "degeneracy"], "4097 0\n", "Graph", 4097),
+], ids=["path", "half", "grid", "pattern", "gf2", "edge-list-header"])
+def test_graphs_over_4096_vertices_exit_2_naming_the_bound(argv, stdin, what, n):
+    rc, out, err = run_cli(*argv, stdin=stdin)
+    assert (rc, out) == (2, "")
+    assert f"{what}: n={n} exceeds the configured bound 4096" in err
 
 
 def test_dfw_honours_max_n():

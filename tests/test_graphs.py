@@ -5,8 +5,9 @@ import sys
 import pytest
 
 import oracles
-from flipwidth.errors import GenerationError, ParseError
-from flipwidth.graphs import (INF, ColoredGraph, Graph, OrderedGraph, ball, ball_mask,
+from flipwidth.errors import GenerationError, LimitExceeded, ParseError
+from flipwidth.graphs import (GRAPH_MAX_N, INF, ColoredGraph, Graph, OrderedGraph, ball,
+                              ball_mask,
                               complement, components, disjoint_union,
                               exact_subdivision, generate,
                               lexicographic_product, parse_graph, popcount,
@@ -155,6 +156,60 @@ def test_lexicographic_product_k2_edgeless3():
     for u in range(3):
         for v in range(3, 6):
             assert g.has_edge(u, v)
+
+
+def test_lexicographic_product_is_networkx(atlas4):
+    """Every pair of atlas graphs with n <= 4, with networkx's vertex (a, u)
+    read as a*|K| + u."""
+    import networkx as nx
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for h in atlas4:
+        for k in atlas4:
+            prod = nx.lexicographic_product(to_nx(h), to_nx(k))
+            edges = [(a * k.n + u, b * k.n + v) for (a, u), (b, v) in prod.edges()]
+            assert lexicographic_product(h, k) == Graph(h.n * k.n, edges), (h.adj, k.adj)
+
+
+@pytest.mark.parametrize("what, n, build", [
+    ("Graph", 4097, lambda: Graph(GRAPH_MAX_N + 1)),
+    ("clique", 4097, lambda: generate("clique", GRAPH_MAX_N + 1)),
+    ("path", 4097, lambda: generate("path", GRAPH_MAX_N + 1)),
+    ("cycle", 4097, lambda: generate("cycle", GRAPH_MAX_N + 1)),
+    ("grid", 4160, lambda: generate("grid", 65, 64)),
+    ("half_graph", 4098, lambda: generate("half_graph", 2049)),
+    ("tree_comparability", 4097, lambda: generate("tree_comparability", [0] * GRAPH_MAX_N)),
+    ("exact_subdivision", 4098, lambda: generate("exact_subdivision", generate("path", 2), 4096)),
+    ("gf2_dot_product", 8192, lambda: generate("gf2_dot_product", 12)),
+    ("gf2_dot_product", "inf", lambda: generate("gf2_dot_product", 10 ** 9)),
+    ("s_pattern", 4232, lambda: generate("s_pattern", 46, "eq")),
+    ("random_gnp", 4097, lambda: generate("random_gnp", GRAPH_MAX_N + 1, 0.5, 1)),
+    ("random_regular", 4098, lambda: generate("random_regular", 4098, 2, 1)),
+    ("substitute", 4098, lambda: lexicographic_product(Graph(2), Graph(2049))),
+    ("substitute", 4097, lambda: disjoint_union([Graph(4096), Graph(1)])),
+])
+def test_graphs_over_the_vertex_bound_raise_naming_it(what, n, build):
+    """Every constructor and generator checks the vertex count it is asked
+    for against GRAPH_MAX_N before it builds anything of that size."""
+    message = f"{what}: n={n} exceeds the configured bound {GRAPH_MAX_N}"
+    with pytest.raises(LimitExceeded, match=f"^{message}$"):
+        build()
+
+
+def test_graphs_at_the_vertex_bound_build():
+    assert generate("path", GRAPH_MAX_N).n == GRAPH_MAX_N
+    assert disjoint_union([Graph(GRAPH_MAX_N - 1), Graph(1)]).n == GRAPH_MAX_N
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_gnp_rejects_a_probability_outside_0_1(p):
+    with pytest.raises(GenerationError, match="edge probability"):
+        generate("random_gnp", 5, p, 1)
 
 
 def test_ball_examples():

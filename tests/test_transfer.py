@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import atlas_graphs
 from oracles import distinct_flips
+from flipwidth import transfer
 from flipwidth.errors import GenerationError, ParseError
 from flipwidth.flips import FlipSpec, Partition, enumerate_k_flips
 from flipwidth.games import (FLIPPER, RUNNER, bipartite_flip_width,
@@ -11,7 +13,7 @@ from flipwidth.games import (FLIPPER, RUNNER, bipartite_flip_width,
                              simulate_match, solve_bipartite, solve_flipper)
 from flipwidth.graphs import (INF, ColoredGraph, Graph, complement,
                               disjoint_union, generate, lexicographic_product,
-                              semi_induced)
+                              semi_induced, substitute)
 from flipwidth.transfer import (BipartiteSplitMap, FlipMap,
                                 ModularLiftFlipper, SubstitutionNode,
                                 TransferredFlipper, is_modular, parse_formula,
@@ -30,6 +32,120 @@ def test_parse_formula_syntax():
         parse_formula("E(x,z)")
     with pytest.raises(ParseError):
         parse_formula("E(x,y) &")
+
+
+# formula trees for the parser cross-check: ("atom", text), ("!", sub) or
+# (op, left, right) with op in & and |; binding strength for the renderer
+_ATOMS = ["E(x,y)", "E(y,x)", "x=y"] + [f"C{i}({v})" for i in (1, 2, 3) for v in "xy"]
+_BINDS = {"|": 0, "&": 1, "!": 2, "atom": 3}
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return ("atom", rng.choice(_ATOMS))
+    op = rng.choice("!&|")
+    if op == "!":
+        return ("!", _random_tree(rng, depth - 1))
+    return (op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _tree_truth(tree, exy, eyx, eq, cx, cy):
+    kind = tree[0]
+    if kind == "!":
+        return not _tree_truth(tree[1], exy, eyx, eq, cx, cy)
+    if kind in "&|":
+        left = _tree_truth(tree[1], exy, eyx, eq, cx, cy)
+        right = _tree_truth(tree[2], exy, eyx, eq, cx, cy)
+        return (left and right) if kind == "&" else (left or right)
+    atom = tree[1]
+    if atom.startswith("C"):
+        return (cx if atom[3] == "x" else cy) == int(atom[1])
+    return {"E(x,y)": exy, "E(y,x)": eyx, "x=y": eq}[atom]
+
+
+def _full_text(tree):
+    """The tree with every binary operation parenthesized: the repr form."""
+    if tree[0] == "atom":
+        return tree[1]
+    if tree[0] == "!":
+        return "!" + _full_text(tree[1])
+    return f"({_full_text(tree[1])} {tree[0]} {_full_text(tree[2])})"
+
+
+def _tree_colors(tree):
+    if tree[0] == "atom":
+        return [int(tree[1][1])] if tree[1].startswith("C") else []
+    return [c for sub in tree[1:] for c in _tree_colors(sub)]
+
+
+def _render(tree, rng):
+    """Text that parses back to tree: parentheses where the binding
+    strengths need them (operators group to the left) and at random
+    elsewhere, random spaces, and y=x for half the equality atoms.
+    Returns (text, binding strength of its outermost operation)."""
+    def space():
+        return rng.choice(["", "", " ", "  "])
+
+    kind = tree[0]
+    if kind == "atom":
+        atom = tree[1]
+        if atom == "x=y":
+            text = f"{rng.choice('xy')}{space()}={space()}"
+            text += "y" if text[0] == "x" else "x"
+        else:
+            text = space().join(atom)
+    elif kind == "!":
+        sub, binds = _render(tree[1], rng)
+        text = "!" + space() + (sub if binds >= _BINDS["!"] else f"({sub})")
+    else:
+        left, lbinds = _render(tree[1], rng)
+        right, rbinds = _render(tree[2], rng)
+        if lbinds < _BINDS[kind]:
+            left = f"({left})"
+        if rbinds <= _BINDS[kind]:
+            right = f"({right})"
+        text = left + space() + kind + space() + right
+    if rng.random() < 0.15:
+        return f"({space()}{text}{space()})", _BINDS["atom"]
+    return text, _BINDS[kind]
+
+
+def test_formulas_parse_to_their_trees():
+    """1,200 seeded formula trees of depth <= 4 over every atom and colours
+    1-3, rendered with random spaces, redundant parentheses and y=x: each
+    parsed formula agrees with the tree on all 72 assignments, prints the
+    tree fully parenthesized, and names the tree's largest colour."""
+    rng = random.Random(2020)
+    for _ in range(1200):
+        tree = _random_tree(rng, rng.randint(0, 4))
+        text, _ = _render(tree, rng)
+        f = parse_formula(text)
+        assert repr(f) == f"QFFormula({_full_text(tree)})", text
+        assert f.max_color() == max(_tree_colors(tree), default=0), text
+        for exy, eyx, eq in itertools.product((False, True), repeat=3):
+            for cx, cy in itertools.product((1, 2, 3), repeat=2):
+                assert f.evaluate(exy, eyx, eq, cx, cy) == \
+                    _tree_truth(tree, exy, eyx, eq, cx, cy), (text, exy, eyx, eq, cx, cy)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("E(x,z)", "cannot tokenize formula at ...'E(x,z)'"),
+    ("E(x,y) &", "formula syntax error near None"),
+    ("", "formula syntax error near None"),
+    ("()", "formula syntax error near ')'"),
+    ("C(x)", "cannot tokenize formula at ...'C(x)'"),
+    ("!(", "formula syntax error near None"),
+    ("E(x,y))", "trailing tokens in formula: [')']"),
+    ("x==y", "cannot tokenize formula at ...'x==y'"),
+    ("C1(z)", "cannot tokenize formula at ...'C1(z)'"),
+    ("E(x,y) C1(x)", "trailing tokens in formula: [('C', 1, 'x')]"),
+    ("(E(x,y)", "formula syntax error near token 2: expected )"),
+    ("x=y\n", "cannot tokenize formula at ...'\\n'"),
+])
+def test_malformed_formula_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
 
 
 def test_formula_symmetry_check():
@@ -252,6 +368,43 @@ def test_substitution_triangles_into_path():
     kbound = max(flip_width(generate("path", 3), 1), flip_width(tri, 1) + 2)
     ok, _ = pursuer_beats_every_evader("flip", built, 1, kbound, policy, 60)
     assert ok
+
+
+def test_substitution_tree_substitutes_each_node_once(monkeypatch):
+    """On a depth-3 tree of 7 nodes, building the graph and lifting the
+    strategy each call graphs.substitute once per node, and strategy_for
+    runs on the children in vertex order, then on the quotient."""
+    calls = []
+
+    def counting(quotient, parts):
+        calls.append(quotient)
+        return substitute(quotient, parts)
+
+    monkeypatch.setattr(transfer, "substitute", counting)
+    p2, p3, k2, c3 = (generate("path", 2), generate("path", 3),
+                      generate("clique", 2), generate("cycle", 3))
+    leaves = [SubstitutionNode(p2, {0: k2}) for _ in range(4)]
+    mids = [SubstitutionNode(p2, {0: leaves[0], 1: leaves[1]}),
+            SubstitutionNode(p3, {0: leaves[2], 1: c3, 2: leaves[3]})]
+    top = SubstitutionNode(p3, {0: mids[0], 2: mids[1]})
+    graph, partition, children = substitution_build(top)
+    assert len(calls) == 7
+    assert is_modular(graph, partition)
+    assert [child.n for child in children] == [6, 1, 9]
+
+    seen = []
+
+    def strategy_for(g):
+        seen.append(g)
+        return None
+
+    calls.clear()
+    built, policy = substitution_strategy(top, 1, strategy_for)
+    assert len(calls) == 7
+    assert built == graph and isinstance(policy, ModularLiftFlipper)
+    single = Graph(1)
+    leaf = [k2, single, p2]
+    assert seen == leaf + leaf + [p2] + [single] + leaf + [c3] + leaf + [p3] + [p3]
 
 
 def test_lemma_fw_bfw(atlas5):
