@@ -33,7 +33,7 @@ import random
 from collections import namedtuple
 
 from .errors import GenerationError, IllegalMoveError, check_bound
-from .flips import (CutFlip, FlipSpec, _weighted_ball, cut_flip_weighted,
+from .flips import (CutFlip, FlipSpec, _subsets_up_to, _weighted_ball, cut_flip_weighted,
                     enumerate_binary_flips, enumerate_bipartite_flips,
                     enumerate_cut_flips, enumerate_definable_flips,
                     enumerate_k_flips, flip_masks, identity_flip, order_cuts,
@@ -712,12 +712,6 @@ def _reach_table(g, r):
     return [[ball_mask(g.adj, v, r, B) for B in range(1 << g.n)] for v in range(g.n)]
 
 
-def _subset_masks(n, k):
-    out = [m for m in range(1 << n) if popcount(m) <= k]
-    out.sort(key=lambda m: (popcount(m), m))
-    return out
-
-
 def _check_cops(name, g, max_n, k=0):
     """The checks of a cop game's solve or width search `name`: k >= 0, and
     n within max_n, COPS_MAX_N by default."""
@@ -765,7 +759,7 @@ def _solve_cops_family(rules, reach=None):
         reach = _reach_table(rules.g, rules.r)
     reach_of = np.array(reach, dtype=np.uint32).reshape(n, 1 << n).T   # [B, v]
     bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    moves = _subset_masks(n, rules.k)
+    moves = list(_subsets_up_to(n, rules.k))
     rows = np.arange(1 << n if rules.keeps_cops else 1, dtype=np.uint32)
     win = np.zeros(len(rows), dtype=np.uint32)
     won = {}                                       # after(S, v) -> (rounds, None)

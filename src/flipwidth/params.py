@@ -18,6 +18,8 @@ WELL_LINKED_MAX_N = 14
 VC_MAX_N = 20
 SD_FUN_MAX_N = 10
 SHATTER_MAX_SUBSETS = 2_000_000
+ADM_MAX_PATHS = 10_000
+ADM_PACK_MAX_NODES = 1_000_000
 
 OrderWitness = namedtuple("OrderWitness", "permutation kind r")
 
@@ -75,101 +77,112 @@ def wcol_cost(g, order, r):
     return max(map(popcount, weak_reach(g, order, r)), default=0)
 
 
-def scol_cost(g, order, r):
-    """Strong coloring cost: paths leave v only through later vertices."""
-    best = 0
-    placed = 0
-    for idx, v in enumerate(order):
-        earlier = placed
+def _order_cost(order, cost_at):
+    """Max over the order of cost_at(v, placed), placed the mask of the
+    vertices before v."""
+    best = placed = 0
+    for v in order:
+        best = max(best, cost_at(v, placed))
         placed |= 1 << v
-        if idx == 0:
-            continue
-        best = max(best, popcount(_reach_out(g, v, ~earlier, r)))
     return best
 
 
-def adm_cost_at(g, v, targets_mask, r):
-    """Max number of paths of length <= r from v into targets, pairwise
-    sharing only v (exhaustive packing)."""
+def _scol_cost_at(g, r):
+    """scol's cost of placing v after `placed`: the placed vertices that a
+    path of length <= r from v reaches through unplaced vertices only."""
+    return lambda v, placed: popcount(_reach_out(g, v, ~placed, r))
+
+
+def scol_cost(g, order, r):
+    """Strong coloring cost of an order: max over v of |SReach_r[v]|, the
+    earlier vertices that a path of length <= r from v reaches through later
+    vertices only."""
+    return _order_cost(order, _scol_cost_at(g, r))
+
+
+def _paths_from(g, v, r):
+    """The paths of length 1..r from v, as (end, mask of the path without
+    v), sorted by size; listed depth first, ascending neighbours first,
+    and the sort is stable."""
     paths = []
-    limit = popcount(g.adj[v])
+    stack = [(v, 0)]
+    while stack:
+        last, mask = stack.pop()
+        if last != v:
+            paths.append((last, mask))
+            check_bound(f"adm paths from vertex {v} at r={r}", "paths", len(paths), ADM_MAX_PATHS)
+        if popcount(mask) < r:
+            nxt = g.adj[last] & ~mask & ~(1 << v)
+            stack.extend((w, mask | 1 << w) for w in reversed(list(bits(nxt))))
+    paths.sort(key=lambda path: popcount(path[1]))
+    return paths
 
-    def extend(path, used):
-        last = path[-1]
-        if len(path) > 1 and (targets_mask >> last) & 1:
-            paths.append(used & ~(1 << v))
-        if len(path) - 1 >= r:
-            return
-        for w in bits(g.adj[last] & ~used):
-            extend(path + [w], used | (1 << w))
 
-    extend([v], 1 << v)
-    paths.sort(key=popcount)
-    best = 0
+def _adm_cost_at(g, r):
+    """adm's cost of placing v after `placed`: the most paths of length <= r
+    from v into placed that pairwise share only v.  v's paths are listed
+    once; a call packs those that end in placed, depth first, each branch
+    taking a path and keeping the later ones disjoint from it.  Such paths
+    leave v by distinct neighbours and end at distinct placed vertices of
+    v's ball, which bounds the packing."""
+    paths = [_paths_from(g, v, r) for v in range(g.n)]
+    balls = [ball_mask(g.adj, v, r) for v in range(g.n)]
 
-    def pack(i, used, count):
-        nonlocal best
-        if count > best:
-            best = count
-        if best >= limit or best >= count + len(paths) - i:
-            return
-        for j in range(i, len(paths)):
-            if paths[j] & used == 0:
-                pack(j + 1, used | paths[j], count + 1)
+    def cost_at(v, placed):
+        masks = [mask for end, mask in paths[v] if (placed >> end) & 1]
+        limit = min(popcount(g.adj[v]), popcount(balls[v] & placed))
+        best = nodes = 0
+        stack = [[masks, 0, 0]]      # depth first: [candidates, next index, count]
+        while stack and best < limit:
+            top = stack[-1]
+            cands, j, count = top
+            if count + len(cands) - j <= best:
+                stack.pop()
+                continue
+            top[1] += 1
+            nodes += 1
+            check_bound(f"adm packing at vertex {v}", "nodes", nodes, ADM_PACK_MAX_NODES)
+            best = max(best, count + 1)
+            stack.append([[c for c in cands[j + 1:] if not c & cands[j]], 0, count + 1])
+        return best
 
-    pack(0, 0, 0)
-    return best
+    return cost_at
 
 
 def adm_cost(g, order, r):
-    placed = 0
-    best = 0
-    for v in order:
-        best = max(best, adm_cost_at(g, v, placed, r))
-        placed |= 1 << v
-    return best
+    """r-admissibility cost of an order: max over v of the most paths of
+    length <= r from v to earlier vertices that pairwise share only v."""
+    return _order_cost(order, _adm_cost_at(g, r))
 
 
-def _greedy_order(g):
-    return degeneracy(g)[1].permutation
-
-
-def _exact_by_subset_dp(g, cost_at):
-    """min over orders of max per-vertex cost, when the cost of placing v
-    after the set Q depends on Q only."""
-    n = g.n
-    full = (1 << n) - 1
-    choice = {}
-    fvals = {0: 0}
-    masks_by_size = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        masks_by_size[popcount(m)].append(m)
-    for size in range(1, n + 1):
-        for m in masks_by_size[size]:
-            best, bestv = None, None
-            for v in bits(m):
-                prev = m & ~(1 << v)
-                c = cost_at(v, prev)
-                val = max(fvals[prev], c)
-                if best is None or val < best or (val == best and v < bestv):
-                    best, bestv = val, v
-            fvals[m] = best
-            choice[m] = bestv
-    order = []
-    m = full
+def _exact_by_subset_dp(n, cost_at):
+    """min over orders of the max of cost_at(v, the mask of the vertices
+    before v), when that cost depends on the set before v only, with an
+    order attaining it.  One pass over the masks in increasing order, since
+    a mask without one of its vertices is smaller; the strict < over
+    ascending vertices puts the smallest vertex last among ties."""
+    value = [0] * (1 << n)
+    last = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        best = math.inf
+        for v in bits(m):
+            prev = m & ~(1 << v)
+            val = max(value[prev], cost_at(v, prev))
+            if val < best:
+                best, last[m] = val, v
+        value[m] = best
+    order, m = [], (1 << n) - 1
     while m:
-        v = choice[m]
-        order.append(v)
-        m &= ~(1 << v)
-    return fvals[full], tuple(reversed(order))
+        order.insert(0, last[m])
+        m ^= 1 << last[m]
+    return value[-1], tuple(order)
 
 
 def _wcol_exact(g, r):
     """Branch and bound over orders built smallest-first."""
     n = g.n
-    greedy = _greedy_order(g)
-    best_val = wcol_cost(g, greedy, r)
-    best_order = greedy
+    greedy = degeneracy(g)[1].permutation
+    best_val, best_order = wcol_cost(g, greedy, r), greedy
     counts = [0] * n
     order = []
     seen = {}
@@ -185,9 +198,8 @@ def _wcol_exact(g, r):
         lb = max([fmax] + [counts[u] for u in unplaced])
         if lb >= best_val:
             return
-        key = placed_mask
         snapshot = (fmax, tuple(counts[u] for u in unplaced))
-        bucket = seen.setdefault(key, [])
+        bucket = seen.setdefault(placed_mask, [])
         for old in bucket:
             if old[0] <= snapshot[0] and all(a <= b for a, b in zip(old[1], snapshot[1])):
                 return
@@ -217,17 +229,15 @@ def generalized_coloring_number(g, kind, r, mode="exact"):
     if r is INF or r < 1:
         raise GenerationError("generalized coloring numbers need a finite radius >= 1")
     if mode == "greedy":
-        order = _greedy_order(g)
+        order = degeneracy(g)[1].permutation
         value = {"wcol": wcol_cost, "scol": scol_cost, "adm": adm_cost}[kind](g, order, r)
         return value, OrderWitness(order, kind, r)
     check_bound(f"generalized_coloring_number({kind})", "n", g.n, ORDER_SEARCH_MAX_N)
     if kind == "wcol":
         value, order = _wcol_exact(g, r)
-    elif kind == "adm":
-        value, order = _exact_by_subset_dp(g, lambda v, prev: adm_cost_at(g, v, prev, r))
     else:
-        value, order = _exact_by_subset_dp(
-            g, lambda v, prev: popcount(_reach_out(g, v, ~prev, r)))
+        cost_at = {"scol": _scol_cost_at, "adm": _adm_cost_at}[kind](g, r)
+        value, order = _exact_by_subset_dp(g.n, cost_at)
     return value, OrderWitness(order, kind, r)
 
 
@@ -254,12 +264,10 @@ def _reach_out(g, v, through, r=INF):
 
 
 def treewidth_small(g):
-    """Exact treewidth via DP over elimination prefixes."""
+    """Exact treewidth via DP over elimination prefixes: eliminating v after
+    S costs the vertices outside S+{v} reachable from v through S."""
     check_bound("treewidth_small", "n", g.n, TREEWIDTH_MAX_N)
-
-    # the cost of eliminating v after S: the vertices outside S+{v}
-    # reachable from v through S
-    return _exact_by_subset_dp(g, lambda v, S: popcount(_reach_out(g, v, S)))[0]
+    return _exact_by_subset_dp(g.n, lambda v, S: popcount(_reach_out(g, v, S)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,76 +275,54 @@ def treewidth_small(g):
 
 
 def cut_rank(g, a_set):
-    """GF(2) rank of the A x (V-A) biadjacency matrix."""
+    """GF(2) rank of the A x (V-A) biadjacency matrix: each nonzero row
+    popped is a pivot and clears its lowest column from the other rows."""
     amask = mask_of(a_set) if not isinstance(a_set, int) else a_set
-    rows = []
-    for a in bits(amask):
-        row = g.adj[a] & ~amask
-        if row:
-            rows.append(row)
+    rows = [g.adj[a] & ~amask for a in bits(amask)]
     rank = 0
-    for _ in range(len(rows)):
-        pivot = None
-        for i, row in enumerate(rows):
-            if row:
-                pivot = i
-                break
-        if pivot is None:
-            break
-        prow = rows.pop(pivot)
-        rank += 1
-        low = prow & -prow
-        rows = [row ^ prow if row & low else row for row in rows]
+    while rows:
+        prow = rows.pop()
+        if prow:
+            rank += 1
+            low = prow & -prow
+            rows = [row ^ prow if row & low else row for row in rows]
     return rank
 
 
 def rank_width_small(g):
-    """Exact rank-width plus an optimal decomposition tree (nested tuples)."""
+    """Exact rank-width plus an optimal decomposition tree (nested tuples).
+
+    One pass over the vertex sets S in increasing order, since both sides
+    of a split of S are smaller than S; S's width is the least, over its
+    splits with S's lowest vertex on side A, of the sides' widths and
+    cut-ranks, the first split found among ties."""
     check_bound("rank_width_small", "n", g.n, RANKWIDTH_MAX_N)
     n = g.n
     if n <= 1:
         return 0, tuple(range(n))
-    rk = {}
-    for m in range(1, 1 << n):
-        rk[m] = cut_rank(g, m)
-    gvals = {}
-    split = {}
-
-    def solve(S):
-        if S in gvals:
-            return gvals[S]
-        if popcount(S) == 1:
-            gvals[S] = 0
-            return 0
+    size = 1 << n
+    rk = [cut_rank(g, m) for m in range(size)]
+    width = [0] * size
+    split = [0] * size
+    for S in range(1, size):
         low = S & -S
-        best, besta = None, None
-        # proper splits with the lowest vertex pinned to side A
-        rest = S & ~low
-        sub = rest
-        while True:
-            a_side = low | (sub & rest)
-            b_side = S & ~a_side
-            if b_side:
-                val = max(solve(a_side), solve(b_side), rk[a_side], rk[b_side])
-                if best is None or val < best:
-                    best, besta = val, a_side
-            if sub == 0:
-                break
+        rest = sub = S & ~low
+        best = math.inf if rest else 0
+        while sub:
             sub = (sub - 1) & rest
-        gvals[S] = best
-        split[S] = besta
-        return best
-
-    full = (1 << n) - 1
-    value = solve(full)
+            a_side = low | sub
+            b_side = S & ~a_side
+            val = max(width[a_side], width[b_side], rk[a_side], rk[b_side])
+            if val < best:
+                best, split[S] = val, a_side
+        width[S] = best
 
     def build(S):
-        if popcount(S) == 1:
+        if S == S & -S:
             return S.bit_length() - 1
-        a_side = split[S]
-        return (build(a_side), build(S & ~a_side))
+        return (build(split[S]), build(S & ~split[S]))
 
-    return value, build(full)
+    return width[-1], build(size - 1)
 
 
 def well_linked_check(g, u_set, mode="exhaustive", seed=0, trials=1000):

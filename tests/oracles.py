@@ -87,16 +87,6 @@ def semi_induced_bruteforce(g, xs, ys):
     return nx + len(ys), edges
 
 
-def ball_by_paths(g, v, r):
-    """Radius-r ball via frontier layers (finite r only)."""
-    out = {v}
-    frontier = {v}
-    for _ in range(r):
-        frontier = {w for u in frontier for w in g.neighbors(u)} - out
-        out |= frontier
-    return out
-
-
 def nx_distances(g, v, keep):
     """networkx shortest-path distances from v in the subgraph of g induced
     on the vertex set keep, which holds v."""
@@ -131,19 +121,6 @@ def stirling2(n, k):
     if k == 0:
         return 0
     return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
-
-
-def set_partitions(items):
-    """All set partitions of a list, as lists of lists."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
 
 
 def all_labeled_graphs(n):
@@ -189,6 +166,27 @@ def wcol_by_orders(g, r):
                 if pos[w] >= pos[v]:
                     continue
                 if any(all(pos[x] >= pos[w] for x in path)
+                       for path in simple_paths(g, v, w, r)):
+                    count += 1
+            worst = max(worst, count)
+        best = worst if best is None else min(best, worst)
+    return best
+
+
+def scol_by_orders(g, r):
+    """scol_r by order enumeration and literal path checks: w before v
+    counts for v when a path from v to w has every inner vertex after v."""
+    best = None
+    vertices = list(range(g.n))
+    for order in itertools.permutations(vertices):
+        pos = {v: i for i, v in enumerate(order)}
+        worst = 0
+        for v in vertices:
+            count = 0
+            for w in vertices:
+                if pos[w] >= pos[v]:
+                    continue
+                if any(all(pos[x] > pos[v] for x in path[1:-1])
                        for path in simple_paths(g, v, w, r)):
                     count += 1
             worst = max(worst, count)

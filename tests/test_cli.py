@@ -505,6 +505,33 @@ def test_graphs_over_4096_vertices_exit_2_naming_the_bound(argv, stdin, what, n)
     assert f"{what}: n={n} exceeds the configured bound 4096" in err
 
 
+@pytest.mark.parametrize("family, r, mode, value", [
+    ("clique:16", "2", "greedy", 15),
+    ("clique:9", "3", "exact", 8),
+], ids=["K16-greedy-r2", "K9-exact-r3"])
+def test_adm_on_cliques_finishes(family, r, mode, value):
+    """Paths from v that pairwise share only v end at distinct vertices of
+    v's ball, so the packing stops at the placed part of the ball; without
+    that bound both commands ran out their 20 s."""
+    rc, out, err = run_cli("--timeout", "20", "param", "--family", family, "adm",
+                           "--r", r, "--mode", mode)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize("family, r, mode, bound", [
+    ("gnp:25:0.5:1", "2", "greedy", "adm packing at vertex 8: nodes=1000001 exceeds the "
+                                     "configured bound 1000000"),
+    ("clique:9", "6", "exact", "adm paths from vertex 0 at r=6: paths=10001 exceeds the "
+                               "configured bound 10000"),
+], ids=["packing-nodes", "paths"])
+def test_adm_search_over_its_bounds_exits_2_naming_it(family, r, mode, bound):
+    rc, out, err = run_cli("--timeout", "20", "param", "--family", family, "adm",
+                           "--r", r, "--mode", mode)
+    assert (rc, out) == (2, "")
+    assert bound in err
+
+
 def test_dfw_honours_max_n():
     rc, out, err = run_cli("game", "--family", "path:20", "dfw", "--r", "1", "--k", "2",
                            "--max-n", "3")

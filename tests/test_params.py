@@ -7,7 +7,7 @@ import oracles
 from conftest import atlas_graphs, random_graphs
 from oracles import decomposition_cut_ranks, order_back_degree
 from flipwidth import params
-from flipwidth.errors import GenerationError
+from flipwidth.errors import GenerationError, LimitExceeded
 from flipwidth.graphs import Graph, INF, complement, generate, mask_of, popcount
 from flipwidth.params import (OrderWitness, adm_cost, cut_rank, degeneracy,
                               functionality_param, generalized_coloring_number,
@@ -86,6 +86,35 @@ def test_adm_matches_order_enumeration():
             value, witness = generalized_coloring_number(g, "adm", r)
             assert value == oracles.adm_by_orders(g, r)
             assert adm_cost(g, witness.permutation, r) == value
+
+
+def test_scol_matches_order_enumeration(atlas5):
+    for g in atlas5:
+        for r in (1, 2):
+            value, witness = generalized_coloring_number(g, "scol", r)
+            assert value == oracles.scol_by_orders(g, r), (g.adj, r)
+            assert scol_cost(g, witness.permutation, r) == value
+
+
+def test_adm_paths_bound_counts_the_paths_listed_from_one_vertex(monkeypatch):
+    """C5 has four paths of length <= 2 from each vertex: two edges and two
+    paths of two edges."""
+    c5 = generate("cycle", 5)
+    monkeypatch.setattr(params, "ADM_MAX_PATHS", 4)
+    assert adm_cost(c5, range(5), 2) == 2
+    monkeypatch.setattr(params, "ADM_MAX_PATHS", 3)
+    with pytest.raises(LimitExceeded, match="^adm paths from vertex 0 at r=2: paths=4 "
+                                            "exceeds the configured bound 3$"):
+        adm_cost(c5, range(5), 2)
+
+
+def test_adm_packing_bound_names_the_vertex_and_its_nodes(monkeypatch):
+    """In K5 ordered 0..4, vertex v packs its v earlier neighbours, one
+    search node each, so vertex 3 is the first over a bound of 2."""
+    monkeypatch.setattr(params, "ADM_PACK_MAX_NODES", 2)
+    with pytest.raises(LimitExceeded, match="^adm packing at vertex 3: nodes=3 "
+                                            "exceeds the configured bound 2$"):
+        adm_cost(generate("clique", 5), range(5), 1)
 
 
 def test_adm_le_wcol_random():
