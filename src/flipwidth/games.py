@@ -16,9 +16,12 @@ edge flips crossed with the flips of the order relation, whose Gaifman
 graphs the runner walks in.
 
 The three cop games (cop, isolation and the no-announcement copprime)
-share one least fixpoint over (cop set S, robber vertex v) states, read off
-a table of the robber's reach around each blocked set.  The copprime state
-forgets the cop set, so its table has one row that every move reads.
+share one least fixpoint over (cop set S, robber vertex v) states.  Each
+step tests every (S, move) pair at once, walking back from the vertices
+off the move's allowed set through a table of neighbourhood unions; the
+table of the robber's reach around each blocked set serves the witness.
+The copprime state forgets the cop set, so its table has one row that
+every move reads.
 
 Each game's rules are stated once, in a stateless rules object (the
 `_*Rules` classes, built by `make_rules`): the move before round 1, what a
@@ -705,11 +708,39 @@ def ordered_binary_flip_width(og, r):
 COPS_MAX_N = 10
 
 
+def _neighbour_table(g):
+    """nb[m]: the union of the neighbourhoods of the vertices of mask m,
+    for all 2^n masks, as a uint32 array built by one slice-OR per vertex."""
+    import numpy as np
+    nb = np.zeros(1 << g.n, dtype=np.uint32)
+    for v, a in enumerate(g.adj):
+        nb[1 << v:2 << v] = nb[:1 << v] | np.uint32(a)
+    return nb
+
+
+def _cop_steps(g, r):
+    """The steps a walk of length <= r needs on g: r, capped at n."""
+    return g.n if r is INF else min(r, g.n)
+
+
 def _reach_table(g, r):
-    """reach[v][B]: ball_mask(g.adj, v, r, B), the vertices reachable from v
-    by a path of length <= r in G - B, where a cop on v does not block v
-    itself (v always included)."""
-    return [[ball_mask(g.adj, v, r, B) for B in range(1 << g.n)] for v in range(g.n)]
+    """reach[v][B]: the vertices reachable from v by a path of length <= r
+    in G - B, where a cop on v does not block v itself (v always included).
+    Row v walks all 2^n blocked sets B at once: each step adds the
+    neighbours of the frontier that are neither reached nor in B."""
+    import numpy as np
+    nb = _neighbour_table(g)
+    blocked = np.arange(1 << g.n, dtype=np.uint32)
+    table = []
+    for v in range(g.n):
+        reached = frontier = np.full(1 << g.n, 1 << v, dtype=np.uint32)
+        for _ in range(_cop_steps(g, r)):
+            frontier = nb.take(frontier) & ~(reached | blocked)
+            if not frontier.any():
+                break
+            reached = reached | frontier
+        table.append(reached.tolist())
+    return table
 
 
 def _check_cops(name, g, max_n, k=0):
@@ -742,36 +773,55 @@ def _cops_width(name, rules_class, g, r, max_n):
                        max(g.n, 1))
 
 
+COP_PAIR_CHUNK = 1 << 15     # (cop set, move) pairs a cop fixpoint step holds at once
+
+
 def _solve_cops_family(rules, reach=None):
     """Least fixpoint over the (S, v) states of the three cop games.
 
     Bit v of win[S] says that the cops win with the robber on v and the cop
-    set S.  The move S2 wins there when every vertex of reach[v][B], B =
-    rules.grounded(S, S2), is on S2 or won in the row of S2.  The copprime
-    state forgets the cop set, so win has one row that every move reads.
-    The win table is keyed by rules.after(S, v); copprime's records the
-    witness's move.  `reach` is _reach_table(rules.g, rules.r), built here
-    unless a width search passes it.
+    set S.  The move S2 wins there when every vertex the robber reaches
+    from v by a path of length <= r in G - B, B = rules.grounded(S, S2), is
+    in A = S2 | win[S2].  Each step walks back from the vertices off A:
+    bad starts as ~A and gains nb[bad & ~B], the neighbours of its unblocked
+    vertices, up to r times, so v is won through S2 when v is not bad and
+    not in S.  One array step tests every (S, S2) pair, COP_PAIR_CHUNK pairs
+    at a time.  The copprime state forgets the cop set, so win has one row
+    that every move reads.  The win table is keyed by rules.after(S, v);
+    copprime's records the witness's move.  `reach` is
+    _reach_table(rules.g, rules.r), which only the witness reads, built
+    here unless a width search passes it.
     """
     import numpy as np
     n = rules.n
     if reach is None:
         reach = _reach_table(rules.g, rules.r)
-    reach_of = np.array(reach, dtype=np.uint32).reshape(n, 1 << n).T   # [B, v]
-    bit = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    nb = _neighbour_table(rules.g)
+    full = np.uint32((1 << n) - 1)
+    steps = _cop_steps(rules.g, rules.r)
     moves = list(_subsets_up_to(n, rules.k))
+    s2 = np.array(moves, dtype=np.uint32)
     rows = np.arange(1 << n if rules.keeps_cops else 1, dtype=np.uint32)
+    chunk = max(1, COP_PAIR_CHUNK // len(moves))
     win = np.zeros(len(rows), dtype=np.uint32)
     won = {}                                       # after(S, v) -> (rounds, None)
     iteration = 0
     while True:
         iteration += 1
-        new = np.zeros_like(win)
-        for s2 in moves:
-            allowed = np.uint32(s2 | int(win[s2 if rules.keeps_cops else 0]))
-            hit = reach_of.take(rules.grounded(rows, np.uint32(s2)), axis=0)
-            new |= ((hit & ~allowed) == 0) @ bit
-        new &= ~rows & ~win        # states require v not in S
+        off = full & ~(s2 | win[s2 if rules.keeps_cops else 0])
+        new = np.empty_like(win)
+        for lo in range(0, len(rows), chunk):
+            S = rows[lo:lo + chunk, None]
+            blocked = rules.grounded(S, s2)
+            bad = np.broadcast_to(off, (len(S), len(moves)))
+            for _ in range(steps):
+                grown = bad | nb.take(bad & ~blocked)
+                if np.array_equal(grown, bad):
+                    break
+                bad = grown
+            # states require v not in S
+            np.bitwise_or.reduce(~bad & ~S, axis=1, out=new[lo:lo + chunk])
+        new &= full & ~win
         if not new.any():
             break
         for s in np.nonzero(new)[0].tolist():

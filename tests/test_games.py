@@ -729,6 +729,72 @@ def test_cop_width_searches_build_the_reach_table_once(monkeypatch, game, width)
         assert calls == {"reach": 1, "solves": want}
 
 
+def _cop_solution_key(sol):
+    return sol.winner, sol.rounds, list(sol.win_table.items())
+
+
+def test_reach_table_matches_ball_mask():
+    """Every entry reach[v][B] of the array-built reach table is
+    graphs.ball_mask(adj, v, r, B): atlas graphs with n <= 6 and seeded
+    gnp graphs with 8 to 10 vertices, at radii 0 to 3, n + 1 and inf."""
+    from flipwidth.graphs import ball_mask
+    graphs = atlas_graphs(6, min_n=0) + [generate("random_gnp", n, 0.5, s)
+                                         for n in (8, 9, 10) for s in (1, 2)]
+    for g in graphs:
+        for r in (0, 1, 2, 3, g.n + 1, INF):
+            reach = games._reach_table(g, r)
+            want = [[ball_mask(g.adj, v, r, b) for b in range(1 << g.n)] for v in range(g.n)]
+            assert reach == want, (g.n, sorted(g.edges()), r)
+
+
+@pytest.mark.parametrize("game", list(COP_SOLVERS))
+def test_cop_games_at_a_radius_of_n_or_more_equal_radius_inf(game):
+    """A walk needs at most n steps, so a finite r >= n, which the solver
+    caps at n, gives the win table of r = inf: paths, whose far ends are
+    n - 1 apart, and gnp graphs."""
+    graphs = [generate("path", n) for n in (2, 5, 7)] + [generate("random_gnp", 7, 0.4, 1)]
+    for g in graphs:
+        for k in (1, 2):
+            want = _cop_solution_key(COP_SOLVERS[game](g, INF, k))
+            for r in (g.n, g.n + 1, 3 * g.n):
+                assert _cop_solution_key(COP_SOLVERS[game](g, r, k)) == want, (g.n, r, k)
+
+
+@pytest.mark.parametrize("game", list(COP_SOLVERS))
+def test_cop_games_match_the_oracle_on_six_vertices(game):
+    """The backward walk of the cop fixpoint, on eight seeded 6-vertex
+    graphs: rounds and moves equal the explicit-state oracle's at
+    r in {1, 2, inf} and k in {1, 2}."""
+    for g in random_graphs(8, 6, seed=606, min_n=6):
+        for r in (1, 2, INF):
+            for k in (1, 2):
+                sol = COP_SOLVERS[game](g, r, k)
+                want = oracles.cop_game_oracle(game, g, r, k)
+                if game == "copprime":
+                    got = {v: (rd, frozenset(move["cops"]))
+                           for v, (rd, move) in sol.win_table.items()}
+                else:
+                    got = {(frozenset(bits(s)), v): (rd, sol.witness_pursuer.move(s, v)[0])
+                           for (s, v), (rd, _) in sol.win_table.items()}
+                assert got == want, (game, sorted(g.edges()), r, k)
+
+
+def test_cop_fixpoint_does_not_depend_on_the_chunk_size(monkeypatch):
+    """With COP_PAIR_CHUNK at 1 and 7 every chunk holds one cop set, and at
+    1000 the last chunk is short; winner, rounds and win table, in its
+    order, stay the default's."""
+    graphs = [generate("random_gnp", 9, 0.5, s) for s in (1, 2)]
+    want = {(i, game, r): _cop_solution_key(solve(g, r, 2))
+            for i, g in enumerate(graphs) for game, solve in COP_SOLVERS.items()
+            for r in (1, INF)}
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(games, "COP_PAIR_CHUNK", chunk)
+        got = {(i, game, r): _cop_solution_key(solve(g, r, 2))
+               for i, g in enumerate(graphs) for game, solve in COP_SOLVERS.items()
+               for r in (1, INF)}
+        assert got == want, chunk
+
+
 def test_iw_edgeless():
     assert isolation_width(generate("edgeless", 4), 1) == 1
 

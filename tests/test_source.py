@@ -3,10 +3,15 @@
 An `assert` statement is no check: `python -O` strips it, so an invariant
 must raise on its own.  And no module evaluates text as code: nothing
 named `eval`, `exec` or `compile` is called anywhere in the package, as a
-builtin or as an attribute (`re.compile` included).
+builtin or as an attribute (`re.compile` included).  Importing the package
+loads no numpy: every module imports it inside the functions that use it,
+so start-up stays cheap.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,12 @@ def test_no_code_from_text(path):
     calls = [(node.lineno, _name(node.func)) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _name(node.func) in BANNED_CALLS]
     assert calls == [], f"{path.name}: calls {calls}"
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = ("import sys, flipwidth, flipwidth.cli, flipwidth.games, flipwidth.params, "
+            "flipwidth.certificates; print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
