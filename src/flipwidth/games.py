@@ -788,9 +788,10 @@ def _solve_cops_family(rules, reach=None):
     not in S.  One array step tests every (S, S2) pair, COP_PAIR_CHUNK pairs
     at a time.  The copprime state forgets the cop set, so win has one row
     that every move reads.  The win table is keyed by rules.after(S, v);
-    copprime's records the witness's move.  `reach` is
-    _reach_table(rules.g, rules.r), which only the witness reads, built
-    here unless a width search passes it.
+    each step reads its new states off one nonzero of their bits, row-major,
+    so the keys come by (rounds, S, v).  copprime's records the witness's
+    move.  `reach` is _reach_table(rules.g, rules.r), which only the
+    witness reads, built here unless a width search passes it.
     """
     import numpy as np
     n = rules.n
@@ -804,6 +805,7 @@ def _solve_cops_family(rules, reach=None):
     rows = np.arange(1 << n if rules.keeps_cops else 1, dtype=np.uint32)
     chunk = max(1, COP_PAIR_CHUNK // len(moves))
     win = np.zeros(len(rows), dtype=np.uint32)
+    vertex = np.arange(n, dtype=np.uint32)
     won = {}                                       # after(S, v) -> (rounds, None)
     iteration = 0
     while True:
@@ -824,9 +826,8 @@ def _solve_cops_family(rules, reach=None):
         new &= full & ~win
         if not new.any():
             break
-        for s in np.nonzero(new)[0].tolist():
-            for v in bits(int(new[s])):
-                won[rules.after(s, v)] = (iteration, None)
+        S_list, v_list = (a.tolist() for a in np.nonzero((new[:, None] >> vertex) & 1))
+        won.update(dict.fromkeys(map(rules.after, S_list, v_list), (iteration, None)))
         win |= new
     init = _initial_states(rules)
     cops_win = all(state in won for state in init)

@@ -89,8 +89,9 @@ def _order_cost(order, cost_at):
 
 def _scol_cost_at(g, r):
     """scol's cost of placing v after `placed`: the placed vertices that a
-    path of length <= r from v reaches through unplaced vertices only."""
-    return lambda v, placed: popcount(_reach_out(g, v, ~placed, r))
+    path of length <= r from v reaches through unplaced vertices only.  The
+    subset DP's cap and floor are ignored."""
+    return lambda v, placed, cap=math.inf, floor=0: popcount(_reach_out(g, v, ~placed, r))
 
 
 def scol_cost(g, order, r):
@@ -104,34 +105,56 @@ def _paths_from(g, v, r):
     """The paths of length 1..r from v, as (end, mask of the path without
     v), sorted by size; listed depth first, ascending neighbours first,
     and the sort is stable."""
+    where = f"adm paths from vertex {v} at r={r}"
     paths = []
-    stack = [(v, 0)]
+    stack = [(v, 0, 0)]             # (last vertex, mask, length)
     while stack:
-        last, mask = stack.pop()
-        if last != v:
-            paths.append((last, mask))
-            check_bound(f"adm paths from vertex {v} at r={r}", "paths", len(paths), ADM_MAX_PATHS)
-        if popcount(mask) < r:
+        path = last, mask, length = stack.pop()
+        if length:
+            paths.append(path)
+            check_bound(where, "paths", len(paths), ADM_MAX_PATHS)
+        if length < r:
             nxt = g.adj[last] & ~mask & ~(1 << v)
-            stack.extend((w, mask | 1 << w) for w in reversed(list(bits(nxt))))
-    paths.sort(key=lambda path: popcount(path[1]))
-    return paths
+            stack.extend((w, mask | 1 << w, length + 1) for w in reversed(list(bits(nxt))))
+    paths.sort(key=lambda path: path[2])
+    return [(end, mask) for end, mask, _ in paths]
 
 
 def _adm_cost_at(g, r):
     """adm's cost of placing v after `placed`: the most paths of length <= r
     from v into placed that pairwise share only v.  v's paths are listed
-    once; a call packs those that end in placed, depth first, each branch
-    taking a path and keeping the later ones disjoint from it.  Such paths
-    leave v by distinct neighbours and end at distinct placed vertices of
-    v's ball, which bounds the packing."""
+    once.  Such paths leave v by distinct neighbours and end at distinct
+    placed vertices of v's ball, which bounds the packing.
+
+    A call first takes the paths that end in placed, in list order, each
+    one disjoint from those taken: the packing's first descent, without a
+    copy of the candidates at each level.  If that falls short of the
+    bound, a depth-first search packs them, each branch taking a path and
+    keeping the later ones disjoint from it.  Every path taken counts as a
+    search node.  With `cap` and `floor`, from the subset DP, the call
+    returns max(floor, min(cost, cap)): the search starts at floor and
+    stops at cap, since the DP keeps a vertex only when its cost is below
+    the cap, the best value found so far, and no value below the floor
+    changes its max.  Greedy mode passes neither, so its node counts, and
+    its refusals, stay those of the full search."""
     paths = [_paths_from(g, v, r) for v in range(g.n)]
     balls = [ball_mask(g.adj, v, r) for v in range(g.n)]
 
-    def cost_at(v, placed):
+    def cost_at(v, placed, cap=math.inf, floor=0):
         masks = [mask for end, mask in paths[v] if (placed >> end) & 1]
-        limit = min(popcount(g.adj[v]), popcount(balls[v] & placed))
-        best = nodes = 0
+        limit = min(popcount(g.adj[v]), popcount(balls[v] & placed), cap)
+        if limit <= floor:
+            return floor
+        where = f"adm packing at vertex {v}"
+        union = count = 0
+        for c in masks:
+            if not c & union:
+                union |= c
+                count += 1
+                check_bound(where, "nodes", count, ADM_PACK_MAX_NODES)
+                if count == limit:
+                    return limit
+        best, nodes = floor, 0
         stack = [[masks, 0, 0]]      # depth first: [candidates, next index, count]
         while stack and best < limit:
             top = stack[-1]
@@ -141,7 +164,7 @@ def _adm_cost_at(g, r):
                 continue
             top[1] += 1
             nodes += 1
-            check_bound(f"adm packing at vertex {v}", "nodes", nodes, ADM_PACK_MAX_NODES)
+            check_bound(where, "nodes", nodes, ADM_PACK_MAX_NODES)
             best = max(best, count + 1)
             stack.append([[c for c in cands[j + 1:] if not c & cands[j]], 0, count + 1])
         return best
@@ -160,14 +183,24 @@ def _exact_by_subset_dp(n, cost_at):
     before v), when that cost depends on the set before v only, with an
     order attaining it.  One pass over the masks in increasing order, since
     a mask without one of its vertices is smaller; the strict < over
-    ascending vertices puts the smallest vertex last among ties."""
+    ascending vertices puts the smallest vertex last among ties.
+
+    v is skipped when value[prev] >= best, the least value so far at this
+    mask, since then its value cannot be below best.  Otherwise the call
+    cost_at(v, prev, best, value[prev]) may answer any cost at or above
+    best with best, and any cost at or below value[prev] with value[prev]:
+    neither changes whether v's value is strictly below best, nor the
+    value it is, so no tie moves."""
     value = [0] * (1 << n)
     last = [0] * (1 << n)
     for m in range(1, 1 << n):
         best = math.inf
         for v in bits(m):
             prev = m & ~(1 << v)
-            val = max(value[prev], cost_at(v, prev))
+            floor = value[prev]
+            if floor >= best:
+                continue
+            val = max(floor, cost_at(v, prev, best, floor))
             if val < best:
                 best, last[m] = val, v
         value[m] = best
@@ -265,9 +298,10 @@ def _reach_out(g, v, through, r=INF):
 
 def treewidth_small(g):
     """Exact treewidth via DP over elimination prefixes: eliminating v after
-    S costs the vertices outside S+{v} reachable from v through S."""
+    S costs the vertices outside S+{v} reachable from v through S; the DP's
+    cap and floor are ignored."""
     check_bound("treewidth_small", "n", g.n, TREEWIDTH_MAX_N)
-    return _exact_by_subset_dp(g.n, lambda v, S: popcount(_reach_out(g, v, S)))[0]
+    return _exact_by_subset_dp(g.n, lambda v, S, cap, floor: popcount(_reach_out(g, v, S)))[0]
 
 
 # ---------------------------------------------------------------------------

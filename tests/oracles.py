@@ -13,7 +13,9 @@ test_flips.py checks against brute force, and its balls and isolation from
 the games' rules objects: plain bitmask walks, apart from the engine's
 numpy kernels (test_flips.py checks the cut-flip walk by hand).
 solve_flipper_concrete, an oracle for the position-set abstraction of the
-game solvers, reads its flips from the same stream.  gaifman_graphs, last,
+game solvers, builds its flips itself: the toggles of every partition the
+game allows, which do not depend on the graph and are built once, XORed
+with the graph's rows.  gaifman_graphs, last,
 is the reference for the binary ordered game: it builds every flip of the
 order relation with its own loops, and every edge flip over all block
 pairs, the diagonal ones included, where the package's stream has the
@@ -28,8 +30,8 @@ import functools
 import itertools
 from collections import deque, namedtuple
 
-from flipwidth.flips import (CutFlip, Partition, block_pairs, enumerate_definable_flips,
-                             enumerate_k_flips, flip_masks, order_cuts, order_rows,
+from flipwidth.flips import (CutFlip, Partition, block_pairs, enumerate_k_flips,
+                             flip_masks, order_cuts, order_rows,
                              rgs_partitions, subset_flip)
 from flipwidth.games import FLIPPER, RUNNER, Evader
 from flipwidth.graphs import INF, bits, popcount
@@ -230,6 +232,29 @@ def adm_by_orders(g, r):
             worst = max(worst, max_packing(paths, v))
         best = worst if best is None else min(best, worst)
     return best
+
+
+def subset_dp(n, cost_at):
+    """min over orders of the max of cost_at(v, the mask of the vertices
+    before v), with an order attaining it: the plain DP over vertex sets,
+    calling the cost, uncapped, for every set and every last vertex of it.
+    The strict < over ascending last vertices keeps the smallest one among
+    ties."""
+    value, last = {0: 0}, {}
+    for m in range(1, 1 << n):
+        best = None
+        for v in range(n):
+            if (m >> v) & 1:
+                prev = m & ~(1 << v)
+                val = max(value[prev], cost_at(v, prev))
+                if best is None or val < best:
+                    best, last[m] = val, v
+        value[m] = best
+    order, m = [], (1 << n) - 1
+    while m:
+        order.append(last[m])
+        m &= ~(1 << last[m])
+    return value[(1 << n) - 1], tuple(reversed(order))
 
 
 def max_packing(paths, pivot):
@@ -516,36 +541,86 @@ def _ball_of(rows, v, r):
     return sum(1 << w for w in dist)
 
 
-def solve_flipper_concrete(g, r, k, definable=False, max_n=None):
+def solve_flipper_concrete(g, r, k, definable=False):
     """Flipper game solved over concrete (flip, vertex) states; returns only
     the winner.
 
     State (f, v): flip f was announced and the runner stands at v.  The
     flipper wins there when some next flip isolates or wins every vertex
-    of v's radius-r ball in f; the runner first walks in g itself.
+    of v's radius-r ball in f; the runner first walks in g itself.  The
+    flips are g's rows XOR each distinct toggle of the game's partitions.
     """
-    if definable:
-        flips = distinct_flips(g, enumerate_definable_flips(g, k, max_n=max_n))
-    else:
-        flips = distinct_flips(g, enumerate_k_flips(g, k, max_n=max_n))
-    rows = [masks for _, masks in flips]
+    toggles = definable_toggles(g, k) if definable else k_flip_toggles(g.n, k)
+    rows = [tuple(a ^ t for a, t in zip(g.adj, toggle)) for toggle in toggles]
     balls = [[_ball_of(masks, v, r) for v in range(g.n)] for masks in rows]
     # done[f]: the vertices v that f isolates or whose state (f, v) is won
     done = [sum(1 << v for v, row in enumerate(masks) if row == 0) for masks in rows]
 
-    def covered(ball):
-        return any(ball & ~d == 0 for d in done)
-
     changed = True
     while changed:
         changed = False
+        # the balls inside some done set at the start of a pass: done only
+        # grows, so they stay covered, and a pass with no change reads them all
+        covered = _subsets_of_any(done)
         for f in range(len(rows)):
             for v in range(g.n):
-                if not (done[f] >> v) & 1 and covered(balls[f][v]):
+                if not (done[f] >> v) & 1 and balls[f][v] in covered:
                     done[f] |= 1 << v
                     changed = True
-    flipper_wins = all(covered(_ball_of(g.adj, v, r)) for v in range(g.n))
+    covered = _subsets_of_any(done)
+    flipper_wins = all(_ball_of(g.adj, v, r) in covered for v in range(g.n))
     return FLIPPER if flipper_wins else RUNNER
+
+
+def _subsets_of_any(masks):
+    """The set of every subset of some mask in masks."""
+    found = {0}
+    for mask in set(masks):
+        sub = mask
+        while sub:
+            found.add(sub)
+            sub = (sub - 1) & mask
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def partition_toggles(labels):
+    """The distinct toggles of flipping any subset of the block pairs (i, j),
+    i <= j, of the partition of 0..n-1 given by `labels`, its blocks
+    numbered by first occurrence: each toggle is the tuple of n row masks
+    of the vertex pairs it flips.  They do not depend on the graph, so
+    each partition's are built once."""
+    n = len(labels)
+    block = [0] * (max(labels, default=-1) + 1)
+    for v, b in enumerate(labels):
+        block[b] |= 1 << v
+    toggles = [(0,) * n]
+    for i, j in itertools.combinations_with_replacement(range(len(block)), 2):
+        pair = tuple(((block[j] if b == i else 0) | (block[i] if b == j else 0)) & ~(1 << v)
+                     for v, b in enumerate(labels))
+        toggles += [tuple(x ^ y for x, y in zip(t, pair)) for t in toggles]
+    return frozenset(toggles)
+
+
+@functools.lru_cache(maxsize=None)
+def k_flip_toggles(n, k):
+    """The distinct toggles of the <= k-flips on n vertices: those of every
+    restricted-growth labelling into at most k blocks."""
+    return frozenset().union(*map(partition_toggles, restricted_growth(n, k)))
+
+
+def definable_toggles(g, k):
+    """The distinct toggles of the flips of g definable over at most k
+    vertices: for every such S, those of the partition into classes of
+    equal neighbourhood in S."""
+    found = set()
+    for size in range(min(k, g.n) + 1):
+        for s_set in itertools.combinations(range(g.n), size):
+            smask = sum(1 << u for u in s_set)
+            first = {}
+            found |= partition_toggles(tuple(first.setdefault(row & smask, len(first))
+                                             for row in g.adj))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -508,11 +508,15 @@ def test_graphs_over_4096_vertices_exit_2_naming_the_bound(argv, stdin, what, n)
 @pytest.mark.parametrize("family, r, mode, value", [
     ("clique:16", "2", "greedy", 15),
     ("clique:9", "3", "exact", 8),
-], ids=["K16-greedy-r2", "K9-exact-r3"])
+    ("clique:1100", "1", "greedy", 1099),
+], ids=["K16-greedy-r2", "K9-exact-r3", "K1100-greedy-r1"])
 def test_adm_on_cliques_finishes(family, r, mode, value):
     """Paths from v that pairwise share only v end at distinct vertices of
     v's ball, so the packing stops at the placed part of the ball; without
-    that bound both commands ran out their 20 s."""
+    that bound the first two commands ran out their 20 s.  On K1100 the
+    first greedy walk over the paths reaches that bound at every vertex,
+    where a search that copied the candidates at each level was cubic and
+    ran out a 60 s timeout."""
     rc, out, err = run_cli("--timeout", "20", "param", "--family", family, "adm",
                            "--r", r, "--mode", mode)
     assert (rc, err) == (0, "")

@@ -733,6 +733,25 @@ def _cop_solution_key(sol):
     return sol.winner, sol.rounds, list(sol.win_table.items())
 
 
+def test_cop_win_tables_list_their_states_by_rounds():
+    """The fixpoint records each round's new states by cop set, then robber
+    vertex: the cop and isolation tables come sorted by (rounds, S, v), the
+    copprime table by (rounds, v).  gnp graphs with 8 and 9 vertices, at the
+    game's width and one below it."""
+    widths = {"cop": cop_width, "isolation": isolation_width, "copprime": copw_prime_width}
+    for n in (8, 9):
+        for p in (0.3, 0.5):
+            g = generate("random_gnp", n, p, 1)
+            for r in (1, 2, INF):
+                for game, solve in COP_SOLVERS.items():
+                    width = widths[game](g, r)
+                    for k in (width - 1, width):
+                        table = solve(g, r, k).win_table
+                        keys = list(table)
+                        assert keys == sorted(keys, key=lambda state: (table[state][0], state)), (
+                            game, n, p, r, k)
+
+
 def test_reach_table_matches_ball_mask():
     """Every entry reach[v][B] of the array-built reach table is
     graphs.ball_mask(adj, v, r, B): atlas graphs with n <= 6 and seeded

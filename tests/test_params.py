@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -94,6 +95,49 @@ def test_scol_matches_order_enumeration(atlas5):
             value, witness = generalized_coloring_number(g, "scol", r)
             assert value == oracles.scol_by_orders(g, r), (g.adj, r)
             assert scol_cost(g, witness.permutation, r) == value
+
+
+def test_pruned_subset_dp_matches_the_plain_one(atlas6):
+    """The exact adm, scol and treewidth DPs skip a vertex whose floor
+    reaches the least value so far and cap its cost there; the plain DP,
+    which does neither, finds the same value and witness order."""
+    for g in atlas6 + [generate("random_gnp", n, 0.5, s) for n in (8, 9) for s in range(6)]:
+        for r in (1, 2, 3):
+            for kind in ("adm", "scol"):
+                cost_at = getattr(params, f"_{kind}_cost_at")(g, r)
+                value, witness = generalized_coloring_number(g, kind, r)
+                assert (value, witness.permutation) == oracles.subset_dp(g.n, cost_at), (
+                    kind, g.adj, r)
+
+        def width_at(v, S, cap=None, floor=None):
+            return popcount(params._reach_out(g, v, S))
+
+        want = oracles.subset_dp(g.n, width_at)
+        assert params._exact_by_subset_dp(g.n, width_at) == want, g.adj
+        assert treewidth_small(g) == want[0]
+
+
+def test_adm_cost_answers_between_its_floor_and_cap():
+    """With a cap and a floor, adm's cost of placing v is max(floor,
+    min(cost, cap)), the cost uncapped; at r <= 2 that cost is the most
+    paths to placed vertices that share only v, packed by brute force."""
+    rng = random.Random(23)
+    for n in (8, 9):
+        for seed in range(3):
+            g = generate("random_gnp", n, 0.5, seed)
+            for r in (1, 2, 3):
+                cost_at = params._adm_cost_at(g, r)
+                for _ in range(40):
+                    v = rng.randrange(n)
+                    placed = rng.getrandbits(n) & ~(1 << v)
+                    cost = cost_at(v, placed)
+                    if r <= 2:
+                        paths = [tuple(p) for w in range(n) if (placed >> w) & 1
+                                 for p in oracles.simple_paths(g, v, w, r)]
+                        assert cost == oracles.max_packing(paths, v)
+                    cap, floor = rng.choice([rng.randrange(n + 2), math.inf]), rng.randrange(n)
+                    assert cost_at(v, placed, cap, floor) == max(floor, min(cost, cap)), (
+                        g.adj, r, v, placed, cap, floor)
 
 
 def test_adm_paths_bound_counts_the_paths_listed_from_one_vertex(monkeypatch):
